@@ -8,61 +8,23 @@ transmission/reflection spectra of the driven system.
 """
 
 from .exciton import (
-    ExcitonMode,
-    ModeKind,
-    SiteHamiltonian,
-    coupling_sum,
-    coupling_sum_rule,
-    diagonalize_site_hamiltonian,
-    envelope_mode_couplings,
-    exciton_energies,
-    mode_coupling_array,
-    mode_couplings,
-    oscillator_fractions,
-    sine_mode_vector,
-    site_coupling,
+    SiteHamiltonian, coupling_sum, coupling_sum_rule, diagonalize_site_hamiltonian,
+    envelope_mode_couplings, exciton_energies, mode_coupling_array, oscillator_fractions,
+    sine_mode_vector, site_coupling, superradiant_coupling,
 )
 from .params import (
-    EPSILON_0,
-    MAGIC_ANGLE_RAD,
-    PLANCK_H,
-    ConfigError,
-    DerivedParams,
-    InvalidParameterError,
-    SystemParams,
-    cavity_frequency,
-    chain_length,
-    load_params,
-    mode_volume,
-    params_from_dict,
-    site_positions,
-    transfer_parameter,
-    validate,
+    EPSILON_0, MAGIC_ANGLE_RAD, PLANCK_H, ConfigError, InvalidParameterError, SystemParams,
+    cavity_frequency, chain_length, load_params, mode_volume, params_from_dict, site_positions,
+    superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant,
-    MultimodeResult,
-    PolaritonDoublet,
-    collective_coupling_noninteracting,
-    generalized_rabi,
-    multimode_diagonalize,
-    superradiant_coupling,
-    superradiant_doublet,
-    superradiant_energy,
-    two_mode_doublet,
+    ModelVariant, MultimodeResult, PolaritonDoublet, collective_coupling_noninteracting,
+    generalized_rabi, multimode_diagonalize, superradiant_doublet, two_mode_doublet,
     vacuum_rabi_vs_N,
 )
 from .spectra import (
-    DampingSet,
-    NoOutputChannelError,
-    Peak,
-    SpectrumTrace,
-    cavity_response,
-    default_grid,
-    peak_find,
-    sweep,
-    transfer_function,
-    variant_resonances,
+    DampingSet, NoOutputChannelError, Peak, SpectrumTrace, cavity_response, default_grid,
+    peak_find, sweep, transfer_function, variant_center, variant_resonances,
 )
 
 __version__ = "0.1.0"

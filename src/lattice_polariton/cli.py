@@ -9,42 +9,28 @@ an explicit cavity frequency.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exciton import mode_couplings
+from .exciton import (
+    exciton_energies, mode_coupling_array, oscillator_fractions, superradiant_coupling,
+)
 from .params import (
-    MAGIC_ANGLE_RAD,
-    ConfigError,
-    InvalidParameterError,
-    SystemParams,
-    params_from_dict,
-    transfer_parameter,
-    validate,
+    MAGIC_ANGLE_RAD, ConfigError, InvalidParameterError, SystemParams, load_params,
+    superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant,
-    collective_coupling_noninteracting,
-    generalized_rabi,
-    superradiant_coupling,
-    superradiant_energy,
-    two_mode_doublet,
+    ModelVariant, collective_coupling_noninteracting, generalized_rabi, two_mode_doublet,
     vacuum_rabi_vs_N,
 )
 from .spectra import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_GRID_SPAN_HZ,
-    DampingSet,
-    SpectrumTrace,
-    default_grid,
-    peak_find,
-    sweep,
+    DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN_HZ, DampingSet, SpectrumTrace, default_grid,
+    peak_find, sweep, variant_center,
 )
 
 FIGURE_IDS = ("3a", "3b", "4a", "4b", "5", "6", "7a", "7b")
@@ -54,6 +40,8 @@ _MODEL_BY_FLAG = {
     "multimode": ModelVariant.FULL_MULTIMODE,
     "noninteracting": ModelVariant.NONINTERACTING_COLLECTIVE,
 }
+_TWO_MODE = ModelVariant.TWO_MODE_SUPERRADIANT
+_NONINTERACTING = ModelVariant.NONINTERACTING_COLLECTIVE
 
 
 @dataclass(frozen=True)
@@ -71,246 +59,205 @@ class RunSpec:
     envelope_exact: bool = False
 
 
-def parse_config(config_path: str | Path | None = None, **overrides) -> SystemParams:
-    """Merge defaults, an optional JSON file, and explicit overrides.
+class Dataset(NamedTuple):
+    """Named CSV columns, the comment lines above the header, and the
+    spectrum trace the summary reports on (None for other datasets)."""
 
-    Overrides use the JSON schema keys (``num_sites``, ``theta_rad``,
-    ``cavity_frequency_hz``, ...) and win over file values, which win over
-    the built-in reference defaults.
-    """
-    data: dict = {}
-    if config_path is not None:
-        try:
-            data = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {config_path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"parameter file {config_path} must hold a JSON object")
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    return params_from_dict(data)
+    columns: dict[str, np.ndarray]
+    comments: tuple[str, ...] = ()
+    trace: SpectrumTrace | None = None
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.11e}"
+# printf conversion per numpy dtype kind: floats carry 12 significant
+# digits, integers and strings are written as they are.
+_CELL_FORMATS = {"f": "%.11e", "i": "%d", "u": "%d", "U": "%s"}
+# Rows are formatted a chunk at a time, so memory stays bounded for
+# tables of 1e5+ rows.
+_CHUNK_ROWS = 4096
 
 
 def _write_csv(
-    path: Path, header: list[str], rows: list[list], comments: tuple[str, ...] | list[str] = ()
+    path: Path, columns: dict[str, np.ndarray], comments: tuple[str, ...] = ()
 ) -> None:
+    """Write equal-length named columns as one CSV dataset.
+
+    Comment lines end in "\\n"; the header and data rows end in "\\r\\n", as
+    csv.writer's do.  Strings are written unquoted, so they must not hold a
+    comma, a double quote or a line break.
+    """
+    row_format = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns.values()) + "\r\n"
+    rows = len(next(iter(columns.values())))
     with open(path, "w", newline="") as handle:
         for line in comments:
             handle.write(f"# {line}\n")
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [cell if isinstance(cell, (str, int)) else _fmt(cell) for cell in row]
-            )
+        handle.write(",".join(columns) + "\r\n")
+        for start in range(0, rows, _CHUNK_ROWS):
+            chunk = [c[start : start + _CHUNK_ROWS].tolist() for c in columns.values()]
+            handle.writelines(row_format % row for row in zip(*chunk))
 
 
-def _log_site_counts(max_sites: int) -> list[int]:
+def _flag(value, default):
+    """A grid flag's value, or the dataset's default when it was not given."""
+    return default if value is None else value
+
+
+def _log_site_counts(max_sites: int) -> np.ndarray:
     """Logarithmically spaced site counts from 1 to max_sites."""
-    raw = np.rint(np.geomspace(1, max_sites, 61)).astype(int)
-    return sorted(set(raw.tolist()))
+    return np.unique(np.rint(np.geomspace(1, max_sites, 61)).astype(int))
 
 
-def _exciton_rows(params: SystemParams) -> tuple[list[str], list[list]]:
-    header = ["k", "energy_shift_hz", "coupling_hz", "coupling_sq_hz2", "class", "oscillator_fraction"]
-    rows = []
-    for mode in mode_couplings(params):
-        rows.append(
-            [
-                mode.k,
-                mode.energy_hz - params.atom_frequency_hz,
-                mode.coupling_hz,
-                mode.coupling_hz**2,
-                mode.kind.value,
-                mode.oscillator_fraction,
-            ]
-        )
-    return header, rows
+def _exciton_modes(spec: RunSpec) -> Dataset:
+    params = spec.params
+    k = np.arange(1, params.num_sites + 1)
+    couplings = mode_coupling_array(params)
+    columns = {
+        "k": k,
+        "energy_shift_hz": exciton_energies(params) - params.atom_frequency_hz,
+        "coupling_hz": couplings,
+        "coupling_sq_hz2": couplings**2,
+        # Even-k modes have no net dipole, so parity alone decides darkness.
+        "class": np.where(k % 2 == 0, "dark", "bright"),
+        "oscillator_fraction": oscillator_fractions(params),
+    }
+    return Dataset(columns)
 
 
-def _doublet_sweep(
-    params: SystemParams, span_hz: float, points: int
-) -> list[tuple[float, object]]:
+_WEIGHTS = (
+    "exciton_weight_upper", "photon_weight_upper", "exciton_weight_lower", "photon_weight_lower",
+)
+
+
+def _polariton(spec: RunSpec) -> Dataset:
     """Doublets over a symmetric detuning sweep of the cavity frequency."""
+    params = spec.params
+    span = _flag(spec.grid_span_hz, 1.0e8)
+    deltas = np.linspace(-span, span, _flag(spec.grid_points, 401))
     exciton_hz = superradiant_energy(params)
-    results = []
-    for delta in np.linspace(-span_hz, span_hz, points):
-        cavity_hz = exciton_hz + 2.0 * delta
-        shifted = replace(params, cavity_frequency_hz=cavity_hz)
-        doublet = two_mode_doublet(cavity_hz, exciton_hz, superradiant_coupling(shifted))
-        results.append((float(delta), doublet))
-    return results
-
-
-def _spectrum_trace(spec: RunSpec) -> SpectrumTrace:
-    damping = DampingSet.from_params(spec.params)
-    grid = None
-    if spec.grid_points is not None or spec.grid_span_hz is not None:
-        grid = default_grid(
-            spec.params,
-            spec.variant,
-            points=spec.grid_points or DEFAULT_GRID_POINTS,
-            span_hz=spec.grid_span_hz or DEFAULT_GRID_SPAN_HZ,
+    doublets = [
+        two_mode_doublet(
+            cavity_hz,
+            exciton_hz,
+            superradiant_coupling(replace(params, cavity_frequency_hz=cavity_hz)),
         )
-    return sweep(spec.params, damping, spec.variant, grid, spec.envelope_exact)
+        for cavity_hz in exciton_hz + 2.0 * deltas
+    ]
+    columns = {
+        "delta_hz": deltas,
+        "upper_shift_hz": np.array([d.upper_hz for d in doublets]) - exciton_hz,
+        "lower_shift_hz": np.array([d.lower_hz for d in doublets]) - exciton_hz,
+    }
+    columns.update((name, np.array([getattr(d, name) for d in doublets])) for name in _WEIGHTS)
+    return Dataset(columns)
 
 
-def _spectrum_csv(spec: RunSpec, trace: SpectrumTrace) -> None:
-    comments = [
-        f"peak, {_fmt(p.location_hz)}, {_fmt(p.height)}, {_fmt(p.fwhm_hz)}" for p in trace.peaks
-    ]
-    rows = [
-        [nu, nu - trace.center_hz, t, r]
-        for nu, t, r in zip(trace.frequencies_hz, trace.transmission, trace.reflection)
-    ]
-    _write_csv(spec.out_path, ["nu_hz", "nu_shift_hz", "transmission", "reflection"], rows, comments)
+def _spectrum(spec: RunSpec) -> Dataset:
+    params = spec.params
+    grid = default_grid(
+        params,
+        spec.variant,
+        points=_flag(spec.grid_points, DEFAULT_GRID_POINTS),
+        span_hz=_flag(spec.grid_span_hz, DEFAULT_GRID_SPAN_HZ),
+    )
+    trace = sweep(params, DampingSet.from_params(params), spec.variant, grid, spec.envelope_exact)
+    comments = tuple(
+        f"peak, {p.location_hz:.11e}, {p.height:.11e}, {p.fwhm_hz:.11e}" for p in trace.peaks
+    )
+    columns = {
+        "nu_hz": trace.frequencies_hz,
+        "nu_shift_hz": trace.frequencies_hz - trace.center_hz,
+        "transmission": trace.transmission,
+        "reflection": trace.reflection,
+    }
+    return Dataset(columns, comments, trace)
+
+
+def _rabi_vs_n(spec: RunSpec) -> Dataset:
+    counts = _log_site_counts(spec.params.num_sites)
+    interacting = vacuum_rabi_vs_N(spec.params, counts, _TWO_MODE)
+    collective = vacuum_rabi_vs_N(spec.params, counts, _NONINTERACTING)
+    columns = {
+        "N": counts,
+        "omega0_int_hz": np.array([omega for _, omega in interacting]),
+        "omega0_nonint_hz": np.array([omega for _, omega in collective]),
+    }
+    return Dataset(columns)
+
+
+def _rabi_vs_theta(spec: RunSpec) -> Dataset:
+    params = spec.params
+    thetas = np.linspace(0.0, math.pi / 2.0, _flag(spec.grid_points, 181))
+
+    def curve(variant: ModelVariant) -> np.ndarray:
+        return np.array([generalized_rabi(params, t, params.num_sites, variant) for t in thetas])
+
+    columns = {
+        "theta_rad": thetas,
+        "omega_int_hz": curve(_TWO_MODE),
+        "omega_nonint_hz": curve(_NONINTERACTING),
+    }
+    return Dataset(columns)
+
+
+def _rabi_vs_n_at_angles(spec: RunSpec) -> Dataset:
+    counts = _log_site_counts(spec.params.num_sites)
+
+    def curve(theta: float, variant: ModelVariant) -> np.ndarray:
+        return np.array([generalized_rabi(spec.params, theta, n, variant) for n in counts])
+
+    columns = {
+        "N": counts,
+        "omega_int_theta0_hz": curve(0.0, _TWO_MODE),
+        "omega_int_magic_hz": curve(MAGIC_ANGLE_RAD, _TWO_MODE),
+        "omega_int_theta90_hz": curve(math.pi / 2.0, _TWO_MODE),
+        "omega_nonint_hz": curve(0.0, _NONINTERACTING),
+    }
+    return Dataset(columns)
+
+
+# Command or figure id -> (dataset builder, columns written; None = all).
+_DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], tuple[str, ...] | None]] = {
+    "dispersion": (_exciton_modes, None),
+    "couplings": (_exciton_modes, None),
+    "polariton": (_polariton, None),
+    "spectrum": (_spectrum, None),
+    "rabi-vs-n": (_rabi_vs_n, None),
+    "rabi-vs-theta": (_rabi_vs_theta, None),
+    "3a": (_exciton_modes, None),
+    "3b": (_exciton_modes, None),
+    "4a": (_polariton, ("delta_hz", "upper_shift_hz", "lower_shift_hz")),
+    "4b": (_polariton, ("delta_hz", *_WEIGHTS)),
+    "5": (_spectrum, None),
+    "6": (_rabi_vs_n, None),
+    "7a": (_rabi_vs_theta, None),
+    "7b": (_rabi_vs_n_at_angles, None),
+}
 
 
 def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace | None) -> list[str]:
-    transfer = transfer_parameter(params)
-    coupling = superradiant_coupling(params)
-    collective = collective_coupling_noninteracting(params)
-    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-        omega0 = 2.0 * collective
-    else:
-        omega0 = 2.0 * coupling
+    _, omega0 = variant_center(params, variant)
     lines = [
-        f"dipole-dipole transfer rate: {transfer:.6e} Hz",
-        f"superradiant cavity coupling: {coupling:.6e} Hz",
-        f"collective coupling (noninteracting): {collective:.6e} Hz",
+        f"dipole-dipole transfer rate: {transfer_parameter(params):.6e} Hz",
+        f"superradiant cavity coupling: {superradiant_coupling(params):.6e} Hz",
+        f"collective coupling (noninteracting): {collective_coupling_noninteracting(params):.6e} Hz",
         f"vacuum Rabi splitting ({variant.value}): {omega0:.6e} Hz",
     ]
-    for warning in validate(params):
-        lines.append(f"warning: {warning}")
+    lines += [f"warning: {warning}" for warning in validate(params)]
     if trace is not None:
         lines.append("transmission peaks (location_hz, height, fwhm_hz):")
-        for peak in trace.peaks:
-            lines.append(f"  {peak.location_hz:.6e}  {peak.height:.4e}  {peak.fwhm_hz:.4e}")
-        dips = peak_find(trace.frequencies_hz, -trace.reflection)
+        lines += [f"  {p.location_hz:.6e}  {p.height:.4e}  {p.fwhm_hz:.4e}" for p in trace.peaks]
         lines.append("reflection dips (location_hz, depth):")
-        for dip in dips:
-            lines.append(f"  {dip.location_hz:.6e}  {-dip.height:.4e}")
+        dips = peak_find(trace.frequencies_hz, -trace.reflection)
+        lines += [f"  {dip.location_hz:.6e}  {-dip.height:.4e}" for dip in dips]
     return lines
 
 
 def run(spec: RunSpec) -> int:
     """Execute a resolved RunSpec: write its CSV dataset, print a summary."""
-    params = spec.params
-    trace = None
-
-    if spec.command in ("dispersion", "couplings") or spec.figure_id in ("3a", "3b"):
-        header, rows = _exciton_rows(params)
-        _write_csv(spec.out_path, header, rows)
-
-    elif spec.command == "polariton" or spec.figure_id in ("4a", "4b"):
-        span = spec.grid_span_hz or 1.0e8
-        points = spec.grid_points or 401
-        sweep_rows = _doublet_sweep(params, span, points)
-        if spec.figure_id == "4a":
-            header = ["delta_hz", "upper_shift_hz", "lower_shift_hz"]
-            exciton_hz = superradiant_energy(params)
-            rows = [
-                [d, dbl.upper_hz - exciton_hz, dbl.lower_hz - exciton_hz]
-                for d, dbl in sweep_rows
-            ]
-        elif spec.figure_id == "4b":
-            header = [
-                "delta_hz",
-                "exciton_weight_upper",
-                "photon_weight_upper",
-                "exciton_weight_lower",
-                "photon_weight_lower",
-            ]
-            rows = [
-                [
-                    d,
-                    dbl.exciton_weight_upper,
-                    dbl.photon_weight_upper,
-                    dbl.exciton_weight_lower,
-                    dbl.photon_weight_lower,
-                ]
-                for d, dbl in sweep_rows
-            ]
-        else:
-            header = [
-                "delta_hz",
-                "upper_shift_hz",
-                "lower_shift_hz",
-                "exciton_weight_upper",
-                "photon_weight_upper",
-                "exciton_weight_lower",
-                "photon_weight_lower",
-            ]
-            exciton_hz = superradiant_energy(params)
-            rows = [
-                [
-                    d,
-                    dbl.upper_hz - exciton_hz,
-                    dbl.lower_hz - exciton_hz,
-                    dbl.exciton_weight_upper,
-                    dbl.photon_weight_upper,
-                    dbl.exciton_weight_lower,
-                    dbl.photon_weight_lower,
-                ]
-                for d, dbl in sweep_rows
-            ]
-        _write_csv(spec.out_path, header, rows)
-
-    elif spec.command == "spectrum" or spec.figure_id == "5":
-        trace = _spectrum_trace(spec)
-        _spectrum_csv(spec, trace)
-
-    elif spec.command == "rabi-vs-n" or spec.figure_id == "6":
-        counts = _log_site_counts(params.num_sites)
-        interacting = vacuum_rabi_vs_N(params, counts, ModelVariant.TWO_MODE_SUPERRADIANT)
-        collective = vacuum_rabi_vs_N(params, counts, ModelVariant.NONINTERACTING_COLLECTIVE)
-        rows = [
-            [n, omega_i, omega_c]
-            for (n, omega_i), (_, omega_c) in zip(interacting, collective)
-        ]
-        _write_csv(spec.out_path, ["N", "omega0_int_hz", "omega0_nonint_hz"], rows)
-
-    elif spec.command == "rabi-vs-theta" or spec.figure_id == "7a":
-        points = spec.grid_points or 181
-        thetas = np.linspace(0.0, math.pi / 2.0, points)
-        rows = []
-        for theta in thetas:
-            omega_i = generalized_rabi(params, theta, params.num_sites, ModelVariant.TWO_MODE_SUPERRADIANT)
-            omega_c = generalized_rabi(
-                params, theta, params.num_sites, ModelVariant.NONINTERACTING_COLLECTIVE
-            )
-            rows.append([float(theta), omega_i, omega_c])
-        _write_csv(spec.out_path, ["theta_rad", "omega_int_hz", "omega_nonint_hz"], rows)
-
-    elif spec.figure_id == "7b":
-        counts = _log_site_counts(params.num_sites)
-        rows = []
-        for n in counts:
-            rows.append(
-                [
-                    n,
-                    generalized_rabi(params, 0.0, n, ModelVariant.TWO_MODE_SUPERRADIANT),
-                    generalized_rabi(params, MAGIC_ANGLE_RAD, n, ModelVariant.TWO_MODE_SUPERRADIANT),
-                    generalized_rabi(params, math.pi / 2.0, n, ModelVariant.TWO_MODE_SUPERRADIANT),
-                    generalized_rabi(params, 0.0, n, ModelVariant.NONINTERACTING_COLLECTIVE),
-                ]
-            )
-        header = [
-            "N",
-            "omega_int_theta0_hz",
-            "omega_int_magic_hz",
-            "omega_int_theta90_hz",
-            "omega_nonint_hz",
-        ]
-        _write_csv(spec.out_path, header, rows)
-
-    else:
-        raise ValueError(f"unhandled command {spec.command!r}")
-
-    for line in _summary(params, spec.variant, trace):
+    build, names = _DATASETS[spec.figure_id or spec.command]
+    dataset = build(spec)
+    columns = dataset.columns if names is None else {n: dataset.columns[n] for n in names}
+    _write_csv(spec.out_path, columns, dataset.comments)
+    for line in _summary(spec.params, spec.variant, dataset.trace):
         print(line)
     print(f"wrote: {spec.out_path}")
     return 0
@@ -320,23 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON parameter file")
     common.add_argument("--out", metavar="PATH", help="output CSV path")
-    common.add_argument(
-        "--model",
-        choices=sorted(_MODEL_BY_FLAG),
-        default="two-mode",
-        help="model variant (default: two-mode)",
-    )
+    common.add_argument("--model", choices=sorted(_MODEL_BY_FLAG), default="two-mode",
+                        help="model variant (default: two-mode)")
     common.add_argument("--num-sites", type=int, help="number of lattice sites")
     common.add_argument("--theta-deg", type=float, help="dipole angle in degrees")
     common.add_argument("--nu-c-hz", type=float, help="explicit cavity frequency in Hz")
     common.add_argument("--grid-points", type=int, help="sweep grid size")
     common.add_argument("--grid-span-hz", type=float, help="sweep half-span in Hz")
-    common.add_argument(
-        "--envelope",
-        choices=("exact", "flat"),
-        default="flat",
-        help="beam envelope for the multimode model (default: flat)",
-    )
+    common.add_argument("--envelope", choices=("exact", "flat"), default="flat",
+                        help="beam envelope for the multimode model (default: flat)")
 
     parser = argparse.ArgumentParser(
         prog="lattice-polariton",
@@ -369,13 +308,20 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
                 "figure presets own the resonance convention; --nu-c-hz is not allowed"
             )
 
+    if args.grid_points is not None and args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if args.grid_span_hz is not None and not (0 < args.grid_span_hz < math.inf):
+        raise ConfigError(
+            f"--grid-span-hz must be a positive finite number, got {args.grid_span_hz}"
+        )
+
     overrides = {
         "num_sites": args.num_sites,
         "cavity_frequency_hz": args.nu_c_hz,
     }
     if args.theta_deg is not None:
         overrides["theta_rad"] = math.radians(args.theta_deg)
-    params = parse_config(args.config, **overrides)
+    params = load_params(args.config, **overrides)
 
     if figure_id is not None and params.cavity_frequency_hz is not None:
         raise ConfigError(

@@ -9,38 +9,15 @@ modes; even-k modes have a vanishing net dipole and stay dark.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .params import (
-    EPSILON_0,
-    PLANCK_H,
-    SystemParams,
-    cavity_frequency,
-    mode_volume,
-    site_positions,
+    EPSILON_0, PLANCK_H, SystemParams, cavity_frequency, mode_volume, site_positions,
     transfer_parameter,
 )
-
-
-class ModeKind(str, enum.Enum):
-    BRIGHT = "bright"
-    DARK = "dark"
-
-
-@dataclass(frozen=True)
-class ExcitonMode:
-    """One standing-wave exciton of the chain."""
-
-    k: int                      # mode index, 1..N
-    energy_hz: float            # mode energy / h
-    coupling_hz: float          # |cavity coupling| / h, >= 0
-    kind: ModeKind              # dark iff k even iff coupling_hz == 0
-    oscillator_fraction: float  # |coupling|^2 / sum of all |coupling|^2
 
 
 def _check_mode_index(k: int, num_sites: int) -> None:
@@ -88,18 +65,29 @@ def site_coupling(params: SystemParams) -> float:
     return math.sqrt(nu_c * params.dipole_Cm**2 / (2.0 * EPSILON_0 * volume * PLANCK_H))
 
 
+def _coupling_scale(params: SystemParams) -> float:
+    return site_coupling(params) * math.sqrt(2.0 / (params.num_sites + 1))
+
+
 def mode_coupling_array(params: SystemParams) -> np.ndarray:
     """Cavity coupling magnitudes in Hz for k = 1..N (flat beam envelope).
 
     Mode k couples with sqrt(2/(N+1)) cot(pi k / (2(N+1))) times the
     single-site coupling for odd k, and exactly zero for even k.
     """
-    n_plus_1 = params.num_sites + 1
-    scale = site_coupling(params) * math.sqrt(2.0 / n_plus_1)
+    scale = _coupling_scale(params)
     couplings = np.zeros(params.num_sites)
     for k in range(1, params.num_sites + 1, 2):
         couplings[k - 1] = scale * coupling_sum(k, params.num_sites)
     return couplings
+
+
+def superradiant_coupling(params: SystemParams) -> float:
+    """Cavity coupling magnitude in Hz of the k = 1 exciton.
+
+    Equal to mode_coupling_array(params)[0], but O(1) instead of O(N).
+    """
+    return _coupling_scale(params) * coupling_sum(1, params.num_sites)
 
 
 def envelope_mode_couplings(params: SystemParams) -> np.ndarray:
@@ -128,27 +116,6 @@ def oscillator_fractions(params: SystemParams) -> np.ndarray:
     couplings = mode_coupling_array(params)
     weights = couplings**2
     return weights / weights.sum()
-
-
-def mode_couplings(params: SystemParams) -> list[ExcitonMode]:
-    """All exciton modes with energies, couplings, parity class, and
-    oscillator fractions.  The overall coupling phase is not stored: no
-    observable in this package depends on it."""
-    energies = exciton_energies(params)
-    couplings = mode_coupling_array(params)
-    fractions = couplings**2 / (couplings**2).sum()
-    modes = []
-    for k in range(1, params.num_sites + 1):
-        modes.append(
-            ExcitonMode(
-                k=k,
-                energy_hz=float(energies[k - 1]),
-                coupling_hz=float(couplings[k - 1]),
-                kind=ModeKind.DARK if k % 2 == 0 else ModeKind.BRIGHT,
-                oscillator_fraction=float(fractions[k - 1]),
-            )
-        )
-    return modes
 
 
 def coupling_sum_rule(num_sites: int) -> float:
@@ -197,8 +164,12 @@ def diagonalize_site_hamiltonian(h: SiteHamiltonian) -> tuple[np.ndarray, np.nda
     """Brute-force eigendecomposition of the site Hamiltonian.
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Serves as a
-    numerical oracle for exciton_energies and sine_mode_vector.
+    numerical oracle for exciton_energies and sine_mode_vector.  scipy is
+    imported here, not at module level: this oracle is the package's only
+    use of it.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if h.dim == 1:
         return np.array([h.diagonal_hz]), np.array([[1.0]])
     diagonal = np.full(h.dim, h.diagonal_hz)

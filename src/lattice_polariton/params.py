@@ -120,12 +120,18 @@ def site_positions(params: SystemParams) -> np.ndarray:
     return (n - (params.num_sites + 1) / 2.0) * params.lattice_constant_m
 
 
+def superradiant_energy(params: SystemParams) -> float:
+    """Energy in Hz of the lowest (nodeless, k = 1) exciton mode:
+    nu_a + 2 J cos(pi / (N+1))."""
+    shift = 2.0 * transfer_parameter(params) * math.cos(math.pi / (params.num_sites + 1))
+    return params.atom_frequency_hz + shift
+
+
 def cavity_frequency(params: SystemParams) -> float:
     """Cavity frequency in Hz; defaults to resonance with the lowest exciton."""
     if params.cavity_frequency_hz is not None:
         return params.cavity_frequency_hz
-    shift = 2.0 * transfer_parameter(params) * math.cos(math.pi / (params.num_sites + 1))
-    return params.atom_frequency_hz + shift
+    return superradiant_energy(params)
 
 
 def validate(params: SystemParams) -> list[str]:
@@ -143,25 +149,6 @@ def validate(params: SystemParams) -> list[str]:
             "approximation degrades"
         )
     return warnings
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities derived from SystemParams, bundled for reporting."""
-
-    mode_volume_m3: float
-    transfer_hz: float
-    chain_length_m: float
-    site_positions_m: np.ndarray
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "DerivedParams":
-        return cls(
-            mode_volume_m3=mode_volume(params),
-            transfer_hz=transfer_parameter(params),
-            chain_length_m=chain_length(params),
-            site_positions_m=site_positions(params),
-        )
 
 
 # JSON keys accepted by parameter files, mapped onto SystemParams fields.
@@ -189,10 +176,20 @@ def params_from_dict(data: dict) -> SystemParams:
     return SystemParams(**kwargs)
 
 
-def load_params(path: str | Path) -> SystemParams:
-    """Load SystemParams from a JSON file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+def load_params(path: str | Path | None = None, **overrides) -> SystemParams:
+    """Load SystemParams from an optional JSON file.
+
+    Keyword overrides use the JSON schema keys (``num_sites``,
+    ``theta_rad``, ...); those that are not None win over file values,
+    which win over the built-in reference defaults.
+    """
+    data: dict = {}
+    if path is not None:
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"parameter file {path} must hold a JSON object")
+    data.update({k: v for k, v in overrides.items() if v is not None})
     return params_from_dict(data)

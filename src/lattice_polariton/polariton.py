@@ -17,8 +17,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .exciton import envelope_mode_couplings, exciton_energies, mode_coupling_array, site_coupling
-from .params import SystemParams, cavity_frequency, transfer_parameter
+from .exciton import (
+    envelope_mode_couplings, exciton_energies, mode_coupling_array, site_coupling,
+    superradiant_coupling,
+)
+from .params import SystemParams, cavity_frequency, superradiant_energy
 
 
 class ModelVariant(str, enum.Enum):
@@ -82,19 +85,6 @@ class MultimodeResult:
     eigenvectors: np.ndarray     # (N+1, N+1)
     photon_weights: np.ndarray   # (N+1,)
     exciton_weights: np.ndarray  # (N+1, N), row i <-> eigenvector i
-
-
-def superradiant_energy(params: SystemParams) -> float:
-    """Energy in Hz of the lowest (nodeless, k = 1) exciton mode."""
-    shift = 2.0 * transfer_parameter(params) * math.cos(math.pi / (params.num_sites + 1))
-    return params.atom_frequency_hz + shift
-
-
-def superradiant_coupling(params: SystemParams) -> float:
-    """Cavity coupling magnitude in Hz of the k = 1 exciton."""
-    n_plus_1 = params.num_sites + 1
-    cot = 1.0 / math.tan(math.pi / (2.0 * n_plus_1))
-    return site_coupling(params) * math.sqrt(2.0 / n_plus_1) * cot
 
 
 def collective_coupling_noninteracting(params: SystemParams) -> float:

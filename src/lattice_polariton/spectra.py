@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exciton import envelope_mode_couplings, exciton_energies, mode_coupling_array
-from .params import SystemParams, cavity_frequency
-from .polariton import (
-    ModelVariant,
-    collective_coupling_noninteracting,
-    superradiant_coupling,
-    superradiant_energy,
+from .exciton import (
+    envelope_mode_couplings, exciton_energies, mode_coupling_array, superradiant_coupling,
 )
+from .params import SystemParams, cavity_frequency, superradiant_energy
+from .polariton import ModelVariant, collective_coupling_noninteracting
 
 # Default sweep: 2001 points over +-150 MHz around the cavity/exciton
 # midpoint, about 15 grid points per 10-MHz linewidth.
@@ -147,16 +144,14 @@ def transfer_function(
     )
 
 
-def _variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
-    """Midpoint of cavity and exciton frequencies, plus the variant's
-    zero-detuning splitting (used to size sweep grids)."""
-    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-        exciton_hz = params.atom_frequency_hz
-        omega0 = 2.0 * collective_coupling_noninteracting(params)
-    else:
-        exciton_hz = superradiant_energy(params)
-        omega0 = 2.0 * superradiant_coupling(params)
-    return (cavity_frequency(params) + exciton_hz) / 2.0, omega0
+def variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
+    """Midpoint of the cavity and exciton lines, plus the variant's
+    zero-detuning vacuum Rabi splitting Omega_0 (used to size sweep grids).
+    The multimode model is placed and sized by its superradiant mode."""
+    if variant is ModelVariant.FULL_MULTIMODE:
+        variant = ModelVariant.TWO_MODE_SUPERRADIANT
+    [(coupling_hz, exciton_hz)] = variant_resonances(params, variant)
+    return (cavity_frequency(params) + exciton_hz) / 2.0, 2.0 * coupling_hz
 
 
 def default_grid(
@@ -170,7 +165,7 @@ def default_grid(
         raise ValueError(f"grid needs at least 3 points, got {points}")
     if span_hz <= 0:
         raise ValueError(f"grid span must be positive, got {span_hz}")
-    center, _ = _variant_center(params, variant)
+    center, _ = variant_center(params, variant)
     return center + np.linspace(-span_hz, span_hz, points)
 
 
@@ -186,7 +181,7 @@ def sweep(
     The grid must be strictly increasing and must comfortably cover the
     polariton doublet around the cavity/exciton midpoint.
     """
-    center, omega0 = _variant_center(params, variant)
+    center, omega0 = variant_center(params, variant)
     if grid is None:
         grid = default_grid(params, variant)
     else:

@@ -1,24 +1,35 @@
 import csv
+import io
 import json
 import math
+import string
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lattice_polariton import cavity_frequency, superradiant_energy, transfer_parameter
-from lattice_polariton.cli import FIGURE_IDS, main, parse_config
+from lattice_polariton import cavity_frequency, load_params, superradiant_energy, transfer_parameter
+from lattice_polariton.cli import FIGURE_IDS, _write_csv, main
+
+COMMANDS = ("dispersion", "couplings", "polariton", "spectrum", "rabi-vs-n", "rabi-vs-theta")
 
 
 def read_csv(path):
     with open(path) as handle:
-        rows = [line for line in handle if not line.startswith("#")]
-    comments = [line for line in open(path) if line.startswith("#")]
+        lines = handle.readlines()
+    rows = [line for line in lines if not line.startswith("#")]
+    comments = [line for line in lines if line.startswith("#")]
     parsed = list(csv.reader(rows))
     return parsed[0], parsed[1:], comments
 
 
 class TestParseConfig:
+    """The CLI's parameter merge, defaults < --config file < flags, which
+    load_params performs."""
+
     def test_empty_input_gives_reference_defaults(self):
-        p = parse_config()
+        p = load_params()
         assert p.lattice_constant_m == 1e-7
         assert p.num_sites == 1000
         assert p.beam_waist_m == 3e-4
@@ -33,13 +44,13 @@ class TestParseConfig:
     def test_magic_angle_config(self, tmp_path):
         path = tmp_path / "magic.json"
         path.write_text(json.dumps({"theta_rad": 0.9553}))
-        p = parse_config(path)
-        assert abs(transfer_parameter(p)) < 1e-4 * abs(transfer_parameter(parse_config()))
+        p = load_params(path)
+        assert abs(transfer_parameter(p)) < 1e-4 * abs(transfer_parameter(load_params()))
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"num_sites": 7, "theta_rad": 0.2}))
-        p = parse_config(path, num_sites=11)
+        p = load_params(path, num_sites=11)
         assert p.num_sites == 11
         assert p.theta_rad == 0.2
 
@@ -79,6 +90,35 @@ class TestExitCodes:
         assert rc == 1
 
 
+class TestGridFlags:
+    """A zero or negative grid flag is refused, never replaced by a default."""
+
+    @pytest.mark.parametrize("command", [*COMMANDS, "figure 4a", "figure 5", "figure 7a"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--grid-points", "0"),
+            ("--grid-points", "-3"),
+            ("--grid-span-hz", "0"),
+            ("--grid-span-hz", "-2.5"),
+        ],
+    )
+    def test_rejected_with_exit_1(self, command, flag, value, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main([*command.split(), f"{flag}={value}", "--num-sites", "50", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+        assert "Number of samples" not in err
+        assert not out.exists()
+
+    def test_single_point_accepted(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["polariton", "--grid-points", "1", "--out", str(out)]) == 0
+        _, rows, _ = read_csv(out)
+        assert len(rows) == 1
+
+
 class TestCommands:
     def test_dispersion_single_site(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
@@ -88,6 +128,18 @@ class TestCommands:
         assert header[0] == "k"
         assert len(rows) == 1
         assert abs(float(rows[0][1])) < 1.0  # midband: shift below 1 Hz
+
+    def test_class_column_follows_parity(self, tmp_path, capsys):
+        out = tmp_path / "modes.csv"
+        assert main(["couplings", "--num-sites", "40", "--out", str(out)]) == 0
+        header, rows, _ = read_csv(out)
+        assert header[4] == "class"
+        for row in rows:
+            k, coupling = int(row[0]), float(row[2])
+            if k % 2 == 0:
+                assert row[4] == "dark" and coupling == 0.0
+            else:
+                assert row[4] == "bright" and coupling > 0.0
 
     def test_couplings_fig3b_ratios(self, tmp_path, capsys):
         out = tmp_path / "fig3b.csv"
@@ -176,3 +228,59 @@ class TestCommands:
         assert rc == 0
         _, _, comments = read_csv(out)
         assert sum(1 for c in comments if c.startswith("# peak")) == 2
+
+
+def reference_csv(header, rows, comments=()):
+    """The per-cell writer that produced the reference datasets: csv.writer
+    rows, floats as f"{v:.11e}", ints and strings as they are."""
+    handle = io.StringIO(newline="")
+    for line in comments:
+        handle.write(f"# {line}\n")
+    writer = csv.writer(handle)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell if isinstance(cell, (str, int)) else f"{cell:.11e}" for cell in row])
+    return handle.getvalue().encode()
+
+
+# Floats with the edge cases pinned in: signed zero, subnormals, +-1e300,
+# infinities and NaN.
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+)
+INTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+# Strings the CSV quoting rules leave alone, as the dataset labels are.
+STRS = st.text(alphabet=string.ascii_letters + string.digits + " _-.:", min_size=1, max_size=12)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(min_value=0, max_value=20))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "str"]), min_size=1, max_size=6))
+    strategy = {"float": FLOATS, "int": INTS, "str": STRS}
+    dtype = {"float": np.float64, "int": np.int64, "str": str}
+    values = [draw(st.lists(strategy[kind], min_size=rows, max_size=rows)) for kind in kinds]
+    names = [f"c{i}_{kind}" for i, kind in enumerate(kinds)]
+    columns = {n: np.array(v, dtype=dtype[kind]) for n, v, kind in zip(names, values, kinds)}
+    comments = draw(st.lists(STRS, max_size=3))
+    return names, values, columns, tuple(comments)
+
+
+class TestWriteCsv:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(table=tables())
+    def test_bytes_match_per_cell_writer(self, table, tmp_path):
+        names, values, columns, comments = table
+        path = tmp_path / "t.csv"
+        _write_csv(path, columns, comments)
+        assert path.read_bytes() == reference_csv(names, list(zip(*values)), comments)
+
+    def test_rows_span_several_chunks(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 10_001)
+        k = np.arange(x.size)
+        path = tmp_path / "t.csv"
+        _write_csv(path, {"k": k, "x": x})
+        assert path.read_bytes() == reference_csv(["k", "x"], zip(k.tolist(), x.tolist()))

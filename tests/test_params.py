@@ -9,7 +9,6 @@ from lattice_polariton import (
     MAGIC_ANGLE_RAD,
     PLANCK_H,
     ConfigError,
-    DerivedParams,
     InvalidParameterError,
     SystemParams,
     cavity_frequency,
@@ -124,12 +123,12 @@ class TestDerived:
         r = site_positions(SystemParams(num_sites=5))
         np.testing.assert_allclose(np.diff(r), 1e-7, rtol=1e-12)
 
-    def test_bundle(self):
-        d = DerivedParams.from_params(SystemParams())
-        assert d.mode_volume_m3 == mode_volume(SystemParams())
-        assert d.transfer_hz == transfer_parameter(SystemParams())
-        assert d.chain_length_m == chain_length(SystemParams())
-        assert d.site_positions_m.shape == (1000,)
+    def test_chain_length_spans_sites_and_boundaries(self):
+        # the two empty boundary sites add one spacing at each end
+        p = SystemParams()
+        r = site_positions(p)
+        assert r.shape == (1000,)
+        assert chain_length(p) == pytest.approx(r[-1] - r[0] + 2.0 * 1e-7, rel=1e-12)
 
     def test_cavity_defaults_to_lowest_exciton(self):
         p = SystemParams()
@@ -169,6 +168,12 @@ class TestJsonConfig:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_params(path)
+
+    def test_non_object_json(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
             load_params(path)
 
     def test_non_numeric_value(self):

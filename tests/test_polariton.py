@@ -11,7 +11,7 @@ from lattice_polariton import (
     collective_coupling_noninteracting,
     exciton_energies,
     generalized_rabi,
-    mode_couplings,
+    mode_coupling_array,
     multimode_diagonalize,
     site_coupling,
     superradiant_coupling,
@@ -30,7 +30,7 @@ class TestCouplings:
         assert superradiant_coupling(REF) == pytest.approx(2.55e7, rel=0.02)
 
     def test_matches_first_mode_coupling(self):
-        assert superradiant_coupling(REF) == mode_couplings(REF)[0].coupling_hz
+        assert superradiant_coupling(REF) == mode_coupling_array(REF)[0]
 
     def test_single_atom_limit(self):
         p = SystemParams(num_sites=1)
