@@ -93,18 +93,22 @@ def superradiant_coupling(params: SystemParams) -> float:
 def envelope_mode_couplings(params: SystemParams) -> np.ndarray:
     """Cavity couplings in Hz with the exact Gaussian beam envelope.
 
-    Built in the site basis with per-site factor exp(-r_n^2 / w0^2), then
-    projected onto the sine modes.  Reduces to mode_coupling_array when the
-    chain is much shorter than the waist.
+    The per-site couplings g exp(-r_n^2 / w0^2) are projected onto the sine
+    modes, sqrt(2/(N+1)) sum_n sin(pi n k / (N+1)) g_n: a type-I discrete
+    sine transform, taken as the FFT of the profile's odd extension.  The
+    profile is symmetric about the chain's centre, so even-k couplings are
+    exactly zero, as in the flat case.  Reduces to mode_coupling_array when
+    the chain is much shorter than the waist.
     """
     num_sites = params.num_sites
     positions = site_positions(params)
     per_site = site_coupling(params) * np.exp(-((positions / params.beam_waist_m) ** 2))
-    n = np.arange(1, num_sites + 1)
-    transform = math.sqrt(2.0 / (num_sites + 1)) * np.sin(
-        np.pi * np.outer(n, n) / (num_sites + 1)
-    )
-    return transform.T @ per_site
+    per_site = (per_site + per_site[::-1]) / 2.0
+    odd_extension = np.concatenate([[0.0], per_site, [0.0], -per_site[::-1]])
+    spectrum = np.fft.rfft(odd_extension)[1 : num_sites + 1]
+    couplings = -math.sqrt(2.0 / (num_sites + 1)) / 2.0 * spectrum.imag
+    couplings[1::2] = 0.0
+    return couplings
 
 
 def oscillator_fractions(params: SystemParams) -> np.ndarray:

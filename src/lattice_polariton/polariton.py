@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .exciton import (
     superradiant_coupling,
 )
 from .params import SystemParams, cavity_frequency, superradiant_energy
+
+if TYPE_CHECKING:
+    from .arrowhead import ArrowheadEigen
 
 
 class ModelVariant(str, enum.Enum):
@@ -71,20 +75,31 @@ class PolaritonDoublet:
         return self.photon_amp_lower**2
 
 
-@dataclass(frozen=True)
 class MultimodeResult:
     """Full (N+1)-mode eigendecomposition: N excitons plus the photon.
 
-    Rows of ``eigenvectors`` are the basis states (excitons k = 1..N, then
-    the photon); columns are eigenvectors ordered by ascending frequency.
-    Weight arrays hold squared amplitudes, so each eigenvector's photon
-    weight plus its exciton weights sum to one.
+    ``frequencies_hz`` (ascending) and ``photon_weights`` are computed
+    eagerly in O(N) memory.  ``eigenvectors`` ((N+1, N+1): rows are the
+    basis states, excitons k = 1..N then the photon; columns follow the
+    frequencies) is built on first access and cached; it refuses chains
+    whose (N+1)^2 matrix would exceed about 2 GB.  ``exciton_weights``
+    ((N+1, N), row i <-> eigenvector i) squares the cached eigenvectors
+    into a second matrix of that size.  Each eigenvector's photon weight
+    plus its exciton weights sum to one.
     """
 
-    frequencies_hz: np.ndarray   # (N+1,), ascending
-    eigenvectors: np.ndarray     # (N+1, N+1)
-    photon_weights: np.ndarray   # (N+1,)
-    exciton_weights: np.ndarray  # (N+1, N), row i <-> eigenvector i
+    def __init__(self, solution: ArrowheadEigen):
+        self._solution = solution
+        self.frequencies_hz = solution.values
+        self.photon_weights = solution.photon_weights
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return self._solution.vectors()
+
+    @cached_property
+    def exciton_weights(self) -> np.ndarray:
+        return np.square(self.eigenvectors[:-1, :].T)
 
 
 def collective_coupling_noninteracting(params: SystemParams) -> float:
@@ -216,50 +231,24 @@ def multimode_diagonalize(
 ) -> MultimodeResult:
     """Diagonalize all N excitons plus the photon.
 
-    The matrix is bordered-diagonal: exciton energies on the diagonal, the
-    cavity frequency in the last slot, couplings along the border.  Modes
-    with exactly zero coupling are split off first, so dark modes come out
-    as exact eigenpairs; the remaining dense block is solved numerically.
+    The matrix is bordered-diagonal (an arrowhead): exciton energies on the
+    diagonal, the cavity frequency in the corner, couplings along the
+    border.  It is solved by the secular-equation kernel of ``arrowhead``
+    relative to the atomic line, in O(N) memory and O(N^2) time.  Modes
+    with zero coupling (every even k, with or without the beam envelope)
+    are split off first, so dark modes come out as exact eigenpairs: unit
+    eigenvectors at exactly their exciton energy, with zero photon weight.
     With ``include_envelope`` the couplings carry the Gaussian beam profile.
     """
-    num_sites = params.num_sites
-    energies = exciton_energies(params)
-    nu_c = cavity_frequency(params)
+    # Imported here: the command line never diagonalizes, so it skips it.
+    from .arrowhead import ArrowheadEigen
+
     if include_envelope:
         couplings = envelope_mode_couplings(params)
     else:
         couplings = mode_coupling_array(params)
-
-    coupled = np.nonzero(couplings != 0.0)[0]
-    dark = np.nonzero(couplings == 0.0)[0]
-
-    # Dense block: coupled excitons plus the photon (always included).
-    block_dim = coupled.size + 1
-    block = np.zeros((block_dim, block_dim))
-    block[np.arange(coupled.size), np.arange(coupled.size)] = energies[coupled]
-    block[-1, -1] = nu_c
-    block[:-1, -1] = couplings[coupled]
-    block[-1, :-1] = couplings[coupled]
-    block_vals, block_vecs = np.linalg.eigh(block)
-
-    dim = num_sites + 1
-    frequencies = np.concatenate([block_vals, energies[dark]])
-    vectors = np.zeros((dim, dim))
-    # Scatter the dense-block eigenvectors back into the full basis.
-    rows = np.concatenate([coupled, [num_sites]])
-    vectors[np.ix_(rows, np.arange(block_dim))] = block_vecs
-    # Dark modes are exact eigenvectors of the full matrix.
-    for j, idx in enumerate(dark):
-        vectors[idx, block_dim + j] = 1.0
-
-    order = np.argsort(frequencies, kind="stable")
-    frequencies = frequencies[order]
-    vectors = vectors[:, order]
-
-    weights = vectors**2
-    return MultimodeResult(
-        frequencies_hz=frequencies,
-        eigenvectors=vectors,
-        photon_weights=weights[-1, :].copy(),
-        exciton_weights=weights[:-1, :].T.copy(),
+    solution = ArrowheadEigen(
+        exciton_energies(params), couplings, cavity_frequency(params),
+        shift=params.atom_frequency_hz,
     )
+    return MultimodeResult(solution)

@@ -114,17 +114,34 @@ def cavity_response(
     """Complex transmission and reflection amplitudes at drive frequency nu.
 
     ``resonances`` holds (coupling_hz, frequency_hz) pairs; an empty list
-    gives the bare-cavity response.
+    gives the bare-cavity response.  With undamped atoms (Gamma_a = 0), a
+    drive exactly on a coupled resonance makes D infinite: there t = 0 and
+    r = 1.
     """
     kappa = damping.cavity_width_hz
     if kappa <= 0.0:
         raise NoOutputChannelError("cavity width kappa = 0: no mirror output channel")
     nu = np.asarray(nu_hz, dtype=float)
-    denom = 1j * (cavity_hz - nu) + kappa / 2.0
+    shape = nu.shape
     half_atom = damping.gamma_atom_hz / 2.0
-    for coupling, frequency in resonances:
-        denom = denom + coupling**2 / (1j * (frequency - nu) + half_atom)
-    t = damping.gamma_mirror_hz / denom
+    undamped = half_atom == 0.0
+    if undamped:
+        # On a 1-D grid a pole gives numpy's inf, where a scalar would raise.
+        nu = np.atleast_1d(nu)
+        on_pole = np.zeros(nu.shape, dtype=bool)
+    denom = 1j * (cavity_hz - nu) + kappa / 2.0
+    quiet = "ignore" if undamped else None
+    with np.errstate(divide=quiet, invalid=quiet):
+        for coupling, frequency in resonances:
+            if undamped:
+                if coupling == 0.0:
+                    continue  # adds nothing, and would make 0/0 on its own line
+                on_pole |= nu == frequency
+            denom = denom + coupling**2 / (1j * (frequency - nu) + half_atom)
+        t = damping.gamma_mirror_hz / denom
+    if undamped:
+        # Back to the input's shape; [()] makes a scalar input a scalar again.
+        t = np.where(on_pole, 0.0, t).reshape(shape)[()]
     return t, 1.0 - t
 
 

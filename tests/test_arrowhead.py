@@ -1,0 +1,224 @@
+"""The arrowhead secular solver against the dense eigensolver it replaced.
+
+The oracle is the former dense path of multimode_diagonalize: split off
+the zero couplings, then np.linalg.eigh on the coupled block bordered by
+the photon.  It is O(N^3), so it is used for N <= 2000 only.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lattice_polariton import (
+    MAGIC_ANGLE_RAD,
+    SystemParams,
+    cavity_frequency,
+    envelope_mode_couplings,
+    exciton_energies,
+    mode_coupling_array,
+    multimode_diagonalize,
+)
+from lattice_polariton.arrowhead import DENSE_BUDGET_BYTES, ArrowheadEigen
+
+
+def dense_bordered(diagonal, border, corner):
+    """(values, vectors) of [[diag(d), z], [z^T, corner]] by dense eigh on
+    the coupled block; zero-coupling modes are exact unit eigenpairs."""
+    diagonal = np.asarray(diagonal, dtype=float)
+    border = np.asarray(border, dtype=float)
+    n = diagonal.size
+    coupled = np.nonzero(border != 0.0)[0]
+    dark = np.nonzero(border == 0.0)[0]
+    dim = coupled.size + 1
+    block = np.zeros((dim, dim))
+    block[np.arange(dim - 1), np.arange(dim - 1)] = diagonal[coupled]
+    block[-1, -1] = corner
+    block[:-1, -1] = block[-1, :-1] = border[coupled]
+    block_values, block_vectors = np.linalg.eigh(block)
+    values = np.concatenate([block_values, diagonal[dark]])
+    vectors = np.zeros((n + 1, n + 1))
+    vectors[np.ix_(np.concatenate([coupled, [n]]), np.arange(dim))] = block_vectors
+    vectors[dark, dim + np.arange(dark.size)] = 1.0
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
+
+
+def oracle(params, envelope):
+    """Dense multimode frequencies and photon weights, shifted by the atomic
+    line like the solver."""
+    shift = params.atom_frequency_hz
+    couplings = envelope_mode_couplings(params) if envelope else mode_coupling_array(params)
+    values, vectors = dense_bordered(
+        exciton_energies(params) - shift, couplings, cavity_frequency(params) - shift)
+    return values + shift, vectors[-1] ** 2
+
+
+CASES = [
+    (1, 0.0),
+    (2, 0.3),
+    (7, 1e-6),
+    (400, 1e-6),
+    (401, math.radians(40.0)),
+    (2000, math.radians(40.0)),
+    (300, MAGIC_ANGLE_RAD),
+    (301, MAGIC_ANGLE_RAD - 1e-6),
+    (250, MAGIC_ANGLE_RAD + 1e-9),
+]
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("envelope", [False, True], ids=["flat", "envelope"])
+    @pytest.mark.parametrize("num_sites, theta", CASES)
+    def test_frequencies_and_weights(self, num_sites, theta, envelope):
+        params = SystemParams(num_sites=num_sites, theta_rad=theta)
+        result = multimode_diagonalize(params, include_envelope=envelope)
+        frequencies, photon = oracle(params, envelope)
+        # Both round to the absolute 4e14 Hz grid (0.06 Hz) at the end.
+        tol = 1e-13 * params.atom_frequency_hz
+        assert np.abs(result.frequencies_hz - frequencies).max() <= tol
+        assert np.all(np.diff(result.frequencies_hz) >= 0.0)
+        assert np.abs(result.photon_weights - photon).max() < 1e-9
+        totals = result.photon_weights + result.exciton_weights.sum(axis=1)
+        assert np.abs(totals - 1.0).max() < 1e-12
+
+    def test_single_site_eigenvectors_match_oracle_up_to_sign(self):
+        params = SystemParams(num_sites=1)
+        result = multimode_diagonalize(params)
+        shift = params.atom_frequency_hz
+        _, vectors = dense_bordered(exciton_energies(params) - shift, mode_coupling_array(params),
+                                    cavity_frequency(params) - shift)
+        np.testing.assert_allclose(np.abs(result.eigenvectors), np.abs(vectors), atol=1e-14)
+
+
+class TestDarkModes:
+    @pytest.mark.parametrize("num_sites", [2, 7, 40, 401, 2000])
+    def test_envelope_splits_off_n_over_2_dark_modes(self, num_sites):
+        result = multimode_diagonalize(SystemParams(num_sites=num_sites), include_envelope=True)
+        assert np.count_nonzero(result.photon_weights == 0.0) == num_sites // 2
+
+    @pytest.mark.parametrize("num_sites", [2, 7, 40, 401])
+    def test_envelope_dark_modes_are_exact_eigenpairs(self, num_sites):
+        # A waist much shorter than the chain (401 sites span 40 um): the
+        # envelope reshapes every bright coupling, and may push the highest
+        # ones below the deflation tolerance too.
+        params = SystemParams(num_sites=num_sites, beam_waist_m=2e-6)
+        result = multimode_diagonalize(params, include_envelope=True)
+        energies = exciton_energies(params)
+        assert np.count_nonzero(result.photon_weights == 0.0) >= num_sites // 2
+        vectors = result.eigenvectors
+        for k in range(2, num_sites + 1, 2):
+            [column] = np.nonzero(vectors[k - 1, :] == 1.0)[0]
+            assert result.frequencies_hz[column] == energies[k - 1]
+            assert np.count_nonzero(vectors[:, column]) == 1
+
+    # 1000 sites: the 500 merged poles span several chunks of rows and columns.
+    @pytest.mark.parametrize("num_sites", [300, 1000])
+    def test_magic_angle_leaves_one_bright_mode(self, num_sites):
+        # J -> 0: every bright pole coincides, they merge into one collective
+        # mode, and the rest are dark combinations at the bare line.
+        params = SystemParams(num_sites=num_sites, theta_rad=MAGIC_ANGLE_RAD)
+        result = multimode_diagonalize(params)
+        assert np.count_nonzero(result.photon_weights) == 2
+        gram = result.eigenvectors.T @ result.eigenvectors
+        assert np.abs(gram - np.eye(num_sites + 1)).max() < 1e-12
+
+
+class TestLazyProperties:
+    def test_cached(self):
+        result = multimode_diagonalize(SystemParams(num_sites=50))
+        assert result.eigenvectors is result.eigenvectors
+        assert result.exciton_weights is result.exciton_weights
+
+    def test_size_guard_names_n_and_size(self):
+        num_sites = int(math.sqrt(DENSE_BUDGET_BYTES / 8.0))
+        # At the magic angle the bright poles merge, so the solve is cheap.
+        result = multimode_diagonalize(SystemParams(num_sites=num_sites, theta_rad=MAGIC_ANGLE_RAD))
+        assert result.frequencies_hz.size == num_sites + 1
+        for name in ("eigenvectors", "exciton_weights"):
+            with pytest.raises(ValueError, match=rf"N = {num_sites} .*GB"):
+                getattr(result, name)
+
+    def test_eager_path_allocates_no_dense_matrix(self):
+        num_sites = 4000
+        params = SystemParams(num_sites=num_sites, theta_rad=0.5)
+        tracemalloc.start()
+        try:
+            multimode_diagonalize(params, include_envelope=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One (N+1)^2 float64 matrix would be 128 MB; a quarter of that
+        # (the bright block) 32 MB.
+        assert peak < 16e6
+
+    def test_merged_poles_add_no_dense_temporary(self):
+        # At the magic angle N/2 poles merge; their reflector and spread rows
+        # are written in chunks, so building the vectors costs their own
+        # (N+1)^2 matrix and little more.
+        num_sites = 2000
+        params = SystemParams(num_sites=num_sites, theta_rad=MAGIC_ANGLE_RAD)
+        result = multimode_diagonalize(params)
+        tracemalloc.start()
+        try:
+            result.eigenvectors
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.0 * (num_sites + 1) ** 2 + 4e6
+
+
+# Random arrowheads: poles in [-1, 1] with clusters, exact repeats and
+# near-repeats; couplings with exact zeros and tiny values; the corner
+# inside the band or far outside it.
+@st.composite
+def arrowheads(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    poles = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    for i in range(1, n):
+        kind = draw(st.sampled_from(["free", "free", "repeat", "near"]))
+        if kind == "repeat":
+            poles[i] = poles[draw(st.integers(0, i - 1))]
+        elif kind == "near":
+            poles[i] = poles[i - 1] + draw(st.sampled_from([1e-15, 1e-13, 1e-10, 1e-7]))
+    couplings = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    for i in range(n):
+        kind = draw(st.sampled_from(["free", "free", "zero", "tiny"]))
+        if kind == "zero":
+            couplings[i] = 0.0
+        elif kind == "tiny":
+            couplings[i] = draw(st.sampled_from([1e-18, 1e-14, 1e-9]))
+    corner = draw(st.one_of(unit, st.sampled_from([-1e6, 1e6, 1e3])))
+    return poles, couplings, corner
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(arrowheads())
+def test_random_arrowheads(problem):
+    poles, couplings, corner = problem
+    n = poles.size
+    solution = ArrowheadEigen(poles, couplings, corner)
+    matrix = np.diag(np.concatenate([poles, [corner]]))
+    matrix[:-1, -1] = matrix[-1, :-1] = couplings
+    scale = np.linalg.norm(matrix, 2)
+    values = solution.values
+    # LAPACK's symmetric reduction can lose 1e-8 of the scale when some
+    # entries' squares underflow (poles near 1e-158 next to couplings near
+    # 1).  Flushing such entries to zero moves no eigenvalue by more than
+    # 1e-130 of the scale, and keeps the oracle accurate.
+    oracle = np.where(np.abs(matrix) < 1e-140 * scale, 0.0, matrix)
+    assert np.abs(values - np.linalg.eigvalsh(oracle)).max() <= 1e-13 * scale
+    # Cauchy interlacing with the bare poles.
+    bare = np.sort(poles)
+    slack = 4.0 * np.finfo(float).eps * scale * n
+    assert np.all(values[:-1] <= bare + slack) and np.all(bare <= values[1:] + slack)
+    vectors = solution.vectors()
+    # The photon weights come from the recomputed couplings, not from the
+    # vectors, so their sum with the exciton weights is a real check.
+    weights = np.square(vectors[:-1, :].T)
+    assert np.abs(solution.photon_weights + weights.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(vectors.T @ vectors - np.eye(n + 1)).max() < 1e-9

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,24 @@ class TestCommands:
         stdout = capsys.readouterr().out
         assert "transmission peaks" in stdout
         assert "vacuum Rabi splitting" in stdout
+
+    def test_spectrum_with_undamped_atoms(self, tmp_path, capsys):
+        # The default grid's middle point lies exactly on the exciton line,
+        # a pole when gamma_atom_hz = 0: no transmission, full reflection,
+        # and no numpy warning or NaN anywhere.
+        config = tmp_path / "undamped.json"
+        config.write_text(json.dumps({"gamma_atom_hz": 0}))
+        out = tmp_path / "undamped.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
+        header, rows, comments = read_csv(out)
+        values = np.array(rows, dtype=float)
+        assert np.isfinite(values).all()
+        middle = values[len(values) // 2]
+        assert middle[1] == 0.0
+        assert middle[2] == 0.0 and middle[3] == 1.0
+        assert sum(1 for c in comments if c.startswith("# peak")) == 2
 
     def test_polariton_resonant_weights(self, tmp_path, capsys):
         out = tmp_path / "pol.csv"

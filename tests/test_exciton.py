@@ -17,11 +17,14 @@ from lattice_polariton import (
     coupling_sum,
     coupling_sum_rule,
     diagonalize_site_hamiltonian,
+    envelope_mode_couplings,
     exciton_energies,
     mode_coupling_array,
     mode_volume,
     oscillator_fractions,
     sine_mode_vector,
+    site_coupling,
+    site_positions,
     transfer_parameter,
 )
 
@@ -143,6 +146,44 @@ class TestModeCouplings:
             / (2.0 * EPSILON_0 * mode_volume(REF) * PLANCK_H)
         )
         assert float((g**2).sum()) == pytest.approx(expected, rel=1e-9)
+
+
+def dense_envelope_couplings(params):
+    """The N x N sine-matrix projection that envelope_mode_couplings replaced."""
+    n = params.num_sites
+    per_site = site_coupling(params) * np.exp(-((site_positions(params) / params.beam_waist_m) ** 2))
+    sites = np.arange(1, n + 1)
+    transform = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(sites, sites) / (n + 1))
+    return transform.T @ per_site
+
+
+class TestEnvelopeCouplings:
+    @pytest.mark.parametrize("num_sites", [1, 2, 7, 400, 2000])
+    @pytest.mark.parametrize("waist", [3e-4, 2e-5])
+    def test_matches_dense_sine_transform(self, num_sites, waist):
+        params = SystemParams(num_sites=num_sites, beam_waist_m=waist)
+        fast = envelope_mode_couplings(params)
+        dense = dense_envelope_couplings(params)
+        odd = slice(0, None, 2)
+        assert np.abs(fast[odd] - dense[odd]).max() <= 1e-12 * np.abs(dense).max()
+        # The dense transform leaves rounding noise where parity demands 0.
+        assert np.abs(dense[1::2]).max(initial=0.0) <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("num_sites", [2, 7, 400, 2001])
+    def test_even_modes_exactly_dark(self, num_sites):
+        g = envelope_mode_couplings(SystemParams(num_sites=num_sites, beam_waist_m=2e-5))
+        assert np.all(g[1::2] == 0.0)
+        assert np.all(g[0:20:2] != 0.0)
+
+    @pytest.mark.parametrize("num_sites", [7, 400])
+    def test_wide_waist_tends_to_flat_couplings(self, num_sites):
+        errors = []
+        for waist in (1e-5, 1e-3, 1e-1, 1e3, 1e6):
+            params = SystemParams(num_sites=num_sites, beam_waist_m=waist)
+            flat = mode_coupling_array(params)
+            errors.append(np.abs(envelope_mode_couplings(params) - flat).max() / flat[0])
+        assert errors == sorted(errors, reverse=True)
+        assert errors[-1] < 1e-12
 
 
 class TestOscillatorFractions:

@@ -68,6 +68,27 @@ class TestCavityResponse:
         collective = variant_resonances(REF, ModelVariant.NONINTERACTING_COLLECTIVE)
         assert collective[0][1] == REF.atom_frequency_hz
 
+    def test_exact_envelope_sees_only_bright_modes(self):
+        flat = variant_resonances(REF, ModelVariant.FULL_MULTIMODE)
+        exact = variant_resonances(REF, ModelVariant.FULL_MULTIMODE, envelope_exact=True)
+        assert [f for _, f in exact] == [f for _, f in flat]
+
+    def test_undamped_pole_blocks_transmission(self):
+        undamped = DampingSet(1e7, 1e7, 0.0)
+        line = 4e14 + 3e7
+        nu = np.array([line - 1e6, line, line + 1e6])
+        resonances = [(2e7, line), (0.0, line + 1e6)]
+        with np.errstate(all="raise"):
+            t, r = cavity_response(nu, 4e14, undamped, resonances)
+            t_line, r_line = cavity_response(line, 4e14, undamped, resonances)
+        assert t[1] == 0.0 and r[1] == 1.0
+        assert t_line == 0.0 and r_line == 1.0
+        # Off the pole: the damped formula with Gamma_a = 0, a zero coupling
+        # contributing nothing.
+        for i in (0, 2):
+            denom = 1j * (4e14 - nu[i]) + 1.5e7 + 4e14 / (1j * (line - nu[i]))
+            assert t[i] == pytest.approx(1e7 / denom, rel=1e-12)
+
 
 class TestSweep:
     def test_reference_doublet_spectrum(self):
