@@ -13,18 +13,18 @@ from .exciton import (
     sine_mode_vector, site_coupling, superradiant_coupling,
 )
 from .params import (
-    EPSILON_0, MAGIC_ANGLE_RAD, PLANCK_H, ConfigError, InvalidParameterError, SystemParams,
-    cavity_frequency, chain_length, load_params, mode_volume, params_from_dict, site_positions,
-    superradiant_energy, transfer_parameter, validate,
+    EPSILON_0, MAGIC_ANGLE_RAD, PLANCK_H, ConfigError, DampingSet, InvalidParameterError,
+    SystemParams, cavity_frequency, chain_length, load_params, mode_volume, params_from_dict,
+    site_positions, superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant, MultimodeResult, PolaritonDoublet, collective_coupling_noninteracting,
-    generalized_rabi, multimode_diagonalize, superradiant_doublet, two_mode_doublet,
-    vacuum_rabi_vs_N,
+    ModelVariant, PolaritonDoublet, collective_coupling_noninteracting, generalized_rabi,
+    multimode_diagonalize, superradiant_doublet, two_mode_doublet, vacuum_rabi_vs_N,
+    variant_resonances,
 )
 from .spectra import (
-    DampingSet, NoOutputChannelError, Peak, SpectrumTrace, cavity_response, default_grid,
-    peak_find, sweep, transfer_function, variant_center, variant_resonances,
+    NoOutputChannelError, Peak, SpectrumTrace, cavity_response, default_grid, peak_find, sweep,
+    transfer_function, variant_center,
 )
 
 __version__ = "0.1.0"

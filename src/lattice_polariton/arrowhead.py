@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -238,9 +239,10 @@ class ArrowheadEigen:
     eigenvectors built on request.
 
     Every eigenvalue is ``diagonal[origin] + offset`` for its nearer pole,
-    so an eigenvalue on a deflated pole is that pole exactly.  ``values``
-    are ascending; column i of ``vectors()`` belongs to ``values[i]``, and
-    its rows follow the input order of the diagonal, then the corner.
+    so an eigenvalue on a deflated pole is that pole exactly.
+    ``frequencies_hz`` are ascending; column i of ``eigenvectors`` belongs
+    to ``frequencies_hz[i]``, and its rows follow the input order of the
+    diagonal, then the corner.
     """
 
     def __init__(self, diagonal, border, corner: float, shift: float = 0.0):
@@ -297,7 +299,7 @@ class ArrowheadEigen:
         self._deflated = np.nonzero(deflated)[0]
         values = np.concatenate([bright_values, diagonal[self._deflated]])
         order = np.argsort(values, kind="stable")
-        self.values = values[order]
+        self.frequencies_hz = values[order]
         weights = np.concatenate([bright_weights, np.zeros(self._deflated.size)])
         self.photon_weights = weights[order]
         self._bright_weights = bright_weights
@@ -316,8 +318,9 @@ class ArrowheadEigen:
         amps *= np.sqrt(self._bright_weights[r0:r1])[:, None]
         return amps
 
-    def vectors(self) -> np.ndarray:
-        """(N+1, N+1) orthonormal eigenvectors, one column per value."""
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """(N+1, N+1) orthonormal eigenvectors, one column per eigenvalue."""
         dim = self.size + 1
         need = 8.0 * dim * dim
         if need > DENSE_BUDGET_BYTES:
@@ -338,6 +341,11 @@ class ArrowheadEigen:
         unit = single[self._deflated]
         out[self._deflated[unit], position[bright:][unit]] = 1.0
         return out
+
+    @cached_property
+    def exciton_weights(self) -> np.ndarray:
+        """(N+1, N) squared diagonal components, row i <-> eigenvector i."""
+        return np.square(self.eigenvectors[:-1, :].T)
 
     def _spread_group(self, out, members, direction, deflated_cols):
         """Expand a merged run of poles: its kept member's row becomes the

@@ -21,25 +21,19 @@ from .exciton import (
     exciton_energies, mode_coupling_array, oscillator_fractions, superradiant_coupling,
 )
 from .params import (
-    MAGIC_ANGLE_RAD, ConfigError, InvalidParameterError, SystemParams, load_params,
+    MAGIC_ANGLE_RAD, ConfigError, DampingSet, InvalidParameterError, SystemParams, load_params,
     superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant, collective_coupling_noninteracting, generalized_rabi, two_mode_doublet,
+    ModelVariant, collective_coupling_noninteracting, generalized_rabi, superradiant_doublet,
     vacuum_rabi_vs_N,
 )
 from .spectra import (
-    DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN_HZ, DampingSet, SpectrumTrace, default_grid,
-    peak_find, sweep, variant_center,
+    DEFAULT_GRID_POINTS, SpectrumTrace, default_grid, peak_find, sweep, variant_center,
 )
 
 FIGURE_IDS = ("3a", "3b", "4a", "4b", "5", "6", "7a", "7b")
 
-_MODEL_BY_FLAG = {
-    "two-mode": ModelVariant.TWO_MODE_SUPERRADIANT,
-    "multimode": ModelVariant.FULL_MULTIMODE,
-    "noninteracting": ModelVariant.NONINTERACTING_COLLECTIVE,
-}
 _TWO_MODE = ModelVariant.TWO_MODE_SUPERRADIANT
 _NONINTERACTING = ModelVariant.NONINTERACTING_COLLECTIVE
 
@@ -101,6 +95,11 @@ def _flag(value, default):
     return default if value is None else value
 
 
+def _width(fwhm_hz: float, spec: str, missing: str) -> str:
+    """A peak's FWHM in the given format, or ``missing`` when it is NaN."""
+    return missing if math.isnan(fwhm_hz) else format(fwhm_hz, spec)
+
+
 def _log_site_counts(max_sites: int) -> np.ndarray:
     """Logarithmically spaced site counts from 1 to max_sites."""
     return np.unique(np.rint(np.geomspace(1, max_sites, 61)).astype(int))
@@ -134,11 +133,7 @@ def _polariton(spec: RunSpec) -> Dataset:
     deltas = np.linspace(-span, span, _flag(spec.grid_points, 401))
     exciton_hz = superradiant_energy(params)
     doublets = [
-        two_mode_doublet(
-            cavity_hz,
-            exciton_hz,
-            superradiant_coupling(replace(params, cavity_frequency_hz=cavity_hz)),
-        )
+        superradiant_doublet(replace(params, cavity_frequency_hz=cavity_hz))
         for cavity_hz in exciton_hz + 2.0 * deltas
     ]
     columns = {
@@ -156,11 +151,12 @@ def _spectrum(spec: RunSpec) -> Dataset:
         params,
         spec.variant,
         points=_flag(spec.grid_points, DEFAULT_GRID_POINTS),
-        span_hz=_flag(spec.grid_span_hz, DEFAULT_GRID_SPAN_HZ),
+        span_hz=spec.grid_span_hz,
     )
     trace = sweep(params, DampingSet.from_params(params), spec.variant, grid, spec.envelope_exact)
     comments = tuple(
-        f"peak, {p.location_hz:.11e}, {p.height:.11e}, {p.fwhm_hz:.11e}" for p in trace.peaks
+        f"peak, {p.location_hz:.11e}, {p.height:.11e}, {_width(p.fwhm_hz, '.11e', '')}"
+        for p in trace.peaks
     )
     columns = {
         "nu_hz": trace.frequencies_hz,
@@ -244,7 +240,8 @@ def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace |
     lines += [f"warning: {warning}" for warning in validate(params)]
     if trace is not None:
         lines.append("transmission peaks (location_hz, height, fwhm_hz):")
-        lines += [f"  {p.location_hz:.6e}  {p.height:.4e}  {p.fwhm_hz:.4e}" for p in trace.peaks]
+        for p in trace.peaks:
+            lines.append(f"  {p.location_hz:.6e}  {p.height:.4e}  {_width(p.fwhm_hz, '.4e', 'n/a')}")
         lines.append("reflection dips (location_hz, depth):")
         dips = peak_find(trace.frequencies_hz, -trace.reflection)
         lines += [f"  {dip.location_hz:.6e}  {-dip.height:.4e}" for dip in dips]
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON parameter file")
     common.add_argument("--out", metavar="PATH", help="output CSV path")
-    common.add_argument("--model", choices=sorted(_MODEL_BY_FLAG), default="two-mode",
+    common.add_argument("--model", choices=[v.value for v in ModelVariant], default="two-mode",
                         help="model variant (default: two-mode)")
     common.add_argument("--num-sites", type=int, help="number of lattice sites")
     common.add_argument("--theta-deg", type=float, help="dipole angle in degrees")
@@ -291,22 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("rabi-vs-theta", parents=[common], help="generalized Rabi splitting vs angle")
     fig = sub.add_parser("figure", parents=[common], help="named figure presets")
     fig.add_argument("id", nargs="?", choices=FIGURE_IDS, help="figure preset id")
-    fig.add_argument("--figure", dest="figure_flag", choices=FIGURE_IDS, help="figure preset id")
     return parser
 
 
 def _build_spec(args: argparse.Namespace) -> RunSpec:
     figure_id = None
     if args.command == "figure":
-        figure_id = args.id or args.figure_flag
+        figure_id = args.id
         if figure_id is None:
             raise ConfigError("figure preset requires an id (e.g. `figure 5`)")
-        if args.id and args.figure_flag and args.id != args.figure_flag:
-            raise ConfigError("conflicting figure ids given")
-        if args.nu_c_hz is not None:
-            raise ConfigError(
-                "figure presets own the resonance convention; --nu-c-hz is not allowed"
-            )
 
     if args.grid_points is not None and args.grid_points < 1:
         raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
@@ -325,8 +315,8 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
 
     if figure_id is not None and params.cavity_frequency_hz is not None:
         raise ConfigError(
-            "figure presets own the resonance convention; remove cavity_frequency_hz "
-            "from the parameter file"
+            "figure presets own the resonance convention; give neither --nu-c-hz "
+            "nor cavity_frequency_hz in the parameter file"
         )
 
     if args.out:
@@ -339,7 +329,7 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
     return RunSpec(
         command=args.command,
         params=params,
-        variant=_MODEL_BY_FLAG[args.model],
+        variant=ModelVariant(args.model),
         out_path=out_path,
         figure_id=figure_id,
         grid_points=args.grid_points,

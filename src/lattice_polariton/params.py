@@ -31,6 +31,18 @@ class ConfigError(ValueError):
     """A parameter file is malformed or carries unknown keys."""
 
 
+# FWHM damping rates, fields of both SystemParams and DampingSet.
+_RATES = ("gamma_mirror_hz", "gamma_cavity_hz", "gamma_atom_hz")
+
+
+def _check_rates(owner) -> None:
+    """Refuse a damping rate of ``owner`` that is not a finite number >= 0."""
+    for name in _RATES:
+        value = getattr(owner, name)
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical inputs of the chain-in-cavity system.
@@ -72,16 +84,34 @@ class SystemParams:
             raise InvalidParameterError(f"num_sites must be an integer >= 1, got {self.num_sites!r}")
         if not (isinstance(self.theta_rad, (int, float)) and math.isfinite(self.theta_rad)):
             raise InvalidParameterError(f"theta_rad must be a finite number, got {self.theta_rad!r}")
-        for name in ("gamma_mirror_hz", "gamma_cavity_hz", "gamma_atom_hz"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-                raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
+        _check_rates(self)
         for name in ("cavity_frequency_hz", "mode_volume_m3"):
             value = getattr(self, name)
             if value is not None and not (
                 isinstance(value, (int, float)) and math.isfinite(value) and value > 0
             ):
                 raise InvalidParameterError(f"{name} must be a positive number, got {value!r}")
+
+
+@dataclass(frozen=True)
+class DampingSet:
+    """FWHM damping rates of the driven system."""
+
+    gamma_mirror_hz: float  # per mirror, two identical mirrors
+    gamma_cavity_hz: float  # side loss into free space
+    gamma_atom_hz: float    # excited-atom linewidth
+
+    def __post_init__(self) -> None:
+        _check_rates(self)
+
+    @property
+    def cavity_width_hz(self) -> float:
+        """Total cavity linewidth kappa = 2 gamma_mirror + gamma_side."""
+        return 2.0 * self.gamma_mirror_hz + self.gamma_cavity_hz
+
+    @classmethod
+    def from_params(cls, params: SystemParams) -> "DampingSet":
+        return cls(**{name: getattr(params, name) for name in _RATES})
 
 
 def mode_volume(params: SystemParams) -> float:
@@ -168,11 +198,15 @@ def params_from_dict(data: dict) -> SystemParams:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"parameter {key} must be a number, got {value!r}")
         if key in _INT_KEYS:
-            if value != int(value):
+            # is_integer() also refuses inf and NaN, which int() cannot convert.
+            if isinstance(value, float) and not value.is_integer():
                 raise ConfigError(f"parameter {key} must be an integer, got {value!r}")
             kwargs[key] = int(value)
         else:
-            kwargs[key] = float(value)
+            try:
+                kwargs[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"parameter {key} is too large for a float") from None
     return SystemParams(**kwargs)
 
 
@@ -187,7 +221,7 @@ def load_params(path: str | Path | None = None, **overrides) -> SystemParams:
     if path is not None:
         try:
             data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, bad UTF-8, an over-long integer
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"parameter file {path} must hold a JSON object")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -75,37 +74,17 @@ class PolaritonDoublet:
         return self.photon_amp_lower**2
 
 
-class MultimodeResult:
-    """Full (N+1)-mode eigendecomposition: N excitons plus the photon.
-
-    ``frequencies_hz`` (ascending) and ``photon_weights`` are computed
-    eagerly in O(N) memory.  ``eigenvectors`` ((N+1, N+1): rows are the
-    basis states, excitons k = 1..N then the photon; columns follow the
-    frequencies) is built on first access and cached; it refuses chains
-    whose (N+1)^2 matrix would exceed about 2 GB.  ``exciton_weights``
-    ((N+1, N), row i <-> eigenvector i) squares the cached eigenvectors
-    into a second matrix of that size.  Each eigenvector's photon weight
-    plus its exciton weights sum to one.
-    """
-
-    def __init__(self, solution: ArrowheadEigen):
-        self._solution = solution
-        self.frequencies_hz = solution.values
-        self.photon_weights = solution.photon_weights
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        return self._solution.vectors()
-
-    @cached_property
-    def exciton_weights(self) -> np.ndarray:
-        return np.square(self.eigenvectors[:-1, :].T)
-
-
 def collective_coupling_noninteracting(params: SystemParams) -> float:
     """Collective coupling magnitude in Hz of N independent atoms:
     sqrt(N) times the single-site coupling."""
     return site_coupling(params) * math.sqrt(params.num_sites)
+
+
+def _half_splitting(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> tuple[float, float]:
+    """Signed half-detuning (E_c - E_ex)/2 of one exciton mode from the
+    cavity, and the doublet's half-splitting sqrt(detuning^2 + coupling^2)."""
+    detuning = (cavity_hz - exciton_hz) / 2.0
+    return detuning, math.hypot(detuning, coupling_hz)
 
 
 def two_mode_doublet(
@@ -120,8 +99,7 @@ def two_mode_doublet(
     """
     if coupling_hz < 0:
         raise ValueError(f"coupling_hz must be >= 0, got {coupling_hz}")
-    detuning = (cavity_hz - exciton_hz) / 2.0
-    half_split = math.hypot(detuning, coupling_hz)
+    detuning, half_split = _half_splitting(cavity_hz, exciton_hz, coupling_hz)
     mean = (cavity_hz + exciton_hz) / 2.0
     upper = mean + half_split
     lower = mean - half_split
@@ -165,11 +143,43 @@ def two_mode_doublet(
 def superradiant_doublet(params: SystemParams) -> PolaritonDoublet:
     """Doublet of the cavity mode and the superradiant exciton at the
     parameters' cavity frequency."""
-    return two_mode_doublet(
-        cavity_frequency(params),
-        superradiant_energy(params),
-        superradiant_coupling(params),
-    )
+    [(coupling_hz, exciton_hz)] = variant_resonances(params, ModelVariant.TWO_MODE_SUPERRADIANT)
+    return two_mode_doublet(cavity_frequency(params), exciton_hz, coupling_hz)
+
+
+def _mode_couplings(params: SystemParams, envelope: bool) -> np.ndarray:
+    """Couplings of the modes k = 1..N, with the Gaussian beam envelope or flat."""
+    return envelope_mode_couplings(params) if envelope else mode_coupling_array(params)
+
+
+def variant_resonances(
+    params: SystemParams, variant: ModelVariant, envelope_exact: bool = False
+) -> list[tuple[float, float]]:
+    """(coupling_hz, frequency_hz) of the exciton modes seen by the cavity.
+
+    Two-mode: the superradiant exciton only.  Multimode: every coupled
+    chain mode (the odd-k set for a flat envelope).  Non-interacting: one
+    collective mode at the bare atomic line.  Each frequency is independent
+    of the cavity; each coupling is taken at the parameters' cavity.
+    """
+    if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
+        return [(superradiant_coupling(params), superradiant_energy(params))]
+    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
+        return [(collective_coupling_noninteracting(params), params.atom_frequency_hz)]
+    if variant is ModelVariant.FULL_MULTIMODE:
+        energies = exciton_energies(params)
+        couplings = _mode_couplings(params, envelope_exact)
+        keep = couplings != 0.0
+        return list(zip(couplings[keep].tolist(), energies[keep].tolist()))
+    raise ValueError(f"unknown model variant: {variant}")
+
+
+def _single_resonance(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
+    """The one (coupling_hz, frequency_hz) a Rabi splitting is taken against."""
+    if variant is ModelVariant.FULL_MULTIMODE:
+        raise ValueError("a Rabi splitting needs one resonance: use two-mode or noninteracting")
+    [resonance] = variant_resonances(params, variant)
+    return resonance
 
 
 def vacuum_rabi_vs_N(
@@ -179,23 +189,16 @@ def vacuum_rabi_vs_N(
 ) -> list[tuple[int, float]]:
     """Vacuum Rabi splitting 2|coupling|/h versus atom number.
 
-    Each variant is evaluated at its own zero-detuning convention: the
-    interacting chain with the cavity on the superradiant exciton, the
-    non-interacting gas with the cavity on the bare atomic line.
+    The cavity sits on the variant's own line: the superradiant exciton for
+    the interacting chain, the bare atomic line for the non-interacting gas.
     """
     results = []
     for n in n_values:
-        if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
-            p = replace(params, num_sites=int(n), cavity_frequency_hz=None)
-            omega = 2.0 * superradiant_coupling(p)
-        elif variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-            p = replace(
-                params, num_sites=int(n), cavity_frequency_hz=params.atom_frequency_hz
-            )
-            omega = 2.0 * collective_coupling_noninteracting(p)
-        else:
-            raise ValueError(f"vacuum_rabi_vs_N supports two-mode and noninteracting, got {variant}")
-        results.append((int(n), omega))
+        p = replace(params, num_sites=int(n))
+        # The line does not depend on the cavity, the coupling does.
+        _, line = _single_resonance(p, variant)
+        coupling, _ = _single_resonance(replace(p, cavity_frequency_hz=line), variant)
+        results.append((int(n), 2.0 * _half_splitting(line, line, coupling)[1]))
     return results
 
 
@@ -218,17 +221,13 @@ def generalized_rabi(
         num_sites=int(num_sites),
         cavity_frequency_hz=params.atom_frequency_hz,
     )
-    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-        return 2.0 * collective_coupling_noninteracting(p)
-    if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
-        detuning = (p.atom_frequency_hz - superradiant_energy(p)) / 2.0
-        return 2.0 * math.hypot(detuning, superradiant_coupling(p))
-    raise ValueError(f"generalized_rabi supports two-mode and noninteracting, got {variant}")
+    coupling, line = _single_resonance(p, variant)
+    return 2.0 * _half_splitting(p.atom_frequency_hz, line, coupling)[1]
 
 
 def multimode_diagonalize(
     params: SystemParams, include_envelope: bool = False
-) -> MultimodeResult:
+) -> ArrowheadEigen:
     """Diagonalize all N excitons plus the photon.
 
     The matrix is bordered-diagonal (an arrowhead): exciton energies on the
@@ -239,16 +238,12 @@ def multimode_diagonalize(
     are split off first, so dark modes come out as exact eigenpairs: unit
     eigenvectors at exactly their exciton energy, with zero photon weight.
     With ``include_envelope`` the couplings carry the Gaussian beam profile.
+    The solver is the result; its eigenvector rows are k = 1..N, then the photon.
     """
     # Imported here: the command line never diagonalizes, so it skips it.
     from .arrowhead import ArrowheadEigen
 
-    if include_envelope:
-        couplings = envelope_mode_couplings(params)
-    else:
-        couplings = mode_coupling_array(params)
-    solution = ArrowheadEigen(
-        exciton_energies(params), couplings, cavity_frequency(params),
-        shift=params.atom_frequency_hz,
+    return ArrowheadEigen(
+        exciton_energies(params), _mode_couplings(params, include_envelope),
+        cavity_frequency(params), shift=params.atom_frequency_hz,
     )
-    return MultimodeResult(solution)

@@ -19,48 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exciton import (
-    envelope_mode_couplings, exciton_energies, mode_coupling_array, superradiant_coupling,
-)
-from .params import SystemParams, cavity_frequency, superradiant_energy
-from .polariton import ModelVariant, collective_coupling_noninteracting
+from .params import DampingSet, SystemParams, cavity_frequency
+from .polariton import ModelVariant, variant_resonances
 
-# Default sweep: 2001 points over +-150 MHz around the cavity/exciton
+# Default sweep: 2001 points over at least +-150 MHz around the cavity/exciton
 # midpoint, about 15 grid points per 10-MHz linewidth.
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_GRID_SPAN_HZ = 1.5e8
+# Vacuum Rabi splittings a grid covers on each side of the midpoint, which
+# keeps both branches and their tails on it.
+_DOUBLET_REACH = 2.5
 
 
 class NoOutputChannelError(ValueError):
     """The cavity has no mirror output channel (kappa = 0)."""
-
-
-@dataclass(frozen=True)
-class DampingSet:
-    """FWHM damping rates of the driven system."""
-
-    gamma_mirror_hz: float  # per mirror, two identical mirrors
-    gamma_cavity_hz: float  # side loss into free space
-    gamma_atom_hz: float    # excited-atom linewidth
-
-    def __post_init__(self) -> None:
-        for name in ("gamma_mirror_hz", "gamma_cavity_hz", "gamma_atom_hz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-    @property
-    def cavity_width_hz(self) -> float:
-        """Total cavity linewidth kappa = 2 gamma_mirror + gamma_side."""
-        return 2.0 * self.gamma_mirror_hz + self.gamma_cavity_hz
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "DampingSet":
-        return cls(
-            gamma_mirror_hz=params.gamma_mirror_hz,
-            gamma_cavity_hz=params.gamma_cavity_hz,
-            gamma_atom_hz=params.gamma_atom_hz,
-        )
 
 
 @dataclass(frozen=True)
@@ -79,30 +51,6 @@ class SpectrumTrace:
     reflection: np.ndarray
     peaks: tuple[Peak, ...]
     center_hz: float  # midpoint of cavity and exciton frequencies
-
-
-def variant_resonances(
-    params: SystemParams, variant: ModelVariant, envelope_exact: bool = False
-) -> list[tuple[float, float]]:
-    """(coupling_hz, frequency_hz) of the exciton modes seen by the cavity.
-
-    Two-mode: the superradiant exciton only.  Multimode: every coupled
-    chain mode (the odd-k set for a flat envelope).  Non-interacting: one
-    collective mode at the bare atomic line.
-    """
-    if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
-        return [(superradiant_coupling(params), superradiant_energy(params))]
-    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-        return [(collective_coupling_noninteracting(params), params.atom_frequency_hz)]
-    if variant is ModelVariant.FULL_MULTIMODE:
-        energies = exciton_energies(params)
-        if envelope_exact:
-            couplings = envelope_mode_couplings(params)
-        else:
-            couplings = mode_coupling_array(params)
-        keep = couplings != 0.0
-        return list(zip(couplings[keep].tolist(), energies[keep].tolist()))
-    raise ValueError(f"unknown model variant: {variant}")
 
 
 def cavity_response(
@@ -175,14 +123,18 @@ def default_grid(
     params: SystemParams,
     variant: ModelVariant = ModelVariant.TWO_MODE_SUPERRADIANT,
     points: int = DEFAULT_GRID_POINTS,
-    span_hz: float = DEFAULT_GRID_SPAN_HZ,
+    span_hz: float | None = None,
 ) -> np.ndarray:
-    """Frequency grid centred between the cavity and exciton lines."""
+    """Frequency grid centred between the cavity and exciton lines.  The
+    default half-span is DEFAULT_GRID_SPAN_HZ, or 2.5 vacuum Rabi
+    splittings when the doublet needs more."""
     if points < 3:
         raise ValueError(f"grid needs at least 3 points, got {points}")
-    if span_hz <= 0:
+    center, omega0 = variant_center(params, variant)
+    if span_hz is None:
+        span_hz = max(DEFAULT_GRID_SPAN_HZ, _DOUBLET_REACH * omega0)
+    elif span_hz <= 0:
         raise ValueError(f"grid span must be positive, got {span_hz}")
-    center, _ = variant_center(params, variant)
     return center + np.linspace(-span_hz, span_hz, points)
 
 
@@ -205,8 +157,7 @@ def sweep(
         grid = np.asarray(grid, dtype=float)
     if grid.size < 3 or np.any(np.diff(grid) <= 0):
         raise ValueError("frequency grid must be strictly increasing with >= 3 points")
-    # 2.5 splittings per side keeps both branches and their tails on-grid.
-    reach = 2.5 * omega0
+    reach = _DOUBLET_REACH * omega0
     if grid[0] > center - reach or grid[-1] < center + reach:
         raise ValueError(
             f"grid [{grid[0]:.6e}, {grid[-1]:.6e}] Hz does not cover "

@@ -205,7 +205,7 @@ def test_random_arrowheads(problem):
     matrix = np.diag(np.concatenate([poles, [corner]]))
     matrix[:-1, -1] = matrix[-1, :-1] = couplings
     scale = np.linalg.norm(matrix, 2)
-    values = solution.values
+    values = solution.frequencies_hz
     # LAPACK's symmetric reduction can lose 1e-8 of the scale when some
     # entries' squares underflow (poles near 1e-158 next to couplings near
     # 1).  Flushing such entries to zero moves no eigenvalue by more than
@@ -216,7 +216,7 @@ def test_random_arrowheads(problem):
     bare = np.sort(poles)
     slack = 4.0 * np.finfo(float).eps * scale * n
     assert np.all(values[:-1] <= bare + slack) and np.all(bare <= values[1:] + slack)
-    vectors = solution.vectors()
+    vectors = solution.eigenvectors
     # The photon weights come from the recomputed couplings, not from the
     # vectors, so their sum with the exciton weights is a real check.
     weights = np.square(vectors[:-1, :].T)

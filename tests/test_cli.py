@@ -90,6 +90,26 @@ class TestExitCodes:
         rc = main(["figure", "--out", str(tmp_path / "o.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"num_sites": 1e400}', "num_sites"),
+            ('{"num_sites": NaN}', "num_sites"),
+            ('{"num_sites": -Infinity}', "num_sites"),
+            ('{"theta_rad": 1' + "0" * 400 + "}", "theta_rad"),
+            ('{"num_sites": 1' + "0" * 5000 + "}", "JSON"),
+        ],
+        ids=["overflow", "nan", "-inf", "huge-int-float-key", "over-long-int"],
+    )
+    def test_unusable_config_number_exits_1_without_traceback(self, text, key, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        rc = main(["dispersion", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
 
 class TestGridFlags:
     """A zero or negative grid flag is refused, never replaced by a default."""
@@ -118,6 +138,38 @@ class TestGridFlags:
         assert main(["polariton", "--grid-points", "1", "--out", str(out)]) == 0
         _, rows, _ = read_csv(out)
         assert len(rows) == 1
+
+
+class TestDefaultSpectrumGrid:
+    """The default grid widens with Omega_0 ~ sqrt(N), so spectra at
+    default settings keep both peaks at any size."""
+
+    @pytest.mark.parametrize(
+        "command, num_sites",
+        [
+            *[(f"spectrum --model {model}", n)
+              for n in (1400, 2000, 5000) for model in ("two-mode", "multimode", "noninteracting")],
+            *[(f"spectrum --model {model}", n)
+              for n in (100_000, 1_000_000) for model in ("two-mode", "noninteracting")],
+            ("figure 5", 5000),
+        ],
+    )
+    def test_two_peaks_at_default_settings(self, command, num_sites, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([*command.split(), "--num-sites", str(num_sites), "--out", str(out)]) == 0
+        _, rows, comments = read_csv(out)
+        values = np.array(rows, dtype=float)
+        assert values.shape == (2001, 4) and np.isfinite(values).all()
+        peaks = [c[2:].split(", ") for c in comments if c.startswith("# peak")]
+        assert len(peaks) == 2
+        for _, location, _, fwhm in peaks:
+            assert values[0, 0] < float(location) < values[-1, 0] and float(fwhm) > 0.0
+
+    def test_explicit_narrow_span_still_refused(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["spectrum", "--num-sites", "5000", "--grid-span-hz", "1.5e8", "--out", str(out)])
+        assert rc == 1
+        assert "does not cover" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -240,6 +292,19 @@ class TestCommands:
         assert main(["figure", "5", "--out", str(a)]) == 0
         assert main(["figure", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_missing_half_height_crossing_writes_no_nan(self, tmp_path, capsys):
+        # The lower peak's outer half-height crossing lies off the default
+        # grid, so it has no FWHM: an empty field and "n/a", never "nan".
+        out = tmp_path / "o.csv"
+        assert main(["spectrum", "--nu-c-hz", "4.000001e14", "--out", str(out)]) == 0
+        assert "nan" not in out.read_text().lower()
+        stdout = capsys.readouterr().out
+        assert "nan" not in stdout.lower() and "n/a" in stdout
+        _, _, comments = read_csv(out)
+        fields = [c[2:].rstrip("\n").split(", ") for c in comments if c.startswith("# peak")]
+        assert [len(f) for f in fields] == [4, 4]
+        assert fields[0][3] == "" and float(fields[1][3]) > 0.0
 
     def test_model_flag_spectrum(self, tmp_path, capsys):
         out = tmp_path / "nonint.csv"

@@ -217,14 +217,22 @@ class TestCouplingSumRule:
 
 
 class TestSiteHamiltonianOracle:
-    def test_package_import_leaves_scipy_unloaded(self):
-        # scipy is imported only when the oracle below runs
+    def test_package_import_leaves_scipy_unloaded(self, tmp_path):
+        # scipy is imported only when the oracle below runs, and the arrowhead
+        # solver only by multimode_diagonalize, which the command line never calls.
         env = dict(os.environ, PYTHONPATH=str(Path(lattice_polariton.__file__).parents[1]))
-        code = "import sys, lattice_polariton; print('scipy' in sys.modules)"
+        out = str(tmp_path / "fig5.csv")
+        code = (
+            "import contextlib, io, sys, lattice_polariton\n"
+            "from lattice_polariton import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['figure', '5', '--out', {out!r}]) == 0\n"
+            "print('scipy' in sys.modules, 'lattice_polariton.arrowhead' in sys.modules)"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "False False"
 
     def test_three_site_spectrum(self):
         vals, _ = diagonalize_site_hamiltonian(SiteHamiltonian(dim=3, diagonal_hz=0.0, offdiag_hz=1.0))

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_polariton import (
     MAGIC_ANGLE_RAD,
@@ -157,8 +159,10 @@ class TestVacuumRabiVsN:
         assert ratios[-1] == pytest.approx(LIMIT_RATIO, rel=5e-3)
 
     def test_multimode_not_supported(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="two-mode or noninteracting"):
             vacuum_rabi_vs_N(REF, [10], ModelVariant.FULL_MULTIMODE)
+        with pytest.raises(ValueError, match="two-mode or noninteracting"):
+            generalized_rabi(REF, 0.0, 10, ModelVariant.FULL_MULTIMODE)
 
 
 class TestGeneralizedRabi:
@@ -199,6 +203,51 @@ class TestGeneralizedRabi:
             for t in (0.0, 0.4, MAGIC_ANGLE_RAD, 1.2)
         }
         assert len(values) == 1
+
+
+def reference_vacuum_rabi(params, num_sites, variant):
+    """Per-variant vacuum Rabi formula: the cavity on the superradiant line
+    (None) or on the bare atomic line, then twice the coupling."""
+    if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
+        p = replace(params, num_sites=num_sites, cavity_frequency_hz=None)
+        return 2.0 * superradiant_coupling(p)
+    p = replace(params, num_sites=num_sites, cavity_frequency_hz=params.atom_frequency_hz)
+    return 2.0 * collective_coupling_noninteracting(p)
+
+
+def reference_generalized_rabi(params, theta_rad, num_sites, variant):
+    """Per-variant generalized Rabi formula with the cavity on the atomic line."""
+    p = replace(
+        params, theta_rad=theta_rad, num_sites=num_sites,
+        cavity_frequency_hz=params.atom_frequency_hz,
+    )
+    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
+        return 2.0 * collective_coupling_noninteracting(p)
+    detuning = (p.atom_frequency_hz - superradiant_energy(p)) / 2.0
+    return 2.0 * math.hypot(detuning, superradiant_coupling(p))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    num_sites=st.integers(min_value=1, max_value=10**7),
+    theta=st.floats(min_value=0.0, max_value=math.pi),
+    waist=st.floats(min_value=1e-6, max_value=1e-2),
+    atom_hz=st.floats(min_value=1e13, max_value=1e16),
+    cavity_hz=st.one_of(st.none(), st.floats(min_value=1e13, max_value=1e16)),
+    variant=st.sampled_from(
+        [ModelVariant.TWO_MODE_SUPERRADIANT, ModelVariant.NONINTERACTING_COLLECTIVE]
+    ),
+)
+def test_rabi_splittings_match_per_variant_formulas_bitwise(
+    num_sites, theta, waist, atom_hz, cavity_hz, variant
+):
+    params = SystemParams(
+        beam_waist_m=waist, atom_frequency_hz=atom_hz, cavity_frequency_hz=cavity_hz
+    )
+    expected = reference_vacuum_rabi(params, num_sites, variant)
+    assert vacuum_rabi_vs_N(params, [num_sites], variant) == [(num_sites, expected)]
+    expected = reference_generalized_rabi(params, theta, num_sites, variant)
+    assert generalized_rabi(params, theta, num_sites, variant) == expected
 
 
 class TestMultimode:

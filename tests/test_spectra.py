@@ -5,6 +5,7 @@ import pytest
 
 from lattice_polariton import (
     DampingSet,
+    InvalidParameterError,
     ModelVariant,
     NoOutputChannelError,
     SystemParams,
@@ -18,8 +19,10 @@ from lattice_polariton import (
     superradiant_coupling,
     sweep,
     transfer_function,
+    variant_center,
     variant_resonances,
 )
+from lattice_polariton.spectra import _DOUBLET_REACH, DEFAULT_GRID_POINTS
 
 REF = SystemParams()
 REF_DAMPING = DampingSet.from_params(REF)
@@ -32,6 +35,13 @@ class TestDampingSet:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             DampingSet(-1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", ["1e7", None])
+    def test_non_number_rejected_like_system_params(self, value):
+        with pytest.raises(InvalidParameterError, match="gamma_mirror_hz must be >= 0"):
+            DampingSet(value, 0.0, 0.0)
+        with pytest.raises(InvalidParameterError, match="gamma_mirror_hz must be >= 0"):
+            SystemParams(gamma_mirror_hz=value)
 
     def test_no_output_channel(self):
         dead = DampingSet(0.0, 0.0, 1e7)
@@ -187,6 +197,22 @@ class TestSweep:
         narrow = trace.center_hz + np.linspace(-omega0, omega0, 501)
         with pytest.raises(ValueError):
             sweep(REF, REF_DAMPING, ModelVariant.TWO_MODE_SUPERRADIANT, narrow)
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_default_grid_widens_with_the_splitting(self, variant):
+        # Omega_0 grows as sqrt(N): 2.5 Omega_0 passes the fixed 150 MHz
+        # default near N = 1150-1350.
+        params = SystemParams(num_sites=5000)
+        center, omega0 = variant_center(params, variant)
+        grid = default_grid(params, variant)
+        assert grid.size == DEFAULT_GRID_POINTS
+        assert grid[0] == center - _DOUBLET_REACH * omega0
+        assert grid[-1] == center + _DOUBLET_REACH * omega0
+        assert len(sweep(params, REF_DAMPING, variant).peaks) == 2
+        # Where 150 MHz is wide enough, the grid is unchanged.
+        np.testing.assert_array_equal(
+            default_grid(REF, variant), default_grid(REF, variant, span_hz=1.5e8)
+        )
 
 
 class TestPeakFind:
