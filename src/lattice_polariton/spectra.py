@@ -188,19 +188,34 @@ def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(x0 + xv), float(c - b**2 / (4.0 * a))
 
 
+# Steps the first window of a half-height search tests; each later window
+# doubles, so a search costs O(distance to where it stops), not O(points).
+_FIRST_WINDOW = 64
+
+
 def _half_crossing(
     freq: np.ndarray, values: np.ndarray, start: int, half: float, step: int
 ) -> float:
-    """Frequency where the trace crosses ``half`` walking from a peak."""
-    i = start
-    while 0 <= i + step < values.size:
-        j = i + step
-        if values[j] < half <= values[i]:
-            frac = (values[i] - half) / (values[i] - values[j])
-            return float(freq[i] + frac * (freq[j] - freq[i]))
-        if values[j] > values[i] and values[j] > half:
-            break  # rising into a neighbouring peak before crossing
-        i = j
+    """Frequency where the trace crosses ``half`` walking from a peak.
+
+    The walk from ``start`` in steps of ``step`` (+1 or -1) stops at the
+    first step that falls below ``half`` or that rises above both ``half``
+    and its own start (into a neighbouring peak, giving NaN).
+    """
+    steps = values.size - 1 - start if step > 0 else start
+    lo, width = 0, _FIRST_WINDOW
+    while lo < steps:
+        i = start + step * np.arange(lo, min(steps, lo + width))
+        here, there = values[i], values[i + step]
+        crossed = (there < half) & (half <= here)
+        stops = np.flatnonzero(crossed | ((there > here) & (there > half)))
+        if stops.size:
+            if not crossed[stops[0]]:
+                break  # rising into a neighbouring peak before crossing
+            a = i[stops[0]]
+            frac = (values[a] - half) / (values[a] - values[a + step])
+            return float(freq[a] + frac * (freq[a + step] - freq[a]))
+        lo, width = lo + width, 2 * width
     return math.nan
 
 
@@ -217,13 +232,14 @@ def peak_find(frequencies_hz: np.ndarray, values: np.ndarray) -> list[Peak]:
         raise ValueError("frequency and value arrays must have equal length")
     if freq.size < 3:
         return []
+    inner = vals[1:-1]
+    maxima = np.flatnonzero((inner > vals[:-2]) & (inner > vals[2:])) + 1
     peaks = []
-    for i in range(1, freq.size - 1):
-        if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
-            location, height = _parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2])
-            half = height / 2.0
-            left = _half_crossing(freq, vals, i, half, -1)
-            right = _half_crossing(freq, vals, i, half, +1)
-            peaks.append(Peak(location_hz=location, height=height, fwhm_hz=right - left))
+    for i in maxima.tolist():
+        location, height = _parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2])
+        half = height / 2.0
+        left = _half_crossing(freq, vals, i, half, -1)
+        right = _half_crossing(freq, vals, i, half, +1)
+        peaks.append(Peak(location_hz=location, height=height, fwhm_hz=right - left))
     peaks.sort(key=lambda p: p.location_hz)
     return peaks

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lattice_polariton import cavity_frequency, load_params, superradiant_energy, transfer_parameter
-from lattice_polariton.cli import FIGURE_IDS, _write_csv, main
+from lattice_polariton.cli import _CHUNK_CELLS, FIGURE_IDS, _write_csv, main
+from lattice_polariton.params import MAX_NUM_SITES
 
 COMMANDS = ("dispersion", "couplings", "polariton", "spectrum", "rabi-vs-n", "rabi-vs-theta")
 
@@ -98,8 +99,9 @@ class TestExitCodes:
             ('{"num_sites": -Infinity}', "num_sites"),
             ('{"theta_rad": 1' + "0" * 400 + "}", "theta_rad"),
             ('{"num_sites": 1' + "0" * 5000 + "}", "JSON"),
+            ('{"num_sites": 1e30}', "num_sites"),
         ],
-        ids=["overflow", "nan", "-inf", "huge-int-float-key", "over-long-int"],
+        ids=["overflow", "nan", "-inf", "huge-int-float-key", "over-long-int", "above-bound"],
     )
     def test_unusable_config_number_exits_1_without_traceback(self, text, key, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -109,6 +111,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["rabi-vs-n", "spectrum", "dispersion"])
+    @pytest.mark.parametrize("num_sites", [str(MAX_NUM_SITES + 1), "1000000000000000000000"])
+    def test_site_count_above_bound_exits_1(self, command, num_sites, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main([command, "--num-sites", num_sites, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_sites") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestGridFlags:
@@ -361,6 +373,21 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         _write_csv(path, columns, comments)
         assert path.read_bytes() == reference_csv(names, list(zip(*values)), comments)
+
+    CHUNK_ROWS = _CHUNK_CELLS // 3  # rows per chunk of the three-column table below
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 4096, 8193]
+    )
+    def test_chunk_boundaries(self, rows, tmp_path):
+        k = np.arange(rows)
+        x = np.linspace(-1.0, 1.0, rows)
+        label = np.where(k % 3 == 0, "100%", "%s%d")
+        path = tmp_path / "t.csv"
+        _write_csv(path, {"k": k, "x": x, "label": label}, ("50% done",))
+        expected = reference_csv(["k", "x", "label"], zip(k.tolist(), x.tolist(), label.tolist()),
+                                 ("50% done",))
+        assert path.read_bytes() == expected
 
     def test_rows_span_several_chunks(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 10_001)

@@ -148,6 +148,24 @@ class TestModeCouplings:
         assert float((g**2).sum()) == pytest.approx(expected, rel=1e-9)
 
 
+def per_mode_couplings(params):
+    """The per-k loop that mode_coupling_array replaced: the scalar
+    coupling_sum of every odd mode times the mode normalisation."""
+    n = params.num_sites
+    scale = site_coupling(params) * math.sqrt(2.0 / (n + 1))
+    couplings = np.zeros(n)
+    for k in range(1, n + 1, 2):
+        couplings[k - 1] = scale * coupling_sum(k, n)
+    return couplings
+
+
+@pytest.mark.parametrize("num_sites", [1, 2, 7, 1000, 198_238])
+@pytest.mark.parametrize("theta_rad", [0.0, 1.2])
+def test_mode_couplings_equal_the_per_mode_loop(num_sites, theta_rad):
+    params = SystemParams(num_sites=num_sites, theta_rad=theta_rad)
+    assert np.array_equal(mode_coupling_array(params), per_mode_couplings(params))
+
+
 def dense_envelope_couplings(params):
     """The N x N sine-matrix projection that envelope_mode_couplings replaced."""
     n = params.num_sites
@@ -211,7 +229,7 @@ class TestCouplingSumRule:
         assert (3 + 2 * math.sqrt(2)) + (3 - 2 * math.sqrt(2)) == pytest.approx(6.0)
         assert coupling_sum_rule(3) == pytest.approx(6.0, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 3, 10, 100, 1000])
+    @pytest.mark.parametrize("n", [1, 3, 10, 100, 1000, 198_238])
     def test_closed_form(self, n):
         assert coupling_sum_rule(n) == pytest.approx(n * (n + 1) / 2.0, rel=1e-9)
 

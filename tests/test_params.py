@@ -20,6 +20,7 @@ from lattice_polariton import (
     transfer_parameter,
     validate,
 )
+from lattice_polariton.params import MAX_NUM_SITES
 
 
 def test_constants_pinned():
@@ -97,6 +98,8 @@ class TestValidation:
             {"lattice_constant_m": 0.0},
             {"lattice_constant_m": -1e-7},
             {"num_sites": 0},
+            {"num_sites": MAX_NUM_SITES + 1},
+            {"num_sites": 10**21},
             {"beam_waist_m": 0.0},
             {"mirror_distance_m": -1.0},
             {"dipole_Cm": 0.0},
@@ -110,6 +113,10 @@ class TestValidation:
     def test_bad_inputs_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
             SystemParams(**kwargs)
+
+    def test_largest_chain_accepted(self):
+        # Validation allocates nothing, so the bound itself is cheap to build.
+        assert SystemParams(num_sites=MAX_NUM_SITES).num_sites == MAX_NUM_SITES
 
 
 class TestDerived:
@@ -179,6 +186,10 @@ class TestJsonConfig:
     def test_non_numeric_value(self):
         with pytest.raises(ConfigError, match="num_sites"):
             params_from_dict({"num_sites": "many"})
+
+    def test_site_count_above_bound(self):
+        with pytest.raises(InvalidParameterError, match="num_sites"):
+            params_from_dict({"num_sites": 1e30})
 
     def test_fractional_site_count(self):
         with pytest.raises(ConfigError, match="num_sites"):

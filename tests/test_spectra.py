@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_polariton import (
     DampingSet,
@@ -22,7 +24,7 @@ from lattice_polariton import (
     variant_center,
     variant_resonances,
 )
-from lattice_polariton.spectra import _DOUBLET_REACH, DEFAULT_GRID_POINTS
+from lattice_polariton.spectra import _DOUBLET_REACH, DEFAULT_GRID_POINTS, Peak, _parabolic_vertex
 
 REF = SystemParams()
 REF_DAMPING = DampingSet.from_params(REF)
@@ -249,3 +251,88 @@ class TestPeakFind:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             peak_find(np.arange(4.0), np.arange(5.0))
+
+
+def walked_half_crossing(freq, values, start, half, step):
+    """The point-by-point walk that _half_crossing's windowed search replaced."""
+    i = start
+    while 0 <= i + step < values.size:
+        j = i + step
+        if values[j] < half <= values[i]:
+            frac = (values[i] - half) / (values[i] - values[j])
+            return float(freq[i] + frac * (freq[j] - freq[i]))
+        if values[j] > values[i] and values[j] > half:
+            break
+        i = j
+    return math.nan
+
+
+def per_point_peak_find(frequencies_hz, values):
+    """The per-point loop that peak_find's boolean mask replaced."""
+    freq = np.asarray(frequencies_hz, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if freq.size < 3:
+        return []
+    peaks = []
+    for i in range(1, freq.size - 1):
+        if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
+            location, height = _parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2])
+            half = height / 2.0
+            left = walked_half_crossing(freq, vals, i, half, -1)
+            right = walked_half_crossing(freq, vals, i, half, +1)
+            peaks.append(Peak(location_hz=location, height=height, fwhm_hz=right - left))
+    peaks.sort(key=lambda p: p.location_hz)
+    return peaks
+
+
+def peak_table(peaks):
+    return np.array([[p.location_hz, p.height, p.fwhm_hz] for p in peaks]).reshape(-1, 3)
+
+
+@st.composite
+def traces(draw):
+    """Strictly increasing grids with traces that stress the peak walk:
+    quantized values (plateaus and ties), many ripples on broad peaks
+    (long walks), offsets that keep a side from crossing half height,
+    peaks one point from either edge, and stray NaNs."""
+    size = draw(st.integers(min_value=0, max_value=600))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    freq = np.cumsum(rng.uniform(0.1, 10.0, size)) + draw(st.floats(-1e3, 1e3))
+    x = np.linspace(0.0, 1.0, size)
+    shape = draw(st.sampled_from(["quantized", "ripples", "edge"]))
+    if shape == "quantized":
+        values = rng.integers(0, draw(st.integers(min_value=1, max_value=6)), size, endpoint=True)
+    elif shape == "ripples":
+        centers = draw(st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=4))
+        widths = draw(st.lists(st.floats(1e-3, 0.5), min_size=len(centers), max_size=len(centers)))
+        values = sum(np.exp(-(((x - c) / w) ** 2)) for c, w in zip(centers, widths))
+        values = values + draw(st.floats(0.0, 0.2)) * np.sin(draw(st.integers(1, 400)) * x)
+    else:
+        values = np.zeros(size)
+        if size >= 3:
+            values[draw(st.sampled_from([1, size - 2]))] = 1.0
+    quantum = draw(st.sampled_from([0.0, 0.01, 0.25]))
+    if quantum:
+        values = np.round(values / quantum) * quantum
+    values = values + draw(st.sampled_from([0.0, 0.0, 1.0, 5.0]))  # 1, 5: off-grid half height
+    if size:
+        values[draw(st.lists(st.integers(0, size - 1), max_size=3))] = math.nan
+    return freq, values
+
+
+class TestPeakFindAgainstPerPointLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(trace=traces())
+    def test_equal_to_the_per_point_loop(self, trace):
+        freq, values = trace
+        fast = peak_table(peak_find(freq, values))
+        slow = peak_table(per_point_peak_find(freq, values))
+        assert np.array_equal(fast, slow, equal_nan=True)
+
+    def test_long_walks_cross_several_windows(self):
+        # One broad peak on 20,001 points: each side walks thousands of points.
+        x = np.linspace(-1.0, 1.0, 20_001)
+        values = 1.0 / (1.0 + (x / 0.3) ** 2)
+        fast = peak_table(peak_find(x, values))
+        assert fast.shape == (1, 3) and fast[0, 2] == pytest.approx(0.6, rel=1e-2)
+        assert np.array_equal(fast, peak_table(per_point_peak_find(x, values)), equal_nan=True)
