@@ -8,9 +8,8 @@ transmission/reflection spectra of the driven system.
 """
 
 from .exciton import (
-    SiteHamiltonian, coupling_sum, coupling_sum_rule, diagonalize_site_hamiltonian,
-    envelope_mode_couplings, exciton_energies, mode_coupling_array, oscillator_fractions,
-    sine_mode_vector, site_coupling, superradiant_coupling,
+    coupling_sum, envelope_mode_couplings, exciton_energies, mode_coupling_array,
+    oscillator_fractions, site_coupling, superradiant_coupling,
 )
 from .params import (
     EPSILON_0, MAGIC_ANGLE_RAD, PLANCK_H, ConfigError, DampingSet, InvalidParameterError,

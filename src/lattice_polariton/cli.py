@@ -22,8 +22,8 @@ from .exciton import (
     exciton_energies, mode_coupling_array, oscillator_fractions, superradiant_coupling,
 )
 from .params import (
-    MAGIC_ANGLE_RAD, ConfigError, DampingSet, InvalidParameterError, SystemParams, load_params,
-    superradiant_energy, transfer_parameter, validate,
+    MAGIC_ANGLE_RAD, MAX_NUM_SITES, ConfigError, DampingSet, InvalidParameterError, SystemParams,
+    load_params, superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
     ModelVariant, collective_coupling_noninteracting, generalized_rabi, superradiant_doublet,
@@ -121,7 +121,7 @@ def _exciton_modes(spec: RunSpec) -> Dataset:
         "coupling_sq_hz2": couplings**2,
         # Even-k modes have no net dipole, so parity alone decides darkness.
         "class": np.where(k % 2 == 0, "dark", "bright"),
-        "oscillator_fraction": oscillator_fractions(params),
+        "oscillator_fraction": oscillator_fractions(couplings),
     }
     return Dataset(columns)
 
@@ -137,9 +137,10 @@ def _polariton(spec: RunSpec) -> Dataset:
     span = _flag(spec.grid_span_hz, 1.0e8)
     deltas = np.linspace(-span, span, _flag(spec.grid_points, 401))
     exciton_hz = superradiant_energy(params)
+    # Python floats: a numpy scalar divided by zero warns instead of raising.
     doublets = [
         superradiant_doublet(replace(params, cavity_frequency_hz=cavity_hz))
-        for cavity_hz in exciton_hz + 2.0 * deltas
+        for cavity_hz in (exciton_hz + 2.0 * deltas).tolist()
     ]
     columns = {
         "delta_hz": deltas,
@@ -215,22 +216,26 @@ def _rabi_vs_n_at_angles(spec: RunSpec) -> Dataset:
     return Dataset(columns)
 
 
-# Command or figure id -> (dataset builder, columns written; None = all).
-_DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], tuple[str, ...] | None]] = {
-    "dispersion": (_exciton_modes, None),
-    "couplings": (_exciton_modes, None),
-    "polariton": (_polariton, None),
-    "spectrum": (_spectrum, None),
-    "rabi-vs-n": (_rabi_vs_n, None),
-    "rabi-vs-theta": (_rabi_vs_theta, None),
-    "3a": (_exciton_modes, None),
-    "3b": (_exciton_modes, None),
-    "4a": (_polariton, ("delta_hz", "upper_shift_hz", "lower_shift_hz")),
-    "4b": (_polariton, ("delta_hz", *_WEIGHTS)),
-    "5": (_spectrum, None),
-    "6": (_rabi_vs_n, None),
-    "7a": (_rabi_vs_theta, None),
-    "7b": (_rabi_vs_n_at_angles, None),
+_GRID_FLAGS = ("grid_points", "grid_span_hz")
+_Names = tuple[str, ...]
+
+# Command or figure id -> (dataset builder, columns written or None for all,
+# the grid flags the builder reads).
+_DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], _Names | None, _Names]] = {
+    "dispersion": (_exciton_modes, None, ()),
+    "couplings": (_exciton_modes, None, ()),
+    "polariton": (_polariton, None, _GRID_FLAGS),
+    "spectrum": (_spectrum, None, _GRID_FLAGS),
+    "rabi-vs-n": (_rabi_vs_n, None, ()),
+    "rabi-vs-theta": (_rabi_vs_theta, None, ("grid_points",)),
+    "3a": (_exciton_modes, None, ()),
+    "3b": (_exciton_modes, None, ()),
+    "4a": (_polariton, ("delta_hz", "upper_shift_hz", "lower_shift_hz"), _GRID_FLAGS),
+    "4b": (_polariton, ("delta_hz", *_WEIGHTS), _GRID_FLAGS),
+    "5": (_spectrum, None, _GRID_FLAGS),
+    "6": (_rabi_vs_n, None, ()),
+    "7a": (_rabi_vs_theta, None, ("grid_points",)),
+    "7b": (_rabi_vs_n_at_angles, None, ()),
 }
 
 
@@ -255,7 +260,7 @@ def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace |
 
 def run(spec: RunSpec) -> int:
     """Execute a resolved RunSpec: write its CSV dataset, print a summary."""
-    build, names = _DATASETS[spec.figure_id or spec.command]
+    build, names, _ = _DATASETS[spec.figure_id or spec.command]
     dataset = build(spec)
     columns = dataset.columns if names is None else {n: dataset.columns[n] for n in names}
     _write_csv(spec.out_path, columns, dataset.comments)
@@ -303,12 +308,19 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
         if figure_id is None:
             raise ConfigError("figure preset requires an id (e.g. `figure 5`)")
 
-    if args.grid_points is not None and args.grid_points < 1:
-        raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if args.grid_points is not None and not 1 <= args.grid_points <= MAX_NUM_SITES:
+        raise ConfigError(f"--grid-points must be in 1..{MAX_NUM_SITES}, got {args.grid_points}")
     if args.grid_span_hz is not None and not (0 < args.grid_span_hz < math.inf):
         raise ConfigError(
             f"--grid-span-hz must be a positive finite number, got {args.grid_span_hz}"
         )
+    name = f"figure {figure_id}" if figure_id else args.command
+    build, _, grid_flags = _DATASETS[figure_id or args.command]
+    for flag in _GRID_FLAGS:
+        if getattr(args, flag) is not None and flag not in grid_flags:
+            raise ConfigError(f"{name} does not use --{flag.replace('_', '-')}")
+    if args.envelope == "exact" and not (build is _spectrum and args.model == "multimode"):
+        raise ConfigError("--envelope exact needs spectrum or figure 5 with --model multimode")
 
     overrides = {
         "num_sites": args.num_sites,
@@ -358,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ConfigError, InvalidParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"error: a derived quantity is out of floating-point range ({exc})", file=sys.stderr)
         return 1
 
 

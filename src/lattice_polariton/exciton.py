@@ -10,7 +10,6 @@ modes; even-k modes have a vanishing net dipole and stay dark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,11 +17,6 @@ from .params import (
     EPSILON_0, PLANCK_H, SystemParams, cavity_frequency, mode_volume, site_positions,
     transfer_parameter,
 )
-
-
-def _check_mode_index(k: int, num_sites: int) -> None:
-    if not 1 <= k <= num_sites:
-        raise ValueError(f"mode index k={k} out of range 1..{num_sites}")
 
 
 def exciton_energies(params: SystemParams) -> np.ndarray:
@@ -37,21 +31,14 @@ def exciton_energies(params: SystemParams) -> np.ndarray:
     return params.atom_frequency_hz + 2.0 * transfer * np.cos(np.pi * k / n_plus_1)
 
 
-def sine_mode_vector(k: int, num_sites: int) -> np.ndarray:
-    """Unit-norm eigenvector of mode k: component n is
-    sqrt(2/(N+1)) sin(pi n k / (N+1))."""
-    _check_mode_index(k, num_sites)
-    n = np.arange(1, num_sites + 1)
-    return math.sqrt(2.0 / (num_sites + 1)) * np.sin(np.pi * n * k / (num_sites + 1))
-
-
 def coupling_sum(k: int, num_sites: int) -> float:
     """Site sum of the mode-k sine amplitudes.
 
     Equals cot(pi k / (2(N+1))) for odd k and exactly zero for even k;
     the even case is decided by parity, not by numeric cancellation.
     """
-    _check_mode_index(k, num_sites)
+    if not 1 <= k <= num_sites:
+        raise ValueError(f"mode index k={k} out of range 1..{num_sites}")
     if k % 2 == 0:
         return 0.0
     return 1.0 / math.tan(math.pi * k / (2.0 * (num_sites + 1)))
@@ -117,69 +104,12 @@ def envelope_mode_couplings(params: SystemParams) -> np.ndarray:
     return couplings
 
 
-def oscillator_fractions(params: SystemParams) -> np.ndarray:
+def oscillator_fractions(couplings: np.ndarray) -> np.ndarray:
     """Fraction of the total oscillator strength carried by each mode.
 
-    Weights are squared couplings normalised to unit sum; the nodeless
-    k = 1 mode carries about 81% for large N.
+    Weights are the squared mode couplings (mode_coupling_array or
+    envelope_mode_couplings) normalised to unit sum; with the flat envelope
+    the nodeless k = 1 mode carries about 81% for large N.
     """
-    couplings = mode_coupling_array(params)
     weights = couplings**2
     return weights / weights.sum()
-
-
-def coupling_sum_rule(num_sites: int) -> float:
-    """Sum over odd k of cot^2(pi k / (2(N+1))).
-
-    Equals N(N+1)/2 exactly; used as a numeric cross-check of the mode
-    couplings.
-    """
-    if num_sites < 1:
-        raise ValueError(f"num_sites must be >= 1, got {num_sites}")
-    cotangents = _odd_cotangents(num_sites)
-    return float(cotangents @ cotangents)
-
-
-@dataclass(frozen=True)
-class SiteHamiltonian:
-    """Site-basis excitation Hamiltonian: uniform diagonal, uniform
-    nearest-neighbour off-diagonal, fixed (empty) boundaries."""
-
-    dim: int
-    diagonal_hz: float
-    offdiag_hz: float
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "SiteHamiltonian":
-        return cls(
-            dim=params.num_sites,
-            diagonal_hz=params.atom_frequency_hz,
-            offdiag_hz=transfer_parameter(params),
-        )
-
-    def matrix(self) -> np.ndarray:
-        h = np.diag(np.full(self.dim, self.diagonal_hz))
-        off = np.full(self.dim - 1, self.offdiag_hz)
-        h += np.diag(off, 1) + np.diag(off, -1)
-        return h
-
-
-def diagonalize_site_hamiltonian(h: SiteHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force eigendecomposition of the site Hamiltonian.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Serves as a
-    numerical oracle for exciton_energies and sine_mode_vector.  scipy is
-    imported here, not at module level: this oracle is the package's only
-    use of it.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    if h.dim == 1:
-        return np.array([h.diagonal_hz]), np.array([[1.0]])
-    diagonal = np.full(h.dim, h.diagonal_hz)
-    offdiag = np.full(h.dim - 1, h.offdiag_hz)
-    return eigh_tridiagonal(diagonal, offdiag)

@@ -2,15 +2,22 @@ import csv
 import io
 import json
 import math
+import os
 import string
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lattice_polariton import cavity_frequency, load_params, superradiant_energy, transfer_parameter
+import lattice_polariton
+from lattice_polariton import (
+    cavity_frequency, exciton, load_params, superradiant_energy, transfer_parameter,
+)
 from lattice_polariton.cli import _CHUNK_CELLS, FIGURE_IDS, _write_csv, main
 from lattice_polariton.params import MAX_NUM_SITES
 
@@ -122,9 +129,32 @@ class TestExitCodes:
         assert err.startswith("error: num_sites") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["dispersion", "spectrum", "rabi-vs-theta", "polariton"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"dipole_Cm": 1e200},
+            {"lattice_constant_m": 1e-120},
+            {"beam_waist_m": 1e-200},
+            {"mirror_distance_m": 1e300, "beam_waist_m": 1e300},
+        ],
+        ids=["dipole-overflow", "lattice-underflow", "waist-underflow", "cavity-overflow"],
+    )
+    def test_derived_quantity_out_of_range_exits_1(self, command, config, tmp_path, capsys):
+        # Each config passes validation, but a derived scalar overflows or
+        # divides by an underflowed zero.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(config))
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a derived quantity is out of floating-point range")
+        assert "Traceback" not in err
+
 
 class TestGridFlags:
-    """A zero or negative grid flag is refused, never replaced by a default."""
+    """A grid flag out of range is refused, never replaced by a default, and
+    so is a grid or envelope flag that the command would ignore."""
 
     @pytest.mark.parametrize("command", [*COMMANDS, "figure 4a", "figure 5", "figure 7a"])
     @pytest.mark.parametrize(
@@ -144,6 +174,55 @@ class TestGridFlags:
         assert flag in err and value in err
         assert "Number of samples" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["polariton", "spectrum", "rabi-vs-theta", "figure 7a"])
+    @pytest.mark.parametrize("value", [str(MAX_NUM_SITES + 1), str(10**15)])
+    def test_grid_points_above_site_bound_rejected(self, command, value, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main([*command.split(), "--grid-points", value, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid-points") and value in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("couplings --envelope exact", "--envelope"),
+            ("couplings --grid-points 5 --grid-span-hz 3", "--grid-points"),
+            ("dispersion --grid-span-hz 3", "--grid-span-hz"),
+            ("rabi-vs-theta --grid-span-hz 1", "--grid-span-hz"),
+            ("rabi-vs-n --grid-points 3", "--grid-points"),
+            ("spectrum --envelope exact", "--envelope"),
+            ("spectrum --model noninteracting --envelope exact", "--envelope"),
+            ("figure 3a --grid-points 5", "--grid-points"),
+            ("figure 5 --envelope exact", "--envelope"),
+            ("figure 6 --grid-points 5", "--grid-points"),
+            ("figure 7a --grid-span-hz 1", "--grid-span-hz"),
+            ("figure 7b --grid-points 5", "--grid-points"),
+            ("polariton --model multimode --envelope exact", "--envelope"),
+        ],
+    )
+    def test_flag_the_command_ignores_is_refused(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main([*argv.split(), "--num-sites", "50", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "figure 5 --model multimode --envelope exact",
+            "figure 4a --grid-points 5 --grid-span-hz 1e7",
+            "figure 7a --grid-points 5",
+            "rabi-vs-n --nu-c-hz 4e14 --model noninteracting",
+            "couplings --envelope flat --model multimode",
+        ],
+    )
+    def test_flags_the_command_reads_are_accepted(self, argv, tmp_path, capsys):
+        assert main([*argv.split(), "--num-sites", "50", "--out", str(tmp_path / "o.csv")]) == 0
 
     def test_single_point_accepted(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -318,12 +397,53 @@ class TestCommands:
         assert [len(f) for f in fields] == [4, 4]
         assert fields[0][3] == "" and float(fields[1][3]) > 0.0
 
+    def test_mode_table_takes_one_cotangent_pass(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = exciton._odd_cotangents
+        monkeypatch.setattr(exciton, "_odd_cotangents", lambda n: calls.append(n) or original(n))
+        assert main(["couplings", "--num-sites", "40", "--out", str(tmp_path / "o.csv")]) == 0
+        assert calls == [40]
+
     def test_model_flag_spectrum(self, tmp_path, capsys):
         out = tmp_path / "nonint.csv"
         rc = main(["spectrum", "--model", "noninteracting", "--out", str(out)])
         assert rc == 0
         _, _, comments = read_csv(out)
         assert sum(1 for c in comments if c.startswith("# peak")) == 2
+
+
+def readme_library_example():
+    """The python block under the README's "## Library" heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with it blocked from import, every
+    command, every preset, both multimode envelopes, the multimode
+    eigenvectors and the README's library example still run."""
+    runs = [[command] for command in COMMANDS]
+    runs += [["figure", figure_id] for figure_id in FIGURE_IDS]
+    runs += [["spectrum", "--model", "multimode", "--envelope", e] for e in ("flat", "exact")]
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from lattice_polariton import SystemParams, multimode_diagonalize\n"
+        "from lattice_polariton.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {runs!r}:\n"
+        "        assert main([*argv, '--out', 'out.csv']) == 0, argv\n"
+        "    assert multimode_diagonalize(SystemParams(num_sites=50)).eigenvectors.shape == (51, 51)\n"
+        f"    exec({readme_library_example()!r}, {{}})\n"
+        "print(sys.modules['scipy'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lattice_polariton.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "None\n"
 
 
 def reference_csv(header, rows, comments=()):

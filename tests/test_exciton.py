@@ -11,21 +11,20 @@ import lattice_polariton
 from lattice_polariton import (
     EPSILON_0,
     PLANCK_H,
-    SiteHamiltonian,
     SystemParams,
     cavity_frequency,
     coupling_sum,
-    coupling_sum_rule,
-    diagonalize_site_hamiltonian,
     envelope_mode_couplings,
     exciton_energies,
     mode_coupling_array,
     mode_volume,
     oscillator_fractions,
-    sine_mode_vector,
     site_coupling,
     site_positions,
     transfer_parameter,
+)
+from oracles import (
+    SiteHamiltonian, coupling_sum_rule, diagonalize_site_hamiltonian, sine_mode_vector,
 )
 
 REF = SystemParams()
@@ -204,22 +203,35 @@ class TestEnvelopeCouplings:
         assert errors[-1] < 1e-12
 
 
+def flat_fractions(params):
+    return oscillator_fractions(mode_coupling_array(params))
+
+
 class TestOscillatorFractions:
     def test_reference_fractions(self):
-        fractions = oscillator_fractions(REF)
+        fractions = flat_fractions(REF)
         assert fractions[0] == pytest.approx(0.81, abs=0.01)
         assert fractions[2] == pytest.approx(0.09, abs=0.005)
 
     def test_normalised(self):
-        assert oscillator_fractions(REF).sum() == pytest.approx(1.0, abs=1e-12)
+        assert flat_fractions(REF).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_site(self):
-        np.testing.assert_allclose(oscillator_fractions(SystemParams(num_sites=1)), [1.0])
+        np.testing.assert_allclose(flat_fractions(SystemParams(num_sites=1)), [1.0])
 
     def test_large_n_limits(self):
-        fractions = oscillator_fractions(SystemParams(num_sites=20_000))
+        fractions = flat_fractions(SystemParams(num_sites=20_000))
         assert fractions[0] == pytest.approx(8.0 / math.pi**2, rel=1e-3)
         assert fractions[2] == pytest.approx(8.0 / (9.0 * math.pi**2), rel=1e-3)
+
+    def test_envelope_couplings(self):
+        # A waist much shorter than the chain lights only its middle, which
+        # spreads the strength over many bright modes; even modes stay dark.
+        params = SystemParams(num_sites=400, beam_waist_m=3e-6)
+        fractions = oscillator_fractions(envelope_mode_couplings(params))
+        assert fractions.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(fractions[1::2] == 0.0)
+        assert fractions[0] < flat_fractions(params)[0]
 
 
 class TestCouplingSumRule:
@@ -236,8 +248,8 @@ class TestCouplingSumRule:
 
 class TestSiteHamiltonianOracle:
     def test_package_import_leaves_scipy_unloaded(self, tmp_path):
-        # scipy is imported only when the oracle below runs, and the arrowhead
-        # solver only by multimode_diagonalize, which the command line never calls.
+        # scipy is a test dependency only, and the arrowhead solver is imported
+        # only by multimode_diagonalize, which the command line never calls.
         env = dict(os.environ, PYTHONPATH=str(Path(lattice_polariton.__file__).parents[1]))
         out = str(tmp_path / "fig5.csv")
         code = (
