@@ -23,7 +23,7 @@ from .polariton import (
 )
 from .spectra import (
     NoOutputChannelError, Peak, SpectrumTrace, cavity_response, default_grid, peak_find, sweep,
-    transfer_function, variant_center,
+    variant_center,
 )
 
 __version__ = "0.1.0"

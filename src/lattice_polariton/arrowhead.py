@@ -17,9 +17,9 @@ The solver follows the standard accurate recipe for this problem:
 - Work relative to a reference ``shift`` (the bare atomic line), so the
   poles and the corner are small numbers with full relative precision.
 - Deflate: a coupling of at most eps * ||(d, z, alpha)|| leaves its pole an
-  exact eigenvalue with a unit eigenvector; poles that coincide within the
-  same tolerance are merged into one by an orthogonal rotation of their
-  coordinates, which leaves the others exact eigenvalues too.
+  exact eigenvalue with a unit eigenvector; a run of poles that coincide
+  within the same tolerance is reflected (as in LAPACK dlaed2) so that one
+  member carries its whole coupling and the others deflate like zero ones.
 - Find all roots at once, vectorized over roots and chunked so that every
   temporary has a fixed size.  Each root is stored as its offset from the
   nearer neighbouring pole (its origin), so the distances lam - d_j keep
@@ -132,9 +132,11 @@ def _solve_chunk(poles, couplings, alpha, bound, r0, r1, buffers):
 
     offsets, scratch = buffers
     secular = _Secular(couplings, r0, r1, scratch)
-    point = poles[origin] + tau
-    psi, phi, dpsi, dphi = secular.evaluate(poles[None, :], point)
-    f = point - alpha + psi + phi
+    # At the offset itself: the rounded point poles[origin] + tau can lie past
+    # a root between close poles, and a bracket from its sign would miss it.
+    np.subtract(poles[None, :], poles[origin][:, None], out=offsets)
+    psi, phi, dpsi, dphi = secular.evaluate(offsets, tau)
+    f = poles[origin] - alpha + tau + psi + phi
     hi = np.where(f > 0.0, tau, hi)
     lo = np.where(f < 0.0, tau, lo)
     # Interior roots past the middle are measured from their upper pole.
@@ -265,20 +267,23 @@ class ArrowheadEigen:
         # Deflation: negligible couplings leave their poles as eigenvalues.
         coupled = np.nonzero(np.abs(border) > tol)[0]
         coupled = coupled[np.argsort(poles[coupled], kind="stable")]
-        # Poles closer than tol are merged: each run of them keeps its last
-        # member, which carries the run's whole coupling.
+        # Poles closer than tol merge: a reflector I - 2 w w^T puts a run's whole
+        # coupling on its last member, and the others deflate like dark modes.
         starts = np.diff(poles[coupled], prepend=-np.inf) > tol
         ends = np.diff(poles[coupled], append=np.inf) > tol
-        group = np.cumsum(starts) - 1
         kept = coupled[ends]
         kept_couplings = border[kept].copy()
-        self._groups = []
+        self._runs = []
         if not starts.all():
+            group = np.cumsum(starts) - 1
             norms = np.sqrt(np.bincount(group, weights=border[coupled] ** 2))
             for g in np.nonzero(np.bincount(group) > 1)[0]:
                 members = coupled[group == g]
-                self._groups.append((members, border[members] / norms[g]))
-                kept_couplings[g] = norms[g]
+                w = border[members] / norms[g]
+                sign = 1.0 if w[-1] > 0 else -1.0
+                w[-1] += sign
+                self._runs.append((members, w / np.linalg.norm(w)))
+                kept_couplings[g] = -sign * norms[g]
 
         n = kept.size
         self._kept, self._kept_poles = kept, poles[kept]
@@ -302,21 +307,9 @@ class ArrowheadEigen:
         self.frequencies_hz = values[order]
         weights = np.concatenate([bright_weights, np.zeros(self._deflated.size)])
         self.photon_weights = weights[order]
-        self._bright_weights = bright_weights
         # Output column of each bright root, then of each deflated pole.
         self._position = np.empty(order.size, dtype=int)
         self._position[order] = np.arange(order.size)
-
-    def _bright_block(self, r0, r1):
-        """Exciton amplitudes z_hat_j / (lam - d_j) * sqrt(w) of bright roots
-        r0..r1-1 over the kept poles."""
-        tau, origin = self._tau[r0:r1], self._origin[r0:r1]
-        poles = self._kept_poles
-        if not poles.size:
-            return np.zeros((r1 - r0, 0))
-        amps = self._z_hat / ((poles[origin][:, None] - poles[None, :]) + tau[:, None])
-        amps *= np.sqrt(self._bright_weights[r0:r1])[:, None]
-        return amps
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -328,39 +321,22 @@ class ArrowheadEigen:
                 f"the dense eigenvectors of N = {self.size} modes need {need / 1e9:.3g} GB "
                 f"((N+1)^2 float64 values), over the {DENSE_BUDGET_BYTES / 1e9:.3g} GB limit")
         out = np.zeros((dim, dim))
-        position = self._position
-        bright = self._tau.size
-        for r0, r1, _ in _chunks(bright, self._kept.size):
+        position, poles, origin, tau = self._position, self._kept_poles, self._origin, self._tau
+        for r0, r1, _ in _chunks(tau.size, poles.size):
             cols = position[r0:r1]
-            out[np.ix_(self._kept, cols)] = self._bright_block(r0, r1).T
             out[-1, cols] = np.sqrt(self.photon_weights[cols])
-        single = np.ones(self.size, dtype=bool)
-        for members, direction in self._groups:
-            self._spread_group(out, members, direction, position[bright:])
-            single[members] = False
-        unit = single[self._deflated]
-        out[self._deflated[unit], position[bright:][unit]] = 1.0
+            if poles.size:  # exciton amplitudes z_hat_j / (lam - d_j) * sqrt(w)
+                amps = self._z_hat / ((poles[origin[r0:r1], None] - poles) + tau[r0:r1, None])
+                out[np.ix_(self._kept, cols)] = (amps * out[-1, cols][:, None]).T
+        out[self._deflated, position[tau.size:]] = 1.0
+        # Back from each run's rotated coordinates, a chunk of rows at a time.
+        for members, w in self._runs:
+            projection = sum(w[r0:r1] @ out[members[r0:r1]] for r0, r1, _ in _chunks(w.size, dim))
+            for r0, r1, _ in _chunks(w.size, dim):
+                out[members[r0:r1]] -= np.outer(2.0 * w[r0:r1], projection)
         return out
 
     @cached_property
     def exciton_weights(self) -> np.ndarray:
         """(N+1, N) squared diagonal components, row i <-> eigenvector i."""
         return np.square(self.eigenvectors[:-1, :].T)
-
-    def _spread_group(self, out, members, direction, deflated_cols):
-        """Expand a merged run of poles: its kept member's row becomes the
-        run's coupling direction, and the other members get the columns of
-        the Householder reflector I - 2 w w^T that maps the direction onto
-        the kept member's axis.  The reflector is written in chunks, never
-        formed."""
-        row = out[members[-1], :].copy()
-        for r0, r1, _ in _chunks(members.size, row.size):
-            out[members[r0:r1], :] = direction[r0:r1, None] * row
-        target = np.zeros(members.size)
-        target[-1] = -1.0 if direction[-1] > 0 else 1.0
-        w = direction - target
-        w /= np.linalg.norm(w)
-        cols = deflated_cols[np.searchsorted(self._deflated, members[:-1])]
-        for c0, c1, _ in _chunks(cols.size, members.size):
-            out[np.ix_(members, cols[c0:c1])] = -2.0 * np.outer(w, w[c0:c1])
-        out[members[:-1], cols] += 1.0

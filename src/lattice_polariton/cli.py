@@ -22,8 +22,8 @@ from .exciton import (
     exciton_energies, mode_coupling_array, oscillator_fractions, superradiant_coupling,
 )
 from .params import (
-    MAGIC_ANGLE_RAD, MAX_NUM_SITES, ConfigError, DampingSet, InvalidParameterError, SystemParams,
-    load_params, superradiant_energy, transfer_parameter, validate,
+    MAGIC_ANGLE_RAD, MAX_NUM_SITES, ConfigError, DampingSet, SystemParams, load_params,
+    superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
     ModelVariant, collective_coupling_noninteracting, generalized_rabi, superradiant_doublet,
@@ -43,12 +43,10 @@ _NONINTERACTING = ModelVariant.NONINTERACTING_COLLECTIVE
 class RunSpec:
     """One resolved CLI invocation."""
 
-    command: str                 # dispersion | couplings | polariton | spectrum |
-                                 # rabi-vs-n | rabi-vs-theta | figure
+    dataset: str                 # the command, or the figure id of `figure`
     params: SystemParams
     variant: ModelVariant
     out_path: Path
-    figure_id: str | None = None
     grid_points: int | None = None
     grid_span_hz: float | None = None
     envelope_exact: bool = False
@@ -95,11 +93,6 @@ def _write_csv(
             handle.write(row_format * len(chunk[0]) % cells)
 
 
-def _flag(value, default):
-    """A grid flag's value, or the dataset's default when it was not given."""
-    return default if value is None else value
-
-
 def _width(fwhm_hz: float, spec: str, missing: str) -> str:
     """A peak's FWHM in the given format, or ``missing`` when it is NaN."""
     return missing if math.isnan(fwhm_hz) else format(fwhm_hz, spec)
@@ -134,8 +127,7 @@ _WEIGHTS = (
 def _polariton(spec: RunSpec) -> Dataset:
     """Doublets over a symmetric detuning sweep of the cavity frequency."""
     params = spec.params
-    span = _flag(spec.grid_span_hz, 1.0e8)
-    deltas = np.linspace(-span, span, _flag(spec.grid_points, 401))
+    deltas = np.linspace(-spec.grid_span_hz, spec.grid_span_hz, spec.grid_points)
     exciton_hz = superradiant_energy(params)
     # Python floats: a numpy scalar divided by zero warns instead of raising.
     doublets = [
@@ -153,12 +145,7 @@ def _polariton(spec: RunSpec) -> Dataset:
 
 def _spectrum(spec: RunSpec) -> Dataset:
     params = spec.params
-    grid = default_grid(
-        params,
-        spec.variant,
-        points=_flag(spec.grid_points, DEFAULT_GRID_POINTS),
-        span_hz=spec.grid_span_hz,
-    )
+    grid = default_grid(params, spec.variant, points=spec.grid_points, span_hz=spec.grid_span_hz)
     trace = sweep(params, DampingSet.from_params(params), spec.variant, grid, spec.envelope_exact)
     comments = tuple(
         f"peak, {p.location_hz:.11e}, {p.height:.11e}, {_width(p.fwhm_hz, '.11e', '')}"
@@ -187,7 +174,7 @@ def _rabi_vs_n(spec: RunSpec) -> Dataset:
 
 def _rabi_vs_theta(spec: RunSpec) -> Dataset:
     params = spec.params
-    thetas = np.linspace(0.0, math.pi / 2.0, _flag(spec.grid_points, 181))
+    thetas = np.linspace(0.0, math.pi / 2.0, spec.grid_points)
 
     def curve(variant: ModelVariant) -> np.ndarray:
         return np.array([generalized_rabi(params, t, params.num_sites, variant) for t in thetas])
@@ -216,26 +203,28 @@ def _rabi_vs_n_at_angles(spec: RunSpec) -> Dataset:
     return Dataset(columns)
 
 
-_GRID_FLAGS = ("grid_points", "grid_span_hz")
-_Names = tuple[str, ...]
+# A span of None lets default_grid size the spectrum's grid.
+_DETUNING_GRID = {"grid_points": 401, "grid_span_hz": 1.0e8}
+_SPECTRUM_GRID = {"grid_points": DEFAULT_GRID_POINTS, "grid_span_hz": None}
+_ANGLE_GRID = {"grid_points": 181}
 
 # Command or figure id -> (dataset builder, columns written or None for all,
-# the grid flags the builder reads).
-_DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], _Names | None, _Names]] = {
-    "dispersion": (_exciton_modes, None, ()),
-    "couplings": (_exciton_modes, None, ()),
-    "polariton": (_polariton, None, _GRID_FLAGS),
-    "spectrum": (_spectrum, None, _GRID_FLAGS),
-    "rabi-vs-n": (_rabi_vs_n, None, ()),
-    "rabi-vs-theta": (_rabi_vs_theta, None, ("grid_points",)),
-    "3a": (_exciton_modes, None, ()),
-    "3b": (_exciton_modes, None, ()),
-    "4a": (_polariton, ("delta_hz", "upper_shift_hz", "lower_shift_hz"), _GRID_FLAGS),
-    "4b": (_polariton, ("delta_hz", *_WEIGHTS), _GRID_FLAGS),
-    "5": (_spectrum, None, _GRID_FLAGS),
-    "6": (_rabi_vs_n, None, ()),
-    "7a": (_rabi_vs_theta, None, ("grid_points",)),
-    "7b": (_rabi_vs_n_at_angles, None, ()),
+# each grid flag the builder reads, mapped to its default).
+_DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], tuple[str, ...] | None, dict]] = {
+    "dispersion": (_exciton_modes, None, {}),
+    "couplings": (_exciton_modes, None, {}),
+    "polariton": (_polariton, None, _DETUNING_GRID),
+    "spectrum": (_spectrum, None, _SPECTRUM_GRID),
+    "rabi-vs-n": (_rabi_vs_n, None, {}),
+    "rabi-vs-theta": (_rabi_vs_theta, None, _ANGLE_GRID),
+    "3a": (_exciton_modes, None, {}),
+    "3b": (_exciton_modes, None, {}),
+    "4a": (_polariton, ("delta_hz", "upper_shift_hz", "lower_shift_hz"), _DETUNING_GRID),
+    "4b": (_polariton, ("delta_hz", *_WEIGHTS), _DETUNING_GRID),
+    "5": (_spectrum, None, _SPECTRUM_GRID),
+    "6": (_rabi_vs_n, None, {}),
+    "7a": (_rabi_vs_theta, None, _ANGLE_GRID),
+    "7b": (_rabi_vs_n_at_angles, None, {}),
 }
 
 
@@ -260,9 +249,13 @@ def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace |
 
 def run(spec: RunSpec) -> int:
     """Execute a resolved RunSpec: write its CSV dataset, print a summary."""
-    build, names, _ = _DATASETS[spec.figure_id or spec.command]
+    build, names, _ = _DATASETS[spec.dataset]
     dataset = build(spec)
     columns = dataset.columns if names is None else {n: dataset.columns[n] for n in names}
+    for name, column in columns.items():
+        # min and max carry any NaN or inf, with no N-element temporary.
+        if column.dtype.kind == "f" and not np.isfinite([column.min(), column.max()]).all():
+            raise ArithmeticError(f"{name} is not finite")
     _write_csv(spec.out_path, columns, dataset.comments)
     for line in _summary(spec.params, spec.variant, dataset.trace):
         print(line)
@@ -302,11 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_spec(args: argparse.Namespace) -> RunSpec:
-    figure_id = None
-    if args.command == "figure":
-        figure_id = args.id
-        if figure_id is None:
-            raise ConfigError("figure preset requires an id (e.g. `figure 5`)")
+    figure = args.command == "figure"
+    if figure and args.id is None:
+        raise ConfigError("figure preset requires an id (e.g. `figure 5`)")
+    dataset = args.id if figure else args.command
 
     if args.grid_points is not None and not 1 <= args.grid_points <= MAX_NUM_SITES:
         raise ConfigError(f"--grid-points must be in 1..{MAX_NUM_SITES}, got {args.grid_points}")
@@ -314,11 +306,14 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
         raise ConfigError(
             f"--grid-span-hz must be a positive finite number, got {args.grid_span_hz}"
         )
-    name = f"figure {figure_id}" if figure_id else args.command
-    build, _, grid_flags = _DATASETS[figure_id or args.command]
-    for flag in _GRID_FLAGS:
-        if getattr(args, flag) is not None and flag not in grid_flags:
-            raise ConfigError(f"{name} does not use --{flag.replace('_', '-')}")
+    build, _, grid_defaults = _DATASETS[dataset]
+    grid = dict(grid_defaults)
+    for flag in ("grid_points", "grid_span_hz"):
+        if getattr(args, flag) is not None:
+            if flag not in grid:
+                name = f"figure {dataset}" if figure else dataset
+                raise ConfigError(f"{name} does not use --{flag.replace('_', '-')}")
+            grid[flag] = getattr(args, flag)
     if args.envelope == "exact" and not (build is _spectrum and args.model == "multimode"):
         raise ConfigError("--envelope exact needs spectrum or figure 5 with --model multimode")
 
@@ -330,7 +325,7 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
         overrides["theta_rad"] = math.radians(args.theta_deg)
     params = load_params(args.config, **overrides)
 
-    if figure_id is not None and params.cavity_frequency_hz is not None:
+    if figure and params.cavity_frequency_hz is not None:
         raise ConfigError(
             "figure presets own the resonance convention; give neither --nu-c-hz "
             "nor cavity_frequency_hz in the parameter file"
@@ -338,20 +333,18 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
 
     if args.out:
         out_path = Path(args.out)
-    elif figure_id is not None:
-        out_path = Path(f"fig{figure_id}.csv")
+    elif figure:
+        out_path = Path(f"fig{dataset}.csv")
     else:
-        out_path = Path(f"{args.command}.csv")
+        out_path = Path(f"{dataset}.csv")
 
     return RunSpec(
-        command=args.command,
+        dataset=dataset,
         params=params,
         variant=ModelVariant(args.model),
         out_path=out_path,
-        figure_id=figure_id,
-        grid_points=args.grid_points,
-        grid_span_hz=args.grid_span_hz,
         envelope_exact=(args.envelope == "exact"),
+        **grid,
     )
 
 
@@ -360,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _build_spec(args)
-    except (ConfigError, InvalidParameterError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -368,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, InvalidParameterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

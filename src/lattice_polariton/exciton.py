@@ -109,7 +109,11 @@ def oscillator_fractions(couplings: np.ndarray) -> np.ndarray:
 
     Weights are the squared mode couplings (mode_coupling_array or
     envelope_mode_couplings) normalised to unit sum; with the flat envelope
-    the nodeless k = 1 mode carries about 81% for large N.
+    the nodeless k = 1 mode carries about 81% for large N.  ValueError when
+    the squares sum to zero (all underflow) or overflow: nothing to share.
     """
     weights = couplings**2
-    return weights / weights.sum()
+    total = weights.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"the squared mode couplings sum to {total}: no oscillator strength")
+    return weights / total

@@ -93,22 +93,6 @@ def cavity_response(
     return t, 1.0 - t
 
 
-def transfer_function(
-    nu_hz: np.ndarray | float,
-    params: SystemParams,
-    damping: DampingSet,
-    variant: ModelVariant,
-    envelope_exact: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Complex t(nu), r(nu) for the chosen model variant."""
-    return cavity_response(
-        nu_hz,
-        cavity_frequency(params),
-        damping,
-        variant_resonances(params, variant, envelope_exact),
-    )
-
-
 def variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
     """Midpoint of the cavity and exciton lines, plus the variant's
     zero-detuning vacuum Rabi splitting Omega_0 (used to size sweep grids).
@@ -164,7 +148,8 @@ def sweep(
             f"{center:.6e} +- {reach:.3e} Hz around the resonance"
         )
 
-    t, r = transfer_function(grid, params, damping, variant, envelope_exact)
+    t, r = cavity_response(grid, cavity_frequency(params), damping,
+                           variant_resonances(params, variant, envelope_exact))
     transmission = np.abs(t) ** 2
     reflection = np.abs(r) ** 2
     peaks = tuple(peak_find(grid, transmission))

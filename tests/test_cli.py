@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import lattice_polariton
 from lattice_polariton import (
-    cavity_frequency, exciton, load_params, superradiant_energy, transfer_parameter,
+    cavity_frequency, cli, exciton, load_params, superradiant_energy, transfer_parameter,
 )
 from lattice_polariton.cli import _CHUNK_CELLS, FIGURE_IDS, _write_csv, main
 from lattice_polariton.params import MAX_NUM_SITES
@@ -150,6 +150,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: a derived quantity is out of floating-point range")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["dispersion"], ["couplings"], ["figure", "3a"]])
+    def test_mode_table_without_oscillator_strength_exits_1(self, command, tmp_path, capsys):
+        # Every coupling underflows to 0, so no mode has a share of nothing.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"dipole_Cm": 1e-200}))
+        out = tmp_path / "o.csv"
+        rc = main([*command, "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the squared mode couplings sum to 0.0")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, column",
+        [(["rabi-vs-theta"], "omega_int_hz"), (["figure", "7b"], "omega_int_theta0_hz")],
+    )
+    def test_non_finite_column_exits_1_before_writing(self, command, column, tmp_path, capsys):
+        # The splittings overflow to inf; no CSV may hold them.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"dipole_Cm": 1e150}))
+        out = tmp_path / "o.csv"
+        rc = main([*command, "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: a derived quantity is out of floating-point range ({column} is not finite)")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_any_non_finite_cell_is_refused(self, bad, monkeypatch, tmp_path, capsys):
+        # The check runs on every dataset, for a NaN as for an inf.
+        values = np.array([1.0, bad, 2.0])
+        table = dict(cli._DATASETS, dispersion=(lambda spec: cli.Dataset({"x": values}), None, {}))
+        monkeypatch.setattr(cli, "_DATASETS", table)
+        out = tmp_path / "o.csv"
+        assert main(["dispersion", "--out", str(out)]) == 1
+        assert "(x is not finite)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGridFlags:

@@ -233,6 +233,11 @@ class TestOscillatorFractions:
         assert np.all(fractions[1::2] == 0.0)
         assert fractions[0] < flat_fractions(params)[0]
 
+    @pytest.mark.parametrize("couplings", [np.zeros(5), np.full(3, 1e-200), np.zeros(0)])
+    def test_no_strength_refused(self, couplings):
+        with pytest.raises(ValueError, match="sum to 0.0: no oscillator strength"):
+            oscillator_fractions(couplings)
+
 
 class TestCouplingSumRule:
     def test_small_cases(self):

@@ -20,7 +20,6 @@ from lattice_polariton import (
     peak_find,
     superradiant_coupling,
     sweep,
-    transfer_function,
     variant_center,
     variant_resonances,
 )
@@ -28,6 +27,12 @@ from lattice_polariton.spectra import _DOUBLET_REACH, DEFAULT_GRID_POINTS, Peak,
 
 REF = SystemParams()
 REF_DAMPING = DampingSet.from_params(REF)
+
+
+def transfer_function(nu_hz, params, damping, variant):
+    """Complex t(nu), r(nu) of a model variant, as ``sweep`` evaluates them."""
+    return cavity_response(nu_hz, cavity_frequency(params), damping,
+                           variant_resonances(params, variant))
 
 
 class TestDampingSet:
