@@ -46,25 +46,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .blocks import row_blocks
+
 EPS = sys.float_info.epsilon
-# Elements of one (roots x poles) temporary, about 0.5 MB, whatever N is.
-CHUNK_ELEMENTS = 1 << 16
 MAX_ITERATIONS = 100
 # Largest dense (N+1) x (N+1) float64 eigenvector matrix that is built; its
 # temporaries are chunked like the solver's.
 DENSE_BUDGET_BYTES = 2e9
-
-
-def _chunks(total: int, width: int, buffers: int = 0):
-    """Row ranges [r0, r1) whose (rows x width) blocks fit CHUNK_ELEMENTS,
-    each with ``buffers`` scratch arrays of that shape.  The scratch arrays
-    are reused from chunk to chunk: fresh ones would have their pages
-    faulted in again each time, which costs as much as the arithmetic."""
-    step = max(1, CHUNK_ELEMENTS // max(width, 1))
-    scratch = [np.empty((min(step, total), width)) for _ in range(buffers)]
-    for r0 in range(0, total, step):
-        r1 = min(total, r0 + step)
-        yield r0, r1, [b[: r1 - r0] for b in scratch]
 
 
 def _model_root(c, a, b):
@@ -195,7 +183,7 @@ def _recomputed_couplings(poles, couplings, origin, tau):
     n = poles.size
     z_hat = np.empty(n)
     root_poles = poles[origin]
-    for r0, r1, (lam_minus_d, ratios) in _chunks(n, n + 1, buffers=2):
+    for r0, r1, (lam_minus_d, ratios) in row_blocks(n, n + 1, buffers=2):
         m = r1 - r0
         own = np.arange(m)
         pole = poles[r0:r1, None]
@@ -216,7 +204,7 @@ def _recomputed_couplings(poles, couplings, origin, tau):
 def _photon_weights(poles, z_hat, origin, tau):
     """1 / (1 + sum_j z_hat_j^2 / (lam - d_j)^2) for every root."""
     weights = np.empty(tau.size)
-    for r0, r1, (y,) in _chunks(tau.size, poles.size, buffers=1):
+    for r0, r1, (y,) in row_blocks(tau.size, poles.size, buffers=1):
         np.subtract(poles[None, :], poles[origin[r0:r1]][:, None], out=y)
         y -= tau[r0:r1, None]
         np.divide(z_hat, y, out=y)
@@ -231,7 +219,7 @@ def _secular_roots(poles, couplings, alpha):
     bound = float(np.sqrt(couplings @ couplings))
     origin = np.empty(n + 1, dtype=int)
     tau = np.empty(n + 1)
-    for r0, r1, buffers in _chunks(n + 1, n, buffers=2):
+    for r0, r1, buffers in row_blocks(n + 1, n, buffers=2):
         origin[r0:r1], tau[r0:r1] = _solve_chunk(poles, couplings, alpha, bound, r0, r1, buffers)
     return origin, tau
 
@@ -322,7 +310,7 @@ class ArrowheadEigen:
                 f"((N+1)^2 float64 values), over the {DENSE_BUDGET_BYTES / 1e9:.3g} GB limit")
         out = np.zeros((dim, dim))
         position, poles, origin, tau = self._position, self._kept_poles, self._origin, self._tau
-        for r0, r1, _ in _chunks(tau.size, poles.size):
+        for r0, r1, _ in row_blocks(tau.size, poles.size):
             cols = position[r0:r1]
             out[-1, cols] = np.sqrt(self.photon_weights[cols])
             if poles.size:  # exciton amplitudes z_hat_j / (lam - d_j) * sqrt(w)
@@ -331,8 +319,9 @@ class ArrowheadEigen:
         out[self._deflated, position[tau.size:]] = 1.0
         # Back from each run's rotated coordinates, a chunk of rows at a time.
         for members, w in self._runs:
-            projection = sum(w[r0:r1] @ out[members[r0:r1]] for r0, r1, _ in _chunks(w.size, dim))
-            for r0, r1, _ in _chunks(w.size, dim):
+            blocks = list(row_blocks(w.size, dim))
+            projection = sum(w[r0:r1] @ out[members[r0:r1]] for r0, r1, _ in blocks)
+            for r0, r1, _ in blocks:
                 out[members[r0:r1]] -= np.outer(2.0 * w[r0:r1], projection)
         return out
 

@@ -19,11 +19,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exciton import (
-    exciton_energies, mode_coupling_array, oscillator_fractions, superradiant_coupling,
+    exciton_shifts, mode_coupling_array, oscillator_fractions, superradiant_coupling,
 )
 from .params import (
-    MAGIC_ANGLE_RAD, MAX_NUM_SITES, ConfigError, DampingSet, SystemParams, load_params,
-    superradiant_energy, transfer_parameter, validate,
+    MAGIC_ANGLE_RAD, MAX_NUM_SITES, ConfigError, DampingSet, SystemParams, cavity_frequency,
+    load_params, superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
     ModelVariant, collective_coupling_noninteracting, generalized_rabi, superradiant_doublet,
@@ -109,7 +109,7 @@ def _exciton_modes(spec: RunSpec) -> Dataset:
     couplings = mode_coupling_array(params)
     columns = {
         "k": k,
-        "energy_shift_hz": exciton_energies(params) - params.atom_frequency_hz,
+        "energy_shift_hz": exciton_shifts(params),
         "coupling_hz": couplings,
         "coupling_sq_hz2": couplings**2,
         # Even-k modes have no net dipole, so parity alone decides darkness.
@@ -294,6 +294,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_transfer_rate(params: SystemParams) -> None:
+    """Refuse a transfer rate J that is not finite, or that puts the
+    superradiant line (which places the default cavity) at a frequency
+    that is not positive: every command reads both."""
+    try:
+        transfer = transfer_parameter(params)
+        cavity = cavity_frequency(params)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"the dipole-dipole transfer rate J: {exc}") from None
+    if not math.isfinite(transfer):
+        raise ArithmeticError(f"the dipole-dipole transfer rate J is {transfer} Hz")
+    if not 0.0 < cavity < math.inf:
+        raise ConfigError(
+            f"the dipole-dipole transfer rate J = {transfer:.6e} Hz puts the superradiant "
+            f"line, the default cavity frequency, at {cavity:.6e} Hz"
+        )
+
+
 def _build_spec(args: argparse.Namespace) -> RunSpec:
     figure = args.command == "figure"
     if figure and args.id is None:
@@ -330,6 +348,7 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
             "figure presets own the resonance convention; give neither --nu-c-hz "
             "nor cavity_frequency_hz in the parameter file"
         )
+    _check_transfer_rate(params)
 
     if args.out:
         out_path = Path(args.out)
@@ -348,25 +367,28 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
     )
 
 
+def _refuse(exc: Exception) -> int:
+    """Report an input that cannot give a result; exit code 1."""
+    if isinstance(exc, ArithmeticError):
+        exc = f"a derived quantity is out of floating-point range ({exc})"
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         spec = _build_spec(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError, ArithmeticError) as exc:
+        return _refuse(exc)
     try:
         return run(spec)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        print(f"error: a derived quantity is out of floating-point range ({exc})", file=sys.stderr)
-        return 1
+    except (ValueError, ArithmeticError) as exc:
+        return _refuse(exc)
 
 
 if __name__ == "__main__":

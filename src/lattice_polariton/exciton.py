@@ -19,16 +19,26 @@ from .params import (
 )
 
 
-def exciton_energies(params: SystemParams) -> np.ndarray:
-    """Mode energies in Hz for k = 1..N.
+def exciton_shifts(params: SystemParams) -> np.ndarray:
+    """Mode energies for k = 1..N as offsets in Hz from the atomic line.
 
-    nu_a + 2 J cos(pi k / (N+1)); the band width approaches 4|J| for
-    large N.
+    2 J cos(pi k / (N+1)), taken as 2 J sin(pi (N+1-2k) / (2(N+1))): the
+    integer N+1-2k is exact, so each shift keeps full relative precision,
+    and the band-centre mode of an odd chain sits exactly on the line.
     """
-    n_plus_1 = params.num_sites + 1
-    k = np.arange(1, params.num_sites + 1)
-    transfer = transfer_parameter(params)
-    return params.atom_frequency_hz + 2.0 * transfer * np.cos(np.pi * k / n_plus_1)
+    m = params.num_sites + 1 - 2 * np.arange(1, params.num_sites + 1)
+    shifts = 2.0 * transfer_parameter(params) * np.sin(np.pi * m / (2.0 * (params.num_sites + 1)))
+    shifts += 0.0  # the centre's 2J * 0 is -0.0 when J < 0; write it as 0.0
+    return shifts
+
+
+def exciton_energies(params: SystemParams) -> np.ndarray:
+    """Mode energies in Hz for k = 1..N: nu_a + exciton_shifts(params).
+
+    Near 4e14 Hz these are quantized to 0.0625 Hz; work with the shifts
+    where that matters.
+    """
+    return params.atom_frequency_hz + exciton_shifts(params)
 
 
 def coupling_sum(k: int, num_sites: int) -> float:

@@ -156,11 +156,15 @@ def site_positions(params: SystemParams) -> np.ndarray:
     return (n - (params.num_sites + 1) / 2.0) * params.lattice_constant_m
 
 
+def superradiant_shift(params: SystemParams) -> float:
+    """Offset in Hz of the lowest (nodeless, k = 1) exciton mode from the
+    atomic line: 2 J cos(pi / (N+1))."""
+    return 2.0 * transfer_parameter(params) * math.cos(math.pi / (params.num_sites + 1))
+
+
 def superradiant_energy(params: SystemParams) -> float:
-    """Energy in Hz of the lowest (nodeless, k = 1) exciton mode:
-    nu_a + 2 J cos(pi / (N+1))."""
-    shift = 2.0 * transfer_parameter(params) * math.cos(math.pi / (params.num_sites + 1))
-    return params.atom_frequency_hz + shift
+    """Energy in Hz of the lowest exciton mode: nu_a + superradiant_shift."""
+    return params.atom_frequency_hz + superradiant_shift(params)
 
 
 def cavity_frequency(params: SystemParams) -> float:

@@ -18,10 +18,10 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .exciton import (
-    envelope_mode_couplings, exciton_energies, mode_coupling_array, site_coupling,
-    superradiant_coupling,
+    envelope_mode_couplings, exciton_energies, exciton_shifts, mode_coupling_array,
+    site_coupling, superradiant_coupling,
 )
-from .params import SystemParams, cavity_frequency, superradiant_energy
+from .params import SystemParams, cavity_frequency, superradiant_shift
 
 if TYPE_CHECKING:
     from .arrowhead import ArrowheadEigen
@@ -152,26 +152,46 @@ def _mode_couplings(params: SystemParams, envelope: bool) -> np.ndarray:
     return envelope_mode_couplings(params) if envelope else mode_coupling_array(params)
 
 
-def variant_resonances(
+def _single_mode(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
+    """Coupling in Hz and line offset in Hz from the atomic line of a
+    one-mode variant: the superradiant exciton, or the noninteracting
+    collective mode on the atomic line."""
+    if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
+        return superradiant_coupling(params), superradiant_shift(params)
+    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
+        return collective_coupling_noninteracting(params), 0.0
+    raise ValueError(f"unknown model variant: {variant}")
+
+
+def variant_modes(
     params: SystemParams, variant: ModelVariant, envelope_exact: bool = False
-) -> list[tuple[float, float]]:
-    """(coupling_hz, frequency_hz) of the exciton modes seen by the cavity.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings in Hz of the exciton modes seen by the cavity, and their
+    lines as offsets in Hz from the atomic line.
 
     Two-mode: the superradiant exciton only.  Multimode: every coupled
     chain mode (the odd-k set for a flat envelope).  Non-interacting: one
-    collective mode at the bare atomic line.  Each frequency is independent
-    of the cavity; each coupling is taken at the parameters' cavity.
+    collective mode at the bare atomic line.  Each line is independent of
+    the cavity; each coupling is taken at the parameters' cavity.
     """
-    if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
-        return [(superradiant_coupling(params), superradiant_energy(params))]
-    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-        return [(collective_coupling_noninteracting(params), params.atom_frequency_hz)]
     if variant is ModelVariant.FULL_MULTIMODE:
-        energies = exciton_energies(params)
         couplings = _mode_couplings(params, envelope_exact)
         keep = couplings != 0.0
-        return list(zip(couplings[keep].tolist(), energies[keep].tolist()))
-    raise ValueError(f"unknown model variant: {variant}")
+        return couplings[keep], exciton_shifts(params)[keep]
+    coupling, shift = _single_mode(params, variant)
+    return np.array([coupling]), np.array([shift])
+
+
+def variant_resonances(
+    params: SystemParams, variant: ModelVariant, envelope_exact: bool = False
+) -> list[tuple[float, float]]:
+    """(coupling_hz, frequency_hz) of the modes of ``variant_modes``, with
+    absolute frequencies (quantized to 0.0625 Hz near 4e14 Hz)."""
+    if variant is ModelVariant.FULL_MULTIMODE:
+        couplings, shifts = variant_modes(params, variant, envelope_exact)
+        return list(zip(couplings.tolist(), (params.atom_frequency_hz + shifts).tolist()))
+    coupling, shift = _single_mode(params, variant)
+    return [(coupling, params.atom_frequency_hz + shift)]
 
 
 def _single_resonance(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:

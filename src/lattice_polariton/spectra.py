@@ -4,12 +4,21 @@ The cavity is a symmetric two-port resonator (equal mirror rates) driven
 through one mirror at normal incidence.  Each exciton mode enters the
 cavity response as a damped oscillator, giving
 
-    D(nu) = i (nu_c - nu) + kappa/2 + sum_m g_m^2 / (i (nu_m - nu) + Gamma_a/2)
+    D(nu) = i (nu_c - nu) + kappa/2 + Sigma(nu)
+    Sigma(nu) = sum_m g_m^2 / (i (nu_m - nu) + Gamma_a/2)
     t(nu) = gamma_mirror / D(nu),   r(nu) = 1 - t(nu)
 
 with kappa = 2 gamma_mirror + gamma_side the total cavity width.  All rates
 are FWHM linewidths, so half-widths appear in the Lorentzian denominators
 and an empty lossless cavity transmits a Lorentzian of FWHM kappa.
+
+Every frequency is handled as an offset from a reference line (the atomic
+line in ``sweep``, the cavity in ``cavity_response``): at 4e14 Hz a float
+resolves only 0.0625 Hz, about 1e-8 of the atomic half-width.  The
+self-energy Sigma has one kernel.  For the flat multimode chain it is
+i g_site^2 u^T (x - H)^-1 u, with u all ones and x = nu + i Gamma_a/2, which
+has a closed form (``_chain_sum``); every other model sums its resonances
+in (points x resonances) blocks (``_resonance_sum``).
 """
 
 from __future__ import annotations
@@ -19,8 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DampingSet, SystemParams, cavity_frequency
-from .polariton import ModelVariant, variant_resonances
+from .blocks import row_blocks
+from .exciton import site_coupling
+from .params import (
+    DampingSet, SystemParams, cavity_frequency, superradiant_energy, transfer_parameter,
+)
+from .polariton import ModelVariant, variant_modes, variant_resonances
 
 # Default sweep: 2001 points over at least +-150 MHz around the cavity/exciton
 # midpoint, about 15 grid points per 10-MHz linewidth.
@@ -29,6 +42,9 @@ DEFAULT_GRID_SPAN_HZ = 1.5e8
 # Vacuum Rabi splittings a grid covers on each side of the midpoint, which
 # keeps both branches and their tails on it.
 _DOUBLET_REACH = 2.5
+# Elements of each (points x resonances) buffer of the resonance sum: 128 kB.
+# Blocks four times larger are no faster, and add 1 MB to the peak RSS.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class NoOutputChannelError(ValueError):
@@ -53,6 +69,93 @@ class SpectrumTrace:
     center_hz: float  # midpoint of cavity and exciton frequencies
 
 
+def _chain_sum(x: np.ndarray, transfer_hz: float, num_sites: int) -> np.ndarray:
+    """S(x) = u^T (x - H)^-1 u for the N-site chain H (zero diagonal,
+    hopping J, empty ends) and u all ones, at complex offsets x.
+
+    With x = 2 J cosh(s), Re s >= 0, the end-to-end Green's function of the
+    chain (Economou, Green's Functions in Quantum Physics, ch. 5) gives
+
+        S = [N - 2 e^-s expm1(-N s) / (expm1(-s) (1 + e^-(N+1) s))] / (x - 2J),
+
+    O(1) per point for any N.  Next to the band edge x = 2J the bracket
+    cancels, to a relative error of about eps / (N^2 |x - 2J| / |J|), which
+    Gamma_a/2 bounds (5e-15 at N = 1 with the reference parameters); at the
+    edge itself (s = 0) the limit N(N+1)(N+2)/(12 J) is used, and J = 0 (the
+    magic angle) gives N/x.  On an odd-k pole, reachable only with
+    Gamma_a = 0, S is huge, or not finite when 1 + e^-(N+1)s rounds to 0;
+    the caller silences that warning.
+    """
+    if transfer_hz == 0.0:
+        return num_sites / x
+    gap = x - 2.0 * transfer_hz
+    edge = gap == 0.0
+    gap = np.where(edge, transfer_hz, gap)  # any nonzero stand-in at the edge
+    s = 2.0 * np.arcsinh(np.sqrt(gap / transfer_hz) / 2.0)  # gap / J = 4 sinh^2(s/2)
+    ratio = 2.0 * np.exp(-s) * np.expm1(-num_sites * s) / (
+        np.expm1(-s) * (1.0 + np.exp(-(num_sites + 1) * s)))
+    edge_value = num_sites * (num_sites + 1) * (num_sites + 2) / (12.0 * transfer_hz)
+    return np.where(edge, edge_value, (num_sites - ratio) / gap)
+
+
+def _resonance_sum(
+    offsets: np.ndarray, half_width: float, couplings: np.ndarray, lines: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of Sigma = sum_k g_k^2 / (i (line_k - nu) + h)
+    at each offset nu, with h = Gamma_a/2 and lines and offsets from the
+    same reference.
+
+    With d = line_k - nu these are h sum g^2 / (d^2 + h^2) and
+    -sum g^2 d / (d^2 + h^2): two real matrix-vector products per
+    (points x resonances) block, in two reused buffers.
+    """
+    weights = couplings**2
+    real, imag = np.empty(offsets.size), np.empty(offsets.size)
+    for r0, r1, (d, q) in row_blocks(offsets.size, lines.size, 2, _BLOCK_ELEMENTS):
+        np.subtract(lines, offsets[r0:r1, None], out=d)
+        np.multiply(d, d, out=q)
+        q += half_width * half_width
+        np.divide(1.0, q, out=q)
+        np.dot(q, weights, out=real[r0:r1])
+        d *= q
+        np.dot(d, weights, out=imag[r0:r1])
+    real *= half_width
+    np.negative(imag, out=imag)
+    return real, imag
+
+
+def _transmission(
+    offsets: np.ndarray, cavity_offset: float, damping: DampingSet, self_energy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of t = gamma_mirror / D at drive offsets nu,
+    for a cavity at ``cavity_offset`` from the same reference;
+    ``self_energy(offsets, Gamma_a/2)`` gives the parts of Sigma.
+
+    With undamped atoms (Gamma_a = 0) a drive on a coupled line makes Sigma,
+    and so D, infinite (or NaN, from inf/inf): there t = 0 and r = 1.
+    """
+    kappa = damping.cavity_width_hz
+    if kappa <= 0.0:
+        raise NoOutputChannelError("cavity width kappa = 0: no mirror output channel")
+    half_atom = damping.gamma_atom_hz / 2.0
+    undamped = half_atom == 0.0
+    quiet = "ignore" if undamped else None
+    with np.errstate(divide=quiet, invalid=quiet):
+        t_real, t_imag = self_energy(offsets, half_atom)  # D, then t, in place
+        t_real += kappa / 2.0
+        t_imag += cavity_offset - offsets
+        scale = t_real * t_real
+        scale += t_imag * t_imag
+        np.divide(damping.gamma_mirror_hz, scale, out=scale)
+        t_real *= scale
+        t_imag *= scale
+        np.negative(t_imag, out=t_imag)
+    if undamped:
+        pole = ~(np.isfinite(t_real) & np.isfinite(t_imag))
+        t_real[pole] = t_imag[pole] = 0.0
+    return t_real, t_imag
+
+
 def cavity_response(
     nu_hz: np.ndarray | float,
     cavity_hz: float,
@@ -62,34 +165,19 @@ def cavity_response(
     """Complex transmission and reflection amplitudes at drive frequency nu.
 
     ``resonances`` holds (coupling_hz, frequency_hz) pairs; an empty list
-    gives the bare-cavity response.  With undamped atoms (Gamma_a = 0), a
-    drive exactly on a coupled resonance makes D infinite: there t = 0 and
-    r = 1.
+    gives the bare-cavity response.  Frequencies are taken as offsets from
+    the cavity, which are exact.  With undamped atoms (Gamma_a = 0), a
+    drive exactly on a coupled resonance gives t = 0 and r = 1.
     """
-    kappa = damping.cavity_width_hz
-    if kappa <= 0.0:
-        raise NoOutputChannelError("cavity width kappa = 0: no mirror output channel")
     nu = np.asarray(nu_hz, dtype=float)
-    shape = nu.shape
-    half_atom = damping.gamma_atom_hz / 2.0
-    undamped = half_atom == 0.0
-    if undamped:
-        # On a 1-D grid a pole gives numpy's inf, where a scalar would raise.
-        nu = np.atleast_1d(nu)
-        on_pole = np.zeros(nu.shape, dtype=bool)
-    denom = 1j * (cavity_hz - nu) + kappa / 2.0
-    quiet = "ignore" if undamped else None
-    with np.errstate(divide=quiet, invalid=quiet):
-        for coupling, frequency in resonances:
-            if undamped:
-                if coupling == 0.0:
-                    continue  # adds nothing, and would make 0/0 on its own line
-                on_pole |= nu == frequency
-            denom = denom + coupling**2 / (1j * (frequency - nu) + half_atom)
-        t = damping.gamma_mirror_hz / denom
-    if undamped:
-        # Back to the input's shape; [()] makes a scalar input a scalar again.
-        t = np.where(on_pole, 0.0, t).reshape(shape)[()]
+    pairs = np.array(resonances, dtype=float).reshape(-1, 2)
+    bright = pairs[pairs[:, 0] != 0.0]  # a zero coupling adds nothing, and 0/0 on its line
+    t_real, t_imag = _transmission(
+        np.atleast_1d(nu - cavity_hz).ravel(), 0.0, damping,
+        lambda x, h: _resonance_sum(x, h, bright[:, 0], bright[:, 1] - cavity_hz),
+    )
+    # Back to the input's shape; [()] makes a scalar input a scalar again.
+    t = (t_real + 1j * t_imag).reshape(nu.shape)[()]
     return t, 1.0 - t
 
 
@@ -111,15 +199,45 @@ def default_grid(
 ) -> np.ndarray:
     """Frequency grid centred between the cavity and exciton lines.  The
     default half-span is DEFAULT_GRID_SPAN_HZ, or 2.5 vacuum Rabi
-    splittings when the doublet needs more."""
+    splittings when the doublet needs more, widened by half the cavity's
+    detuning from the superradiant line."""
     if points < 3:
         raise ValueError(f"grid needs at least 3 points, got {points}")
     center, omega0 = variant_center(params, variant)
     if span_hz is None:
-        span_hz = max(DEFAULT_GRID_SPAN_HZ, _DOUBLET_REACH * omega0)
+        # A detuned cavity moves the doublet away from the midpoint by up
+        # to half the detuning from the superradiant line.
+        detuning = abs(cavity_frequency(params) - superradiant_energy(params))
+        span_hz = max(DEFAULT_GRID_SPAN_HZ, _DOUBLET_REACH * omega0) + detuning / 2.0
     elif span_hz <= 0:
         raise ValueError(f"grid span must be positive, got {span_hz}")
     return center + np.linspace(-span_hz, span_hz, points)
+
+
+def _transfer(
+    params: SystemParams,
+    damping: DampingSet,
+    variant: ModelVariant,
+    grid: np.ndarray,
+    envelope_exact: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of t for a model variant over a grid of
+    absolute frequencies, evaluated in offsets from the atomic line (exact
+    for the grid and the cavity; every mode line is computed as one)."""
+    if variant is ModelVariant.FULL_MULTIMODE and not envelope_exact:
+        coupling_sq = site_coupling(params) ** 2
+        transfer, num_sites = transfer_parameter(params), params.num_sites
+
+        def self_energy(x, h):  # i g_site^2 S
+            chain = _chain_sum(x + 1j * h, transfer, num_sites)
+            return -coupling_sq * chain.imag, coupling_sq * chain.real
+    else:
+        couplings, lines = variant_modes(params, variant, envelope_exact)
+
+        def self_energy(x, h):
+            return _resonance_sum(x, h, couplings, lines)
+    atom_hz = params.atom_frequency_hz
+    return _transmission(grid - atom_hz, cavity_frequency(params) - atom_hz, damping, self_energy)
 
 
 def sweep(
@@ -148,10 +266,10 @@ def sweep(
             f"{center:.6e} +- {reach:.3e} Hz around the resonance"
         )
 
-    t, r = cavity_response(grid, cavity_frequency(params), damping,
-                           variant_resonances(params, variant, envelope_exact))
-    transmission = np.abs(t) ** 2
-    reflection = np.abs(r) ** 2
+    t_real, t_imag = _transfer(params, damping, variant, grid, envelope_exact)
+    imag_sq = np.square(t_imag, out=t_imag)
+    transmission = t_real * t_real + imag_sq
+    reflection = (1.0 - t_real) ** 2 + imag_sq
     peaks = tuple(peak_find(grid, transmission))
     return SpectrumTrace(
         frequencies_hz=grid,

@@ -1,10 +1,13 @@
-"""Brute-force oracles for the exciton mode structure, used only by tests.
+"""Brute-force oracles for the exciton mode structure and the spectra, used
+only by tests.
 
 The package computes the standing-wave modes in closed form; these helpers
 rebuild the same objects the slow way (explicit sine vectors, a per-mode sum
 rule and a LAPACK tridiagonal eigensolve) so the tests can check the closed
-forms against them.  scipy, which the tridiagonal eigensolver needs, is a
-test dependency only.
+forms against them.  ``resonance_loop`` is the cavity response as one
+complex pass per resonance, the form the package used before its blocked
+and closed-form self-energy kernel.  scipy, which the tridiagonal
+eigensolver needs, is a test dependency only.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from lattice_polariton import SystemParams, coupling_sum, transfer_parameter
+from lattice_polariton import DampingSet, SystemParams, coupling_sum, transfer_parameter
 
 
 def sine_mode_vector(k: int, num_sites: int) -> np.ndarray:
@@ -77,3 +80,34 @@ def diagonalize_site_hamiltonian(h: SiteHamiltonian) -> tuple[np.ndarray, np.nda
     diagonal = np.full(h.dim, h.diagonal_hz)
     offdiag = np.full(h.dim - 1, h.offdiag_hz)
     return eigh_tridiagonal(diagonal, offdiag)
+
+
+def resonance_loop(
+    nu_hz, cavity_hz: float, damping: DampingSet, resonances: list[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complex t and r at drive frequencies nu, summing the self-energy one
+    resonance at a time.  ``resonances`` holds (coupling_hz, frequency_hz)
+    pairs; nu, the cavity and the frequencies may be absolute or offsets
+    from any one reference.  With Gamma_a = 0, a drive exactly on a coupled
+    resonance gives t = 0 and r = 1."""
+    kappa = damping.cavity_width_hz
+    nu = np.asarray(nu_hz, dtype=float)
+    shape = nu.shape
+    half_atom = damping.gamma_atom_hz / 2.0
+    undamped = half_atom == 0.0
+    if undamped:
+        nu = np.atleast_1d(nu)
+        on_pole = np.zeros(nu.shape, dtype=bool)
+    denom = 1j * (cavity_hz - nu) + kappa / 2.0
+    quiet = "ignore" if undamped else None
+    with np.errstate(divide=quiet, invalid=quiet):
+        for coupling, frequency in resonances:
+            if undamped:
+                if coupling == 0.0:
+                    continue
+                on_pole |= nu == frequency
+            denom = denom + coupling**2 / (1j * (frequency - nu) + half_atom)
+        t = damping.gamma_mirror_hz / denom
+    if undamped:
+        t = np.where(on_pole, 0.0, t).reshape(shape)[()]
+    return t, 1.0 - t

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import lattice_polariton
 from lattice_polariton import (
-    cavity_frequency, cli, exciton, load_params, superradiant_energy, transfer_parameter,
+    cavity_frequency, cli, exciton, load_params, superradiant_coupling, superradiant_energy,
+    transfer_parameter,
 )
 from lattice_polariton.cli import _CHUNK_CELLS, FIGURE_IDS, _write_csv, main
-from lattice_polariton.params import MAX_NUM_SITES
+from lattice_polariton.params import MAX_NUM_SITES, superradiant_shift
 
 COMMANDS = ("dispersion", "couplings", "polariton", "spectrum", "rabi-vs-n", "rabi-vs-theta")
 
@@ -169,9 +170,11 @@ class TestExitCodes:
         [(["rabi-vs-theta"], "omega_int_hz"), (["figure", "7b"], "omega_int_theta0_hz")],
     )
     def test_non_finite_column_exits_1_before_writing(self, command, column, tmp_path, capsys):
-        # The splittings overflow to inf; no CSV may hold them.
+        # The couplings, and so the splittings, overflow to inf while the
+        # transfer rate stays finite (about -2.7e-7 Hz); no CSV may hold them.
         path = tmp_path / "p.json"
-        path.write_text(json.dumps({"dipole_Cm": 1e150}))
+        path.write_text(json.dumps(
+            {"lattice_constant_m": 1e100, "dipole_Cm": 1e125, "mode_volume_m3": 1e-50}))
         out = tmp_path / "o.csv"
         rc = main([*command, "--config", str(path), "--out", str(out)])
         assert rc == 1
@@ -179,6 +182,30 @@ class TestExitCodes:
         assert err.startswith(
             f"error: a derived quantity is out of floating-point range ({column} is not finite)")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [*COMMANDS, "figure 3a", "figure 5", "figure 7b"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"dipole_Cm": 1e150}, "error: a derived quantity is out of floating-point range "
+                                   "(the dipole-dipole transfer rate J is -inf Hz)"),
+            ({"dipole_Cm": 1e-20}, "error: the dipole-dipole transfer rate J = -2.712785e+24 Hz "
+                                   "puts the superradiant line, the default cavity frequency, "
+                                   "at -5.425543e+24 Hz"),
+        ],
+        ids=["overflow", "negative-line"],
+    )
+    def test_unusable_transfer_rate_is_named(self, command, config, message, tmp_path, capsys):
+        # J overflows, or is so large that the superradiant line (the default
+        # cavity) is negative: every command refuses before it computes.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        rc = main([*command.split(), "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == message + "\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
@@ -348,9 +375,12 @@ class TestCommands:
         assert "vacuum Rabi splitting" in stdout
 
     def test_spectrum_with_undamped_atoms(self, tmp_path, capsys):
-        # The default grid's middle point lies exactly on the exciton line,
-        # a pole when gamma_atom_hz = 0: no transmission, full reflection,
-        # and no numpy warning or NaN anywhere.
+        # The default grid's middle point is the float nearest the exciton
+        # line, a pole when gamma_atom_hz = 0.  The line itself, an offset
+        # 2 J cos(pi / (N+1)) from the atomic line, is not a float near
+        # 4e14 Hz, so the point misses it by delta < 1/32 Hz, where
+        # |t|^2 = (gamma delta / g^2)^2: almost no transmission, full
+        # reflection, and no numpy warning or NaN anywhere.
         config = tmp_path / "undamped.json"
         config.write_text(json.dumps({"gamma_atom_hz": 0}))
         out = tmp_path / "undamped.csv"
@@ -361,9 +391,28 @@ class TestCommands:
         values = np.array(rows, dtype=float)
         assert np.isfinite(values).all()
         middle = values[len(values) // 2]
-        assert middle[1] == 0.0
-        assert middle[2] == 0.0 and middle[3] == 1.0
+        assert middle[1] == 0.0 and middle[3] == 1.0
+        params = load_params()
+        line = superradiant_shift(params)
+        delta = (superradiant_energy(params) - params.atom_frequency_hz) - line
+        assert 0.0 < abs(delta) <= 1.0 / 32.0
+        expected = (params.gamma_mirror_hz * delta / superradiant_coupling(params) ** 2) ** 2
+        assert middle[2] == pytest.approx(expected, rel=1e-9, abs=0.0)
         assert sum(1 for c in comments if c.startswith("# peak")) == 2
+
+    def test_spectrum_on_an_undamped_pole(self, tmp_path, capsys):
+        # With the cavity on the atomic line the noninteracting grid's middle
+        # point is that line exactly, a pole: t = 0 and r = 1 to the bit.
+        config = tmp_path / "undamped.json"
+        config.write_text(json.dumps({"gamma_atom_hz": 0}))
+        out = tmp_path / "undamped.csv"
+        argv = ["spectrum", "--model", "noninteracting", "--nu-c-hz", "4e14"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        values = np.array(read_csv(out)[1], dtype=float)
+        assert np.isfinite(values).all()
+        assert values[len(values) // 2].tolist() == [4e14, 0.0, 0.0, 1.0]
 
     def test_polariton_resonant_weights(self, tmp_path, capsys):
         out = tmp_path / "pol.csv"
@@ -426,10 +475,11 @@ class TestCommands:
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_half_height_crossing_writes_no_nan(self, tmp_path, capsys):
-        # The lower peak's outer half-height crossing lies off the default
-        # grid, so it has no FWHM: an empty field and "n/a", never "nan".
+        # On a +-150 MHz grid the lower peak's outer half-height crossing lies
+        # off the grid, so it has no FWHM: an empty field and "n/a", never "nan".
         out = tmp_path / "o.csv"
-        assert main(["spectrum", "--nu-c-hz", "4.000001e14", "--out", str(out)]) == 0
+        argv = ["spectrum", "--nu-c-hz", "4.000001e14", "--grid-span-hz", "1.5e8"]
+        assert main([*argv, "--out", str(out)]) == 0
         assert "nan" not in out.read_text().lower()
         stdout = capsys.readouterr().out
         assert "nan" not in stdout.lower() and "n/a" in stdout
@@ -437,6 +487,20 @@ class TestCommands:
         fields = [c[2:].rstrip("\n").split(", ") for c in comments if c.startswith("# peak")]
         assert [len(f) for f in fields] == [4, 4]
         assert fields[0][3] == "" and float(fields[1][3]) > 0.0
+
+    def test_default_grid_follows_the_detuning(self, tmp_path, capsys):
+        # The default half-span grows by half the cavity's detuning from the
+        # superradiant line, so both peaks of the run above keep their FWHM.
+        out = tmp_path / "o.csv"
+        assert main(["spectrum", "--nu-c-hz", "4.000001e14", "--out", str(out)]) == 0
+        assert "n/a" not in capsys.readouterr().out
+        _, rows, comments = read_csv(out)
+        fields = [c[2:].rstrip("\n").split(", ") for c in comments if c.startswith("# peak")]
+        assert len(fields) == 2
+        assert all(0.0 < float(f[3]) < math.inf for f in fields)
+        params = load_params(cavity_frequency_hz=4.000001e14)
+        half_span = 1.5e8 + (cavity_frequency(params) - superradiant_energy(params)) / 2.0
+        assert float(rows[-1][1]) == pytest.approx(half_span, rel=1e-15)
 
     def test_mode_table_takes_one_cotangent_pass(self, tmp_path, capsys, monkeypatch):
         calls = []
