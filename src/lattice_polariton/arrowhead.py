@@ -14,8 +14,9 @@ each gap and one beyond each end of the band.
 
 The solver follows the standard accurate recipe for this problem:
 
-- Work relative to a reference ``shift`` (the bare atomic line), so the
-  poles and the corner are small numbers with full relative precision.
+- Work in offsets from a reference ``shift`` (the bare atomic line), which
+  is added to each eigenvalue last, so the poles and the corner are small
+  numbers with full relative precision.
 - Deflate: a coupling of at most eps * ||(d, z, alpha)|| leaves its pole an
   exact eigenvalue with a unit eigenvector; a run of poles that coincide
   within the same tolerance is reflected (as in LAPACK dlaed2) so that one
@@ -29,13 +30,23 @@ The solver follows the standard accurate recipe for this problem:
   one-pole model that keeps the linear term exact.  Every step is
   safeguarded by bisection inside a closed bracket and stops at the
   rounding level of f or of the offset.
+- Evaluate the sums in f one of two ways.  In general they are summed over
+  the poles, O(N) per root.  For the flat chain (the ``chain`` argument)
+  the sum is the chain's resolvent, whose closed form
+  (``resolvent.chain_sum_near_pole``) costs O(1) per root; it gives only
+  the total, so the model keeps the origin pole's own term exact and gives
+  the rest of f' to the other pole (a fixed-weight step), and the photon
+  weights are 1 / f'(lam).
 - Recompute the couplings from the computed roots (Gu and Eisenstat, SIAM
   J. Matrix Anal. Appl. 16, 1995), so that the eigenvectors
   v ~ [z_hat / (lam - d); 1] are orthogonal to working precision
   (Jakovcevic Stor, Slapnicar and Barlow, Linear Algebra Appl. 464, 2015).
+  The photon weights of the pole-sum solve come from z_hat too: from the
+  original couplings they are not backward stable.
 
-Frequencies and photon weights need O(N) memory and O(N^2) time; the dense
-eigenvector matrix is built only on request.
+Frequencies and photon weights need O(N) memory, and O(N) time for the flat
+chain, O(N^2) otherwise; z_hat costs O(N^2) and the dense eigenvector matrix
+O(N^2) memory, so both are built only on request.
 """
 
 from __future__ import annotations
@@ -46,13 +57,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import row_blocks
+from .blocks import DENSE_BUDGET_BYTES, row_blocks
+from .resolvent import chain_sum_near_pole
 
 EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 100
-# Largest dense (N+1) x (N+1) float64 eigenvector matrix that is built; its
-# temporaries are chunked like the solver's.
-DENSE_BUDGET_BYTES = 2e9
 
 
 def _model_root(c, a, b):
@@ -64,24 +73,29 @@ def _model_root(c, a, b):
         )
 
 
-class _Secular:
-    """The secular sums of one chunk of roots r0..r1-1, evaluated in a
-    reused buffer.  Root i lies between poles i-1 and i, so for row i the
-    poles j < i are below the current point and the poles j >= i above."""
+class _PoleSums:
+    """The secular sums of one chunk of roots r0..r1-1, summed over the
+    poles in two reused (rows x n) buffers.  Root i lies between poles i-1
+    and i, so for row i the poles j < i are below the current point and the
+    poles j >= i above."""
 
-    def __init__(self, couplings, r0, r1, buffer):
+    def __init__(self, poles, couplings, r0, r1, buffers):
         n = couplings.size
-        self.couplings = couplings
+        self.poles, self.couplings = poles, couplings
         self.r0, self.mix_end = r0, min(r1, n)
         rows = np.arange(r0, r1)[:, None]
         self.below_mix = (np.arange(r0, self.mix_end)[None, :] < rows).astype(float)
-        self.buffer = buffer
+        self.offsets, self.buffer = buffers
 
-    def evaluate(self, reference, tau):
+    def at(self, origin):
+        """Measure each row's point from its pole ``origin``."""
+        np.subtract(self.poles[None, :], self.poles[origin][:, None], out=self.offsets)
+
+    def __call__(self, tau):
         """psi, phi (sums of z_j^2 / (d_j - lam) over the poles below and
-        above each row's point) and their derivatives, with the distances
-        d_j - lam given as ``reference - tau``."""
-        y = np.subtract(reference, tau[:, None], out=self.buffer)
+        above each row's point lam = d_origin + tau), their derivatives, and
+        the size of the terms, phi - psi."""
+        y = np.subtract(self.offsets, tau[:, None], out=self.buffer)
         z = self.couplings
         np.divide(z, y, out=y)
         r0, end = self.r0, self.mix_end
@@ -92,16 +106,122 @@ class _Secular:
         phi = above @ z[end:] + mix_above @ z[r0:end]
         dpsi = _sum_squares(below) + _sum_squares(mix_below)
         dphi = _sum_squares(above) + _sum_squares(mix_above)
-        return psi, phi, dpsi, dphi
+        return psi, phi, dpsi, dphi, phi - psi
 
 
 def _sum_squares(block):
     return np.einsum("ij,ij->i", block, block)
 
 
-def _solve_chunk(poles, couplings, alpha, bound, r0, r1, buffers):
+def _pole_sums(poles, couplings):
+    n = poles.size
+    for r0, r1, buffers in row_blocks(n + 1, n, buffers=2):
+        yield r0, r1, _PoleSums(poles, couplings, r0, r1, buffers)
+
+
+class _ChainSums:
+    """The secular sums of one chunk of interior roots for the poles of a
+    flat chain, from its resolvent in closed form: O(1) per row.
+
+    The closed form gives the totals only.  The split keeps the origin
+    pole's own term on its side and puts the rest on the other, so the
+    two-pole step fixes the origin's weight and fits the other pole's
+    (a fixed-weight step, also quadratically convergent).
+    """
+
+    def __init__(self, couplings, chain, r0, r1):
+        self.couplings = couplings
+        self.modes, self.transfer, self.coupling_sq, self.num_sites = chain
+        self.rows = np.arange(r0, r1)
+
+    def at(self, origin):
+        self.k = self.modes[origin]
+        self.weight = np.square(self.couplings[origin])
+        self.lower = origin < self.rows
+
+    def __call__(self, tau):
+        value, slope, terms = chain_sum_near_pole(self.k, tau, self.transfer, self.num_sites)
+        total = -self.coupling_sq * value  # sum_j z_j^2 / (d_j - lam)
+        own = self.weight / -tau  # the origin's term
+        own_slope = own / -tau
+        # The rest of f' - 1, which can round below 0 next to the origin.
+        rest = np.maximum(-self.coupling_sq * slope - own_slope, 0.0)
+        psi = np.where(self.lower, own, total - own)
+        dpsi = np.where(self.lower, own_slope, rest)
+        dphi = np.where(self.lower, rest, own_slope)
+        # The closed form errs by up to about 4 eps times its size, half of
+        # the 8 eps the stopping test allows a pole sum's size.
+        return psi, total - psi, dpsi, dphi, self.coupling_sq * terms / 2.0
+
+
+def _chain_sums(poles, couplings, chain):
+    """The closed form for the interior roots, in chunks of CHUNK_ELEMENTS
+    rows with no (rows x n) buffer; the two outer roots, which may lie next
+    to a band edge where the closed form cancels, are summed over the poles
+    at O(N) each."""
+    n = poles.size
+
+    def outer(row):
+        buffers = [np.empty((1, n)), np.empty((1, n))]
+        return row, row + 1, _PoleSums(poles, couplings, row, row + 1, buffers)
+    yield outer(0)
+    for r0, r1, _ in row_blocks(n - 1, 1):
+        yield r0 + 1, r1 + 1, _ChainSums(couplings, chain, r0 + 1, r1 + 1)
+    yield outer(n)
+
+
+def _polish(alpha, chain, origin, tau):
+    """One Newton step on each root of a flat chain, in long double and on
+    the chain's exact lines and couplings, and f' at the result.
+
+    In double precision f rounds to about eps times its largest terms,
+    g^2 N / |J| for the chain's superradiant line, which leaves the photon
+    weights 1/f' of an N = 20,000 chain off by up to 1e-12; the given lines
+    are rounded too, by up to an ulp of the band.  From roots that close,
+    one step with sums 2000 times finer (where the platform's long double
+    has 64 bits) lands on the chain's root to working precision, and the
+    weights of all roots sum to 1 within a few eps.
+    """
+    modes, transfer, coupling_sq, num_sites = chain
+    wide = np.longdouble
+    m = num_sites + 1
+    pi = 4.0 * np.arctan(wide(1.0))
+    lines = 2.0 * wide(transfer) * np.sin(pi * (m - 2 * modes) / (2.0 * m))
+    n = modes.size
+    tau, slope = tau.copy(), np.empty(n + 1)
+    for r0, r1, _ in row_blocks(n - 1, 1):  # interior roots, closed form
+        rows = slice(r0 + 1, r1 + 1)
+        k, base = modes[origin[rows]], lines[origin[rows]] - wide(alpha)
+
+        def secular(t):
+            value, value_slope, _ = chain_sum_near_pole(k, t, wide(transfer), num_sites)
+            return base + t - wide(coupling_sq) * value, 1.0 - wide(coupling_sq) * value_slope
+        tau[rows], slope[rows] = _newton_step(secular, tau[rows])
+    z_sq = wide(coupling_sq) * 2.0 / m / np.square(np.tan(pi * modes / (2.0 * m)))
+    for row in (0, n):  # outer roots, pole sums
+        distance = lines - lines[origin[row]]
+        base = lines[origin[row]] - wide(alpha)
+
+        def secular(t):
+            y = z_sq / (distance - t)
+            return base + t + y.sum(), 1.0 + (y / (distance - t)).sum()
+        tau[row:row + 1], slope[row:row + 1] = _newton_step(secular, tau[row:row + 1])
+    return tau, slope
+
+
+def _newton_step(secular, tau):
+    """tau - f/f' where it stays on tau's side of the origin pole, and f'
+    there, from ``secular(t)`` = (f, f') in long double."""
+    wide_tau = tau.astype(np.longdouble)
+    f, f_slope = secular(wide_tau)
+    step = wide_tau - f / f_slope
+    tau = np.where(step * wide_tau > 0.0, step, wide_tau).astype(float)
+    return tau, secular(tau.astype(np.longdouble))[1].astype(float)
+
+
+def _solve_chunk(poles, alpha, bound, r0, r1, secular):
     """Origins and offsets of roots r0..r1-1 of the deflated problem;
-    ``buffers`` are two (r1 - r0, n) scratch arrays."""
+    ``secular`` evaluates the sums of these rows."""
     n = poles.size
     i = np.arange(r0, r1)
     first, last = i == 0, i == n
@@ -118,12 +238,10 @@ def _solve_chunk(poles, couplings, alpha, bound, r0, r1, buffers):
     hi = np.where(last, max(poles[-1], alpha) + bound - poles[-1], np.where(first, 0.0, gap))
     tau = (lo + hi) / 2.0
 
-    offsets, scratch = buffers
-    secular = _Secular(couplings, r0, r1, scratch)
     # At the offset itself: the rounded point poles[origin] + tau can lie past
     # a root between close poles, and a bracket from its sign would miss it.
-    np.subtract(poles[None, :], poles[origin][:, None], out=offsets)
-    psi, phi, dpsi, dphi = secular.evaluate(offsets, tau)
+    secular.at(origin)
+    psi, phi, dpsi, dphi, _ = secular(tau)
     f = poles[origin] - alpha + tau + psi + phi
     hi = np.where(f > 0.0, tau, hi)
     lo = np.where(f < 0.0, tau, lo)
@@ -132,7 +250,7 @@ def _solve_chunk(poles, couplings, alpha, bound, r0, r1, buffers):
     origin = np.where(switch, upper, origin)
     moved = np.where(switch, gap, 0.0)
     tau, lo, hi = tau - moved, lo - moved, hi - moved
-    np.subtract(poles[None, :], poles[origin][:, None], out=offsets)
+    secular.at(origin)
     base = poles[origin] - alpha
 
     # Offsets of the two poles around each root from its origin.
@@ -166,11 +284,11 @@ def _solve_chunk(poles, couplings, alpha, bound, r0, r1, buffers):
         if done.all():
             break
         tau = np.where(done, tau, step)
-        psi, phi, dpsi, dphi = secular.evaluate(offsets, tau)
+        psi, phi, dpsi, dphi, size = secular(tau)
         f = base + tau + psi + phi
         hi = np.where(f > 0.0, tau, hi)
         lo = np.where(f < 0.0, tau, lo)
-        error = EPS * (8.0 * (phi - psi) + 2.0 * np.abs(base) + np.abs(tau) * (1.0 + dpsi + dphi))
+        error = EPS * (8.0 * size + 2.0 * np.abs(base) + np.abs(tau) * (1.0 + dpsi + dphi))
         done |= (np.abs(f) <= error) | (hi - lo <= 2.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)))
     return origin, tau
 
@@ -212,44 +330,53 @@ def _photon_weights(poles, z_hat, origin, tau):
     return weights
 
 
-def _secular_roots(poles, couplings, alpha):
+def _secular_roots(poles, couplings, alpha, blocks):
     """Origins and offsets of the n + 1 roots for n sorted, distinct poles
-    with nonzero couplings."""
+    with nonzero couplings; ``blocks`` yields each chunk of rows with its
+    evaluator of the sums."""
     n = poles.size
     bound = float(np.sqrt(couplings @ couplings))
     origin = np.empty(n + 1, dtype=int)
     tau = np.empty(n + 1)
-    for r0, r1, buffers in row_blocks(n + 1, n, buffers=2):
-        origin[r0:r1], tau[r0:r1] = _solve_chunk(poles, couplings, alpha, bound, r0, r1, buffers)
+    for r0, r1, secular in blocks:
+        origin[r0:r1], tau[r0:r1] = _solve_chunk(poles, alpha, bound, r0, r1, secular)
     return origin, tau
 
 
 class ArrowheadEigen:
-    """Eigenvalues and photon weights of an arrowhead matrix, with the
-    eigenvectors built on request.
+    """Eigenvalues and photon weights of the arrowhead matrix A + shift I,
+    with the eigenvectors built on request.
 
-    Every eigenvalue is ``diagonal[origin] + offset`` for its nearer pole,
-    so an eigenvalue on a deflated pole is that pole exactly.
+    The entries of A are best given as offsets from ``shift`` (the atomic
+    line, say), which is added to each eigenvalue last.  Every eigenvalue
+    is ``shift + (diagonal[origin] + offset)`` for its nearer pole, so an
+    eigenvalue on a deflated pole is ``shift + diagonal[j]`` exactly.
     ``frequencies_hz`` are ascending; column i of ``eigenvectors`` belongs
     to ``frequencies_hz[i]``, and its rows follow the input order of the
     diagonal, then the corner.
+
+    ``chain = (J, g)`` declares the diagonal and border to be the N-site
+    flat chain's lines 2 J cos(pi k / (N+1)) and couplings
+    g sqrt(2/(N+1)) cot(pi k / (2(N+1))), zero for even k, in the order
+    k = 1..N.  When every odd mode stays coupled and none merge, the secular
+    sums then come from the chain's closed form, so the frequencies and
+    photon weights cost O(N) time.
     """
 
-    def __init__(self, diagonal, border, corner: float, shift: float = 0.0):
+    def __init__(self, diagonal, border, corner: float, shift: float = 0.0, chain=None):
         diagonal = np.asarray(diagonal, dtype=float)
         border = np.asarray(border, dtype=float)
         if diagonal.shape != border.shape or diagonal.ndim != 1:
             raise ValueError("diagonal and border must be 1-D arrays of equal length")
         self.size = diagonal.size
-        poles = diagonal - shift
-        alpha = corner - shift
-        magnitude = max(np.abs(poles).max(initial=0.0), np.abs(border).max(initial=0.0), abs(alpha))
+        magnitude = max(np.abs(diagonal).max(initial=0.0), np.abs(border).max(initial=0.0),
+                        abs(corner))
         if not math.isfinite(magnitude):
             raise ValueError("arrowhead entries must be finite")
         # Solve in units of a power of two near the largest entry: exact,
         # and squares neither underflow nor overflow.
         unit = math.ldexp(1.0, math.frexp(magnitude)[1]) if magnitude > 0.0 else 1.0
-        poles, border, alpha = poles / unit, border / unit, alpha / unit
+        poles, border, alpha = diagonal / unit, border / unit, corner / unit
         tol = EPS * math.sqrt(float(poles @ poles + border @ border) + alpha * alpha)
 
         # Deflation: negligible couplings leave their poles as eigenvalues.
@@ -274,23 +401,33 @@ class ArrowheadEigen:
                 kept_couplings[g] = -sign * norms[g]
 
         n = kept.size
-        self._kept, self._kept_poles = kept, poles[kept]
-        if n:
-            self._origin, self._tau = _secular_roots(self._kept_poles, kept_couplings, alpha)
-            self._z_hat = _recomputed_couplings(
-                self._kept_poles, kept_couplings, self._origin, self._tau)
-            bright_weights = _photon_weights(self._kept_poles, self._z_hat, self._origin, self._tau)
-            bright_values = diagonal[kept[self._origin]] + unit * self._tau
+        self._kept, self._kept_poles, self._kept_couplings = kept, poles[kept], kept_couplings
+        self._alpha = alpha
+        # The closed form is the sum over every odd mode of the chain.
+        self._closed = n > 0 and chain is not None and not self._runs and n == (self.size + 1) // 2
+        if self._closed:
+            transfer, coupling = chain
+            chain = (kept + 1, transfer / unit, (coupling / unit) ** 2, self.size)
+            self._origin, tau = _secular_roots(
+                self._kept_poles, kept_couplings, alpha,
+                _chain_sums(self._kept_poles, kept_couplings, chain))
+            self._tau, slope = _polish(alpha, chain, self._origin, tau)
+            bright_weights = 1.0 / slope
+        elif n:
+            self._origin, self._tau = _secular_roots(
+                self._kept_poles, kept_couplings, alpha, _pole_sums(self._kept_poles, kept_couplings))
+            bright_weights = self._vectors[3]
         else:  # the photon alone
             self._origin, self._tau = np.zeros(1, dtype=int), np.array([alpha])
-            self._z_hat, bright_weights = np.zeros(0), np.ones(1)
-            bright_values = np.array([float(corner)])
+            bright_weights = np.ones(1)
+        bright_values = diagonal[kept[self._origin]] + unit * self._tau if n else np.array([corner])
 
         # Deflated eigenpairs sit on their own poles, without photon weight.
         deflated = np.ones(self.size, dtype=bool)
         deflated[kept] = False
         self._deflated = np.nonzero(deflated)[0]
         values = np.concatenate([bright_values, diagonal[self._deflated]])
+        values += shift
         order = np.argsort(values, kind="stable")
         self.frequencies_hz = values[order]
         weights = np.concatenate([bright_weights, np.zeros(self._deflated.size)])
@@ -298,6 +435,23 @@ class ArrowheadEigen:
         # Output column of each bright root, then of each deflated pole.
         self._position = np.empty(order.size, dtype=int)
         self._position[order] = np.arange(order.size)
+
+    @cached_property
+    def _vectors(self):
+        """Origins, offsets, recomputed couplings z_hat and photon weights of
+        the bright roots that the eigenvectors are built from, in O(N^2)
+        time.  The closed form's roots are those of the chain's exact lines,
+        which differ from the rounded diagonal by up to an ulp of the band;
+        z_hat would absorb that difference and miss A v = lam v by 1e-12 of
+        ||A|| at N = 2000, so the vectors come from the pole sums' roots."""
+        if not self._kept.size:
+            return self._origin, self._tau, np.zeros(0), np.ones(1)
+        poles, couplings = self._kept_poles, self._kept_couplings
+        origin, tau = self._origin, self._tau
+        if self._closed:
+            origin, tau = _secular_roots(poles, couplings, self._alpha, _pole_sums(poles, couplings))
+        z_hat = _recomputed_couplings(poles, couplings, origin, tau)
+        return origin, tau, z_hat, _photon_weights(poles, z_hat, origin, tau)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -308,14 +462,16 @@ class ArrowheadEigen:
             raise ValueError(
                 f"the dense eigenvectors of N = {self.size} modes need {need / 1e9:.3g} GB "
                 f"((N+1)^2 float64 values), over the {DENSE_BUDGET_BYTES / 1e9:.3g} GB limit")
+        origin, tau, z_hat, weights = self._vectors
         out = np.zeros((dim, dim))
-        position, poles, origin, tau = self._position, self._kept_poles, self._origin, self._tau
+        position, poles = self._position, self._kept_poles
         for r0, r1, _ in row_blocks(tau.size, poles.size):
             cols = position[r0:r1]
-            out[-1, cols] = np.sqrt(self.photon_weights[cols])
+            photon = np.sqrt(weights[r0:r1])
+            out[-1, cols] = photon
             if poles.size:  # exciton amplitudes z_hat_j / (lam - d_j) * sqrt(w)
-                amps = self._z_hat / ((poles[origin[r0:r1], None] - poles) + tau[r0:r1, None])
-                out[np.ix_(self._kept, cols)] = (amps * out[-1, cols][:, None]).T
+                amps = z_hat / ((poles[origin[r0:r1], None] - poles) + tau[r0:r1, None])
+                out[np.ix_(self._kept, cols)] = (amps * photon[:, None]).T
         out[self._deflated, position[tau.size:]] = 1.0
         # Back from each run's rotated coordinates, a chunk of rows at a time.
         for members, w in self._runs:

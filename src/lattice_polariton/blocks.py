@@ -11,6 +11,9 @@ import numpy as np
 
 # Elements of one (rows x width) temporary, about 0.5 MB, whatever N is.
 CHUNK_ELEMENTS = 1 << 16
+# Largest array set a run builds whole: the dense (N+1) x (N+1) float64
+# eigenvectors, or the columns of a command's dataset.
+DENSE_BUDGET_BYTES = 2e9
 
 
 def row_blocks(total: int, width: int, buffers: int = 0, elements: int = CHUNK_ELEMENTS):

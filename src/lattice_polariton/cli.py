@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .blocks import DENSE_BUDGET_BYTES
 from .exciton import (
     exciton_shifts, mode_coupling_array, oscillator_fractions, superradiant_coupling,
 )
@@ -228,6 +229,21 @@ _DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], tuple[str, ...] | None,
 }
 
 
+def _dataset_bytes(spec: RunSpec) -> float:
+    """Peak bytes a dataset's builder and writer take: per row (site or grid
+    point), the tracemalloc peaks at 1e5-1e6 rows, rounded up."""
+    build = _DATASETS[spec.dataset][0]
+    if build is _exciton_modes:
+        return 80.0 * spec.params.num_sites
+    if build is _polariton:  # one doublet object per grid point
+        return 480.0 * spec.grid_points
+    if build is _spectrum:
+        return 56.0 * spec.grid_points + 64.0 * spec.params.num_sites * spec.envelope_exact
+    if build is _rabi_vs_theta:
+        return 64.0 * spec.grid_points
+    return 0.0  # 61 atom numbers at most
+
+
 def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace | None) -> list[str]:
     _, omega0 = variant_center(params, variant)
     lines = [
@@ -250,6 +266,13 @@ def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace |
 def run(spec: RunSpec) -> int:
     """Execute a resolved RunSpec: write its CSV dataset, print a summary."""
     build, names, _ = _DATASETS[spec.dataset]
+    need = _dataset_bytes(spec)
+    if need > DENSE_BUDGET_BYTES:
+        name = f"figure {spec.dataset}" if spec.dataset in FIGURE_IDS else spec.dataset
+        points = "" if spec.grid_points is None else f" and {spec.grid_points} grid points"
+        raise ValueError(
+            f"{name} at N = {spec.params.num_sites}{points} needs about {need / 1e9:.3g} GB, "
+            f"over the {DENSE_BUDGET_BYTES / 1e9:.3g} GB limit")
     dataset = build(spec)
     columns = dataset.columns if names is None else {n: dataset.columns[n] for n in names}
     for name, column in columns.items():

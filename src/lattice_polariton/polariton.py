@@ -18,10 +18,10 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .exciton import (
-    envelope_mode_couplings, exciton_energies, exciton_shifts, mode_coupling_array,
-    site_coupling, superradiant_coupling,
+    envelope_mode_couplings, exciton_shifts, mode_coupling_array, site_coupling,
+    superradiant_coupling,
 )
-from .params import SystemParams, cavity_frequency, superradiant_shift
+from .params import SystemParams, cavity_frequency, superradiant_shift, transfer_parameter
 
 if TYPE_CHECKING:
     from .arrowhead import ArrowheadEigen
@@ -253,17 +253,22 @@ def multimode_diagonalize(
     The matrix is bordered-diagonal (an arrowhead): exciton energies on the
     diagonal, the cavity frequency in the corner, couplings along the
     border.  It is solved by the secular-equation kernel of ``arrowhead``
-    relative to the atomic line, in O(N) memory and O(N^2) time.  Modes
-    with zero coupling (every even k, with or without the beam envelope)
-    are split off first, so dark modes come out as exact eigenpairs: unit
-    eigenvectors at exactly their exciton energy, with zero photon weight.
-    With ``include_envelope`` the couplings carry the Gaussian beam profile.
-    The solver is the result; its eigenvector rows are k = 1..N, then the photon.
+    in offsets from the atomic line, which is added to the frequencies
+    last.  Modes with zero coupling (every even k, with or without the beam
+    envelope) are split off first, so dark modes come out as exact
+    eigenpairs: unit eigenvectors at exactly their exciton energy, with zero
+    photon weight.  With flat couplings the secular function is the chain's
+    resolvent in closed form, so the frequencies and photon weights cost
+    O(N) time and memory; with ``include_envelope`` the couplings carry the
+    Gaussian beam profile and the secular sums cost O(N^2) time.  The
+    solver is the result; its eigenvector rows are k = 1..N, then the photon.
     """
     # Imported here: the command line never diagonalizes, so it skips it.
     from .arrowhead import ArrowheadEigen
 
+    atom_hz = params.atom_frequency_hz
+    chain = None if include_envelope else (transfer_parameter(params), site_coupling(params))
     return ArrowheadEigen(
-        exciton_energies(params), _mode_couplings(params, include_envelope),
-        cavity_frequency(params), shift=params.atom_frequency_hz,
+        exciton_shifts(params), _mode_couplings(params, include_envelope),
+        cavity_frequency(params) - atom_hz, shift=atom_hz, chain=chain,
     )

@@ -17,8 +17,8 @@ line in ``sweep``, the cavity in ``cavity_response``): at 4e14 Hz a float
 resolves only 0.0625 Hz, about 1e-8 of the atomic half-width.  The
 self-energy Sigma has one kernel.  For the flat multimode chain it is
 i g_site^2 u^T (x - H)^-1 u, with u all ones and x = nu + i Gamma_a/2, which
-has a closed form (``_chain_sum``); every other model sums its resonances
-in (points x resonances) blocks (``_resonance_sum``).
+has a closed form (``resolvent.chain_sum``); every other model sums its
+resonances in (points x resonances) blocks (``_resonance_sum``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .params import (
     DampingSet, SystemParams, cavity_frequency, superradiant_energy, transfer_parameter,
 )
 from .polariton import ModelVariant, variant_modes, variant_resonances
+from .resolvent import chain_sum
 
 # Default sweep: 2001 points over at least +-150 MHz around the cavity/exciton
 # midpoint, about 15 grid points per 10-MHz linewidth.
@@ -67,35 +68,6 @@ class SpectrumTrace:
     reflection: np.ndarray
     peaks: tuple[Peak, ...]
     center_hz: float  # midpoint of cavity and exciton frequencies
-
-
-def _chain_sum(x: np.ndarray, transfer_hz: float, num_sites: int) -> np.ndarray:
-    """S(x) = u^T (x - H)^-1 u for the N-site chain H (zero diagonal,
-    hopping J, empty ends) and u all ones, at complex offsets x.
-
-    With x = 2 J cosh(s), Re s >= 0, the end-to-end Green's function of the
-    chain (Economou, Green's Functions in Quantum Physics, ch. 5) gives
-
-        S = [N - 2 e^-s expm1(-N s) / (expm1(-s) (1 + e^-(N+1) s))] / (x - 2J),
-
-    O(1) per point for any N.  Next to the band edge x = 2J the bracket
-    cancels, to a relative error of about eps / (N^2 |x - 2J| / |J|), which
-    Gamma_a/2 bounds (5e-15 at N = 1 with the reference parameters); at the
-    edge itself (s = 0) the limit N(N+1)(N+2)/(12 J) is used, and J = 0 (the
-    magic angle) gives N/x.  On an odd-k pole, reachable only with
-    Gamma_a = 0, S is huge, or not finite when 1 + e^-(N+1)s rounds to 0;
-    the caller silences that warning.
-    """
-    if transfer_hz == 0.0:
-        return num_sites / x
-    gap = x - 2.0 * transfer_hz
-    edge = gap == 0.0
-    gap = np.where(edge, transfer_hz, gap)  # any nonzero stand-in at the edge
-    s = 2.0 * np.arcsinh(np.sqrt(gap / transfer_hz) / 2.0)  # gap / J = 4 sinh^2(s/2)
-    ratio = 2.0 * np.exp(-s) * np.expm1(-num_sites * s) / (
-        np.expm1(-s) * (1.0 + np.exp(-(num_sites + 1) * s)))
-    edge_value = num_sites * (num_sites + 1) * (num_sites + 2) / (12.0 * transfer_hz)
-    return np.where(edge, edge_value, (num_sites - ratio) / gap)
 
 
 def _resonance_sum(
@@ -229,7 +201,7 @@ def _transfer(
         transfer, num_sites = transfer_parameter(params), params.num_sites
 
         def self_energy(x, h):  # i g_site^2 S
-            chain = _chain_sum(x + 1j * h, transfer, num_sites)
+            chain = chain_sum(x + 1j * h, transfer, num_sites)
             return -coupling_sq * chain.imag, coupling_sq * chain.real
     else:
         couplings, lines = variant_modes(params, variant, envelope_exact)

@@ -8,6 +8,7 @@ the photon.  It is O(N^3), so it is used for N <= 2000 only.
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,8 +22,12 @@ from lattice_polariton import (
     exciton_energies,
     mode_coupling_array,
     multimode_diagonalize,
+    site_coupling,
+    superradiant_coupling,
+    transfer_parameter,
 )
 from lattice_polariton.arrowhead import DENSE_BUDGET_BYTES, ArrowheadEigen
+from lattice_polariton.exciton import exciton_shifts
 
 
 def dense_bordered(diagonal, border, corner):
@@ -62,12 +67,12 @@ def assert_eigen_equation(matrix, solution):
 
 
 def oracle(params, envelope):
-    """Dense multimode frequencies and photon weights, shifted by the atomic
-    line like the solver."""
+    """Dense multimode frequencies and photon weights of the matrix in
+    offsets from the atomic line, which is added last, like the solver."""
     shift = params.atom_frequency_hz
     couplings = envelope_mode_couplings(params) if envelope else mode_coupling_array(params)
     values, vectors = dense_bordered(
-        exciton_energies(params) - shift, couplings, cavity_frequency(params) - shift)
+        exciton_shifts(params), couplings, cavity_frequency(params) - shift)
     return values + shift, vectors[-1] ** 2
 
 
@@ -189,6 +194,129 @@ class TestLazyProperties:
         finally:
             tracemalloc.stop()
         assert peak < 8.0 * (num_sites + 1) ** 2 + 4e6
+
+
+EPS = np.finfo(float).eps
+
+
+def flat_problem(params, detuning_hz=0.0):
+    """The flat multimode arrowhead in offsets from the atomic line, and the
+    chain's (J, g) that let the solver use its closed form."""
+    corner = cavity_frequency(params) - params.atom_frequency_hz + detuning_hz
+    chain = (transfer_parameter(params), site_coupling(params))
+    return (exciton_shifts(params), mode_coupling_array(params), corner), chain
+
+
+class TestFlatChainClosedForm:
+    @pytest.mark.parametrize("num_sites", [1000, 2000])
+    def test_solve_is_in_offsets_from_the_atomic_line(self, num_sites):
+        # The poles are offsets with full precision, not absolute 4e14 Hz
+        # energies quantized to 0.0625 Hz; the line is added last.
+        params = SystemParams(num_sites=num_sites, theta_rad=math.radians(20.0))
+        problem, chain = flat_problem(params)
+        offsets = ArrowheadEigen(*problem, chain=chain)
+        result = multimode_diagonalize(params)
+        np.testing.assert_array_equal(
+            result.frequencies_hz, params.atom_frequency_hz + offsets.frequencies_hz)
+        np.testing.assert_array_equal(result.photon_weights, offsets.photon_weights)
+        # Quantized poles were off by up to 0.06 Hz, 4e-10 of the scale.
+        values, _ = dense_bordered(*problem)
+        scale = np.linalg.norm(arrowhead_matrix(*problem), 2)
+        assert np.abs(offsets.frequencies_hz - values).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("theta_deg", [0.0, 40.0, 90.0])
+    def test_eigenvectors_are_those_of_the_pole_sums(self, theta_deg):
+        # The closed form's roots belong to the chain's exact lines, a
+        # rounding away from the given diagonal; the vectors are built from
+        # the pole sums' roots, so they solve the given matrix.
+        params = SystemParams(num_sites=600, theta_rad=math.radians(theta_deg))
+        problem, chain = flat_problem(params)
+        fast, slow = ArrowheadEigen(*problem, chain=chain), ArrowheadEigen(*problem)
+        np.testing.assert_array_equal(fast.eigenvectors, slow.eigenvectors)
+        assert_eigen_equation(arrowhead_matrix(*problem), fast)
+
+    def test_memory_is_linear_in_n(self):
+        # N = 1e6 through the closed form: the pole sums would take hours.
+        # 200 bytes per site leaves no room for a (rows x N) block of 25 rows.
+        num_sites = 1_000_000
+        params = SystemParams(num_sites=num_sites)
+        tracemalloc.start()
+        try:
+            result = multimode_diagonalize(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * num_sites
+        assert result.frequencies_hz.size == num_sites + 1
+        assert np.count_nonzero(result.photon_weights) == num_sites // 2 + 1
+        assert abs(result.photon_weights.sum() - 1.0) < 1e-12
+
+
+def test_closed_form_weights_match_mpmath():
+    # A doublet next to a pair of lines at 90 degrees, where rounding the
+    # lines to doubles moves the pole sums' photon weights by 4.5e-13: the
+    # closed form solves the chain's exact lines.
+    params = SystemParams(num_sites=2055, theta_rad=math.pi / 2.0)
+    (poles, couplings, _), chain = flat_problem(params)
+    corner = -5.45e7
+    result = ArrowheadEigen(poles, couplings, corner, chain=chain)
+    with mpmath.workdps(30):
+        transfer, coupling = (mpmath.mpf(x) for x in chain)
+        m = params.num_sites + 1
+        lines = [2 * transfer * mpmath.cos(mpmath.pi * k / m) for k in range(1, m, 2)]
+        weights = [2 * coupling**2 / m * mpmath.cot(mpmath.pi * k / (2 * m)) ** 2
+                   for k in range(1, m, 2)]
+        for i in np.argsort(result.photon_weights)[-3:]:
+            root = mpmath.findroot(
+                lambda x: x - corner + mpmath.fsum(w / (d - x) for d, w in zip(lines, weights)),
+                mpmath.mpf(result.frequencies_hz[i]))
+            photon = 1 / (1 + mpmath.fsum(w / (d - root) ** 2 for d, w in zip(lines, weights)))
+            assert abs(result.photon_weights[i] - photon) < 1e-13
+
+
+@st.composite
+def flat_chains(draw):
+    """A flat chain of 1 to 20,000 sites at, near or beyond the magic angle,
+    with its cavity detuned by up to 5 vacuum Rabi splittings."""
+    num_sites = draw(st.one_of(st.integers(1, 2000), st.integers(2001, 20_000)))
+    theta = draw(st.one_of(
+        st.sampled_from([0.0, MAGIC_ANGLE_RAD, math.pi / 2.0]),
+        st.floats(-1e-9, 1e-9).map(lambda offset: MAGIC_ANGLE_RAD + offset),
+        st.floats(0.0, math.pi / 2.0),
+    ))
+    params = SystemParams(num_sites=num_sites, theta_rad=theta)
+    detuning = draw(st.floats(-5.0, 5.0)) * 2.0 * superradiant_coupling(params)
+    return flat_problem(params, detuning)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flat_chains())
+@example(flat_problem(SystemParams(num_sites=1)))
+@example(flat_problem(SystemParams(num_sites=2, theta_rad=math.pi / 2.0)))
+@example(flat_problem(SystemParams(num_sites=20_000)))
+@example(flat_problem(SystemParams(num_sites=301, theta_rad=MAGIC_ANGLE_RAD + 1e-9)))
+def test_closed_form_solve_matches_the_pole_sums(chain_problem):
+    problem, chain = chain_problem
+    poles, couplings, corner = problem
+    fast, slow = ArrowheadEigen(*problem, chain=chain), ArrowheadEigen(*problem)
+    scale = max(np.abs(poles).max(), np.abs(couplings).max(), abs(corner))
+    # The closed form solves the chain's exact lines, the pole sums the
+    # given ones, which are rounded by up to an ulp of the band; over 150
+    # random chains of 500 to 4000 sites the frequencies differed by up to
+    # 5.6 ulps of the scale.
+    assert np.abs(fast.frequencies_hz - slow.frequencies_hz).max() <= 16.0 * EPS * scale
+    # That rounding moves the photon weights too: against 30-digit mpmath,
+    # the pole sums' weights are off from the exact chain's by up to 5.4e-13
+    # at N = 2055 (test_closed_form_weights_match_mpmath) and 2.0e-12 at
+    # N = 20,000, the closed form's by 2.6e-14 and 2.4e-14.  The two solves
+    # differ by up to 5.2e-13 at N = 2055, a third of this bound.
+    tol = 1e-13 * max(1.0, (poles.size / 500.0) ** 2)
+    assert np.abs(fast.photon_weights - slow.photon_weights).max() <= tol
+    assert abs(fast.photon_weights.sum() - 1.0) <= 1e-12
+    # Dark modes sit exactly on their poles, without photon weight.
+    dark = fast.photon_weights == 0.0
+    assert np.isin(poles[1::2], fast.frequencies_hz[dark]).all()
+    np.testing.assert_array_equal(fast.frequencies_hz[dark], slow.frequencies_hz[dark])
 
 
 # Random arrowheads: poles in [-1, 1] with clusters, exact repeats and

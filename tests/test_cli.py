@@ -6,6 +6,7 @@ import os
 import string
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -129,6 +130,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: num_sites") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("polariton --grid-points 100000000",
+             "polariton at N = 1000 and 100000000 grid points needs about 48 GB"),
+            ("figure 4b --grid-points 100000000",
+             "figure 4b at N = 1000 and 100000000 grid points needs about 48 GB"),
+            ("dispersion --num-sites 100000000", "dispersion at N = 100000000 needs about 8 GB"),
+            ("couplings --num-sites 100000000", "couplings at N = 100000000 needs about 8 GB"),
+            ("spectrum --grid-points 100000000",
+             "spectrum at N = 1000 and 100000000 grid points needs about 5.6 GB"),
+            ("spectrum --model multimode --envelope exact --num-sites 100000000",
+             "spectrum at N = 100000000 and 2001 grid points needs about 6.4 GB"),
+        ],
+    )
+    def test_dataset_over_the_memory_budget_exits_1(self, argv, message, tmp_path, capsys):
+        # Sized before anything is allocated: the refusal takes no time.
+        out = tmp_path / "o.csv"
+        start = time.perf_counter()
+        rc = main([*argv.split(), "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}, over the 2 GB limit\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["rabi-vs-n --num-sites 100000000", "spectrum --model multimode --num-sites 100000000"],
+    )
+    def test_runs_that_stay_small_at_the_site_bound_still_run(self, argv, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([*argv.split(), "--out", str(out)]) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("command", ["dispersion", "spectrum", "rabi-vs-theta", "polariton"])
     @pytest.mark.parametrize(

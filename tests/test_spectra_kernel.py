@@ -23,7 +23,8 @@ from lattice_polariton import (
 from lattice_polariton.cli import RunSpec, _exciton_modes, _spectrum
 from lattice_polariton.params import MAGIC_ANGLE_RAD
 from lattice_polariton.polariton import variant_modes
-from lattice_polariton.spectra import _chain_sum, _transfer
+from lattice_polariton.resolvent import chain_sum
+from lattice_polariton.spectra import _transfer
 from oracles import resonance_loop
 
 mpmath.mp.dps = 40
@@ -204,7 +205,7 @@ class TestChainSumEdges:
         x = np.linspace(-9.0, 9.0, 37) + 0.3j
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = _chain_sum(x, transfer, num_sites)
+            value = chain_sum(x, transfer, num_sites)
         np.testing.assert_allclose(value, self.direct(x, transfer, num_sites), rtol=1e-12)
 
     @pytest.mark.parametrize("transfer", [-3.0, 2.0])
@@ -216,7 +217,7 @@ class TestChainSumEdges:
         x = np.array([2.0 * transfer, -2.0 * transfer], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = _chain_sum(x, transfer, num_sites)
+            value = chain_sum(x, transfer, num_sites)
         np.testing.assert_allclose(value, self.direct(x, transfer, num_sites), rtol=1e-12)
 
     @pytest.mark.parametrize("variant", [ModelVariant.FULL_MULTIMODE,
@@ -239,7 +240,7 @@ class TestChainSumEdges:
 
     def test_magic_angle_zero_transfer(self):
         x = np.array([0.5 + 0.1j, -2.0 + 0.0j])
-        np.testing.assert_array_equal(_chain_sum(x, 0.0, 9), 9 / x)
+        np.testing.assert_array_equal(chain_sum(x, 0.0, 9), 9 / x)
 
 
 def test_flat_sweep_builds_no_chain_sized_array():
