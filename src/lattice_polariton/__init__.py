@@ -19,11 +19,10 @@ from .params import (
 from .polariton import (
     ModelVariant, PolaritonDoublet, collective_coupling_noninteracting, generalized_rabi,
     multimode_diagonalize, superradiant_doublet, two_mode_doublet, vacuum_rabi_vs_N,
-    variant_resonances,
+    variant_center,
 )
 from .spectra import (
     NoOutputChannelError, Peak, SpectrumTrace, cavity_response, default_grid, peak_find, sweep,
-    variant_center,
 )
 
 __version__ = "0.1.0"

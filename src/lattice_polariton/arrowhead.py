@@ -162,7 +162,7 @@ def _chain_sums(poles, couplings, chain):
     n = poles.size
 
     def outer(row):
-        buffers = [np.empty((1, n)), np.empty((1, n))]
+        buffers = [np.empty((1, n), poles.dtype), np.empty((1, n), poles.dtype)]
         return row, row + 1, _PoleSums(poles, couplings, row, row + 1, buffers)
     yield outer(0)
     for r0, r1, _ in row_blocks(n - 1, 1):
@@ -180,43 +180,26 @@ def _polish(alpha, chain, origin, tau):
     are rounded too, by up to an ulp of the band.  From roots that close,
     one step with sums 2000 times finer (where the platform's long double
     has 64 bits) lands on the chain's root to working precision, and the
-    weights of all roots sum to 1 within a few eps.
+    weights of all roots sum to 1 within a few eps.  The sums are those of
+    the iteration (``_chain_sums``), evaluated on long-double copies.
     """
     modes, transfer, coupling_sq, num_sites = chain
     wide = np.longdouble
-    m = num_sites + 1
+    transfer, coupling_sq, m = wide(transfer), wide(coupling_sq), num_sites + 1
     pi = 4.0 * np.arctan(wide(1.0))
-    lines = 2.0 * wide(transfer) * np.sin(pi * (m - 2 * modes) / (2.0 * m))
-    n = modes.size
-    tau, slope = tau.copy(), np.empty(n + 1)
-    for r0, r1, _ in row_blocks(n - 1, 1):  # interior roots, closed form
-        rows = slice(r0 + 1, r1 + 1)
-        k, base = modes[origin[rows]], lines[origin[rows]] - wide(alpha)
-
-        def secular(t):
-            value, value_slope, _ = chain_sum_near_pole(k, t, wide(transfer), num_sites)
-            return base + t - wide(coupling_sq) * value, 1.0 - wide(coupling_sq) * value_slope
-        tau[rows], slope[rows] = _newton_step(secular, tau[rows])
-    z_sq = wide(coupling_sq) * 2.0 / m / np.square(np.tan(pi * modes / (2.0 * m)))
-    for row in (0, n):  # outer roots, pole sums
-        distance = lines - lines[origin[row]]
-        base = lines[origin[row]] - wide(alpha)
-
-        def secular(t):
-            y = z_sq / (distance - t)
-            return base + t + y.sum(), 1.0 + (y / (distance - t)).sum()
-        tau[row:row + 1], slope[row:row + 1] = _newton_step(secular, tau[row:row + 1])
+    lines = 2.0 * transfer * np.sin(pi * (m - 2 * modes) / (2.0 * m))
+    couplings = np.sqrt(coupling_sq * 2.0 / m) / np.tan(pi * modes / (2.0 * m))
+    tau, slope = tau.copy(), np.empty(tau.size)
+    for r0, r1, secular in _chain_sums(lines, couplings, (modes, transfer, coupling_sq, num_sites)):
+        rows = slice(r0, r1)
+        secular.at(origin[rows])
+        start = tau[rows].astype(wide)
+        psi, phi, dpsi, dphi, _ = secular(start)
+        step = start - (lines[origin[rows]] - alpha + start + psi + phi) / (1.0 + dpsi + dphi)
+        tau[rows] = np.where(step * start > 0.0, step, start)  # on tau's side of the origin
+        _, _, dpsi, dphi, _ = secular(tau[rows].astype(wide))
+        slope[rows] = 1.0 + dpsi + dphi
     return tau, slope
-
-
-def _newton_step(secular, tau):
-    """tau - f/f' where it stays on tau's side of the origin pole, and f'
-    there, from ``secular(t)`` = (f, f') in long double."""
-    wide_tau = tau.astype(np.longdouble)
-    f, f_slope = secular(wide_tau)
-    step = wide_tau - f / f_slope
-    tau = np.where(step * wide_tau > 0.0, step, wide_tau).astype(float)
-    return tau, secular(tau.astype(np.longdouble))[1].astype(float)
 
 
 def _solve_chunk(poles, alpha, bound, r0, r1, secular):

@@ -28,11 +28,9 @@ from .params import (
 )
 from .polariton import (
     ModelVariant, collective_coupling_noninteracting, generalized_rabi, superradiant_doublet,
-    vacuum_rabi_vs_N,
+    vacuum_rabi_vs_N, variant_center,
 )
-from .spectra import (
-    DEFAULT_GRID_POINTS, SpectrumTrace, default_grid, peak_find, sweep, variant_center,
-)
+from .spectra import DEFAULT_GRID_POINTS, SpectrumTrace, default_grid, peak_find, sweep
 
 FIGURE_IDS = ("3a", "3b", "4a", "4b", "5", "6", "7a", "7b")
 

@@ -143,13 +143,9 @@ def two_mode_doublet(
 def superradiant_doublet(params: SystemParams) -> PolaritonDoublet:
     """Doublet of the cavity mode and the superradiant exciton at the
     parameters' cavity frequency."""
-    [(coupling_hz, exciton_hz)] = variant_resonances(params, ModelVariant.TWO_MODE_SUPERRADIANT)
+    coupling_hz, shift_hz = _single_mode(params, ModelVariant.TWO_MODE_SUPERRADIANT)
+    exciton_hz = params.atom_frequency_hz + shift_hz
     return two_mode_doublet(cavity_frequency(params), exciton_hz, coupling_hz)
-
-
-def _mode_couplings(params: SystemParams, envelope: bool) -> np.ndarray:
-    """Couplings of the modes k = 1..N, with the Gaussian beam envelope or flat."""
-    return envelope_mode_couplings(params) if envelope else mode_coupling_array(params)
 
 
 def _single_mode(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
@@ -160,7 +156,7 @@ def _single_mode(params: SystemParams, variant: ModelVariant) -> tuple[float, fl
         return superradiant_coupling(params), superradiant_shift(params)
     if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
         return collective_coupling_noninteracting(params), 0.0
-    raise ValueError(f"unknown model variant: {variant}")
+    raise ValueError(f"no single mode in model variant {variant!r}: use two-mode or noninteracting")
 
 
 def variant_modes(
@@ -174,32 +170,23 @@ def variant_modes(
     collective mode at the bare atomic line.  Each line is independent of
     the cavity; each coupling is taken at the parameters' cavity.
     """
+    if variant is not ModelVariant.FULL_MULTIMODE:
+        coupling, shift = _single_mode(params, variant)
+        return np.array([coupling]), np.array([shift])
+    couplings = envelope_mode_couplings(params) if envelope_exact else mode_coupling_array(params)
+    keep = couplings != 0.0
+    return couplings[keep], exciton_shifts(params)[keep]
+
+
+def variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
+    """Midpoint of the cavity and exciton lines, plus the variant's
+    zero-detuning vacuum Rabi splitting Omega_0 (used to size sweep grids).
+    The multimode model is placed and sized by its superradiant mode."""
     if variant is ModelVariant.FULL_MULTIMODE:
-        couplings = _mode_couplings(params, envelope_exact)
-        keep = couplings != 0.0
-        return couplings[keep], exciton_shifts(params)[keep]
-    coupling, shift = _single_mode(params, variant)
-    return np.array([coupling]), np.array([shift])
-
-
-def variant_resonances(
-    params: SystemParams, variant: ModelVariant, envelope_exact: bool = False
-) -> list[tuple[float, float]]:
-    """(coupling_hz, frequency_hz) of the modes of ``variant_modes``, with
-    absolute frequencies (quantized to 0.0625 Hz near 4e14 Hz)."""
-    if variant is ModelVariant.FULL_MULTIMODE:
-        couplings, shifts = variant_modes(params, variant, envelope_exact)
-        return list(zip(couplings.tolist(), (params.atom_frequency_hz + shifts).tolist()))
-    coupling, shift = _single_mode(params, variant)
-    return [(coupling, params.atom_frequency_hz + shift)]
-
-
-def _single_resonance(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
-    """The one (coupling_hz, frequency_hz) a Rabi splitting is taken against."""
-    if variant is ModelVariant.FULL_MULTIMODE:
-        raise ValueError("a Rabi splitting needs one resonance: use two-mode or noninteracting")
-    [resonance] = variant_resonances(params, variant)
-    return resonance
+        variant = ModelVariant.TWO_MODE_SUPERRADIANT
+    coupling_hz, shift_hz = _single_mode(params, variant)
+    exciton_hz = params.atom_frequency_hz + shift_hz
+    return (cavity_frequency(params) + exciton_hz) / 2.0, 2.0 * coupling_hz
 
 
 def vacuum_rabi_vs_N(
@@ -216,8 +203,8 @@ def vacuum_rabi_vs_N(
     for n in n_values:
         p = replace(params, num_sites=int(n))
         # The line does not depend on the cavity, the coupling does.
-        _, line = _single_resonance(p, variant)
-        coupling, _ = _single_resonance(replace(p, cavity_frequency_hz=line), variant)
+        line = p.atom_frequency_hz + _single_mode(p, variant)[1]
+        coupling, _ = _single_mode(replace(p, cavity_frequency_hz=line), variant)
         results.append((int(n), 2.0 * _half_splitting(line, line, coupling)[1]))
     return results
 
@@ -241,8 +228,8 @@ def generalized_rabi(
         num_sites=int(num_sites),
         cavity_frequency_hz=params.atom_frequency_hz,
     )
-    coupling, line = _single_resonance(p, variant)
-    return 2.0 * _half_splitting(p.atom_frequency_hz, line, coupling)[1]
+    coupling, shift = _single_mode(p, variant)
+    return 2.0 * _half_splitting(p.atom_frequency_hz, p.atom_frequency_hz + shift, coupling)[1]
 
 
 def multimode_diagonalize(
@@ -268,7 +255,8 @@ def multimode_diagonalize(
 
     atom_hz = params.atom_frequency_hz
     chain = None if include_envelope else (transfer_parameter(params), site_coupling(params))
+    border = envelope_mode_couplings(params) if include_envelope else mode_coupling_array(params)
     return ArrowheadEigen(
-        exciton_shifts(params), _mode_couplings(params, include_envelope),
+        exciton_shifts(params), border,
         cavity_frequency(params) - atom_hz, shift=atom_hz, chain=chain,
     )

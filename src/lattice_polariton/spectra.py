@@ -33,7 +33,7 @@ from .exciton import site_coupling
 from .params import (
     DampingSet, SystemParams, cavity_frequency, superradiant_energy, transfer_parameter,
 )
-from .polariton import ModelVariant, variant_modes, variant_resonances
+from .polariton import ModelVariant, variant_center, variant_modes
 from .resolvent import chain_sum
 
 # Default sweep: 2001 points over at least +-150 MHz around the cavity/exciton
@@ -151,16 +151,6 @@ def cavity_response(
     # Back to the input's shape; [()] makes a scalar input a scalar again.
     t = (t_real + 1j * t_imag).reshape(nu.shape)[()]
     return t, 1.0 - t
-
-
-def variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
-    """Midpoint of the cavity and exciton lines, plus the variant's
-    zero-detuning vacuum Rabi splitting Omega_0 (used to size sweep grids).
-    The multimode model is placed and sized by its superradiant mode."""
-    if variant is ModelVariant.FULL_MULTIMODE:
-        variant = ModelVariant.TWO_MODE_SUPERRADIANT
-    [(coupling_hz, exciton_hz)] = variant_resonances(params, variant)
-    return (cavity_frequency(params) + exciton_hz) / 2.0, 2.0 * coupling_hz
 
 
 def default_grid(

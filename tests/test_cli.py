@@ -586,6 +586,23 @@ def test_runs_without_scipy(tmp_path):
     assert result.stdout == "None\n"
 
 
+def test_module_entry_point_runs_main(tmp_path, monkeypatch, capsys):
+    """``python -m lattice_polariton`` writes the bytes and the summary that
+    ``cli.main`` writes in process."""
+    argv = ["dispersion", "--num-sites", "7"]
+    (tmp_path / "module").mkdir()
+    (tmp_path / "main").mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(lattice_polariton.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "lattice_polariton", *argv],
+                            cwd=tmp_path / "module", env=env, capture_output=True, text=True)
+    monkeypatch.chdir(tmp_path / "main")
+    assert main(argv) == 0
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == capsys.readouterr().out
+    written = [(tmp_path / where / "dispersion.csv").read_bytes() for where in ("module", "main")]
+    assert written[0] == written[1]
+
+
 def reference_csv(header, rows, comments=()):
     """The per-cell writer that produced the reference datasets: csv.writer
     rows, floats as f"{v:.11e}", ints and strings as they are."""

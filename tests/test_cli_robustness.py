@@ -1,0 +1,109 @@
+"""Every command and preset, over parameter sets that SystemParams accepts,
+ends one of two ways: exit 0 with a finite, physically sensible CSV, or
+exit 1 with a single ``error:`` line, no traceback and no file."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lattice_polariton import SystemParams
+from lattice_polariton.cli import _DATASETS, FIGURE_IDS, main
+from lattice_polariton.params import MAGIC_ANGLE_RAD
+
+# Every command and figure preset, and the spectrum's other models.
+RUNS = (
+    [["figure", name] if name in FIGURE_IDS else [name] for name in _DATASETS]
+    + [["spectrum", "--model", model] for model in ("multimode", "noninteracting")]
+    + [["spectrum", "--model", "multimode", "--envelope", "exact"]]
+)
+ATOM_HZ = SystemParams().atom_frequency_hz
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, MAGIC_ANGLE_RAD, math.pi / 2]),
+    st.floats(-1e-6, 1e-6).map(lambda d: MAGIC_ANGLE_RAD + d),
+)
+
+
+@st.composite
+def configs(draw):
+    """Parameter files: the reference values or any in the stated ranges,
+    undamped atoms, no side loss and a cavity detuned by up to 50 %."""
+    config = {
+        "num_sites": draw(st.integers(1, 3000)),
+        "theta_rad": draw(ANGLES),
+        "dipole_Cm": draw(st.one_of(st.just(5e-29), log_uniform(-40, -20))),
+        "beam_waist_m": draw(st.one_of(st.just(3e-4), log_uniform(-9, 0))),
+    }
+    if draw(st.booleans()):
+        config["gamma_atom_hz"] = 0.0
+    if draw(st.booleans()):
+        config["gamma_cavity_hz"] = 0.0
+    detuning = draw(st.one_of(st.none(), st.floats(-0.5, 0.5)))
+    if detuning is not None:
+        config["cavity_frequency_hz"] = ATOM_HZ * (1.0 + detuning)
+    return config
+
+
+def read_dataset(path):
+    """The ``#`` comment lines and the numeric columns of a CSV dataset."""
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    columns = {
+        name: np.array([row[i] for row in rows], dtype=float)
+        for i, name in enumerate(header) if name != "class"
+    }
+    return comments, columns
+
+
+def check_run(argv, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, out = Path(tmp) / "params.json", Path(tmp) / "out.csv"
+        config_path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--config", str(config_path), "--out", str(out)])
+        if code == 1:
+            assert stderr.getvalue().startswith("error: "), stderr.getvalue()
+            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+            assert not out.exists()
+            return
+        assert (code, stderr.getvalue()) == (0, "")
+        assert stdout.getvalue().endswith(f"wrote: {out}\n")
+        comments, columns = read_dataset(out)
+    assert all(np.isfinite(column).all() for column in columns.values())
+    if "transmission" in columns:
+        t, r, grid = columns["transmission"], columns["reflection"], columns["nu_hz"]
+        assert t.min() >= 0.0 and r.min() >= 0.0
+        assert (t + r).max() <= 1.0 + 1e-9
+        for line in comments:
+            location = float(line.split(",")[1])
+            assert grid[0] <= location <= grid[-1], line
+
+
+REFERENCE = {"num_sites": 100_000, "theta_rad": 0.0, "dipole_Cm": 5e-29, "beam_waist_m": 3e-4}
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.sampled_from(RUNS), config=configs())
+@example(argv=["dispersion"], config=REFERENCE)
+@example(argv=["spectrum", "--model", "multimode", "--envelope", "exact"],
+         config=dict(REFERENCE, theta_rad=MAGIC_ANGLE_RAD, gamma_atom_hz=0.0))
+@example(argv=["spectrum", "--model", "multimode"],
+         config=dict(REFERENCE, theta_rad=math.pi / 2, gamma_cavity_hz=0.0))
+@example(argv=["figure", "7b"], config=dict(REFERENCE, beam_waist_m=1e-9))
+@example(argv=["rabi-vs-theta"], config=dict(REFERENCE, dipole_Cm=1e-40))
+def test_every_run_writes_sensible_output_or_exits_1(argv, config):
+    check_run(argv, config)

@@ -21,8 +21,8 @@ from lattice_polariton import (
     superradiant_coupling,
     sweep,
     variant_center,
-    variant_resonances,
 )
+from lattice_polariton.polariton import variant_modes
 from lattice_polariton.spectra import _DOUBLET_REACH, DEFAULT_GRID_POINTS, Peak, _parabolic_vertex
 
 REF = SystemParams()
@@ -30,9 +30,11 @@ REF_DAMPING = DampingSet.from_params(REF)
 
 
 def transfer_function(nu_hz, params, damping, variant):
-    """Complex t(nu), r(nu) of a model variant, as ``sweep`` evaluates them."""
-    return cavity_response(nu_hz, cavity_frequency(params), damping,
-                           variant_resonances(params, variant))
+    """Complex t(nu), r(nu) of a model variant, as ``sweep`` evaluates them,
+    from its modes at absolute frequencies."""
+    couplings, shifts = variant_modes(params, variant)
+    resonances = zip(couplings.tolist(), (params.atom_frequency_hz + shifts).tolist())
+    return cavity_response(nu_hz, cavity_frequency(params), damping, list(resonances))
 
 
 class TestDampingSet:
@@ -77,18 +79,18 @@ class TestCavityResponse:
         assert peaks[0].fwhm_hz == pytest.approx(REF_DAMPING.cavity_width_hz, rel=1e-3)
 
     def test_variant_mode_lists(self):
-        two = variant_resonances(REF, ModelVariant.TWO_MODE_SUPERRADIANT)
-        assert len(two) == 1
-        multi = variant_resonances(REF, ModelVariant.FULL_MULTIMODE)
-        assert len(multi) == 500  # odd modes of a 1000-site chain
-        assert multi[0] == two[0]
-        collective = variant_resonances(REF, ModelVariant.NONINTERACTING_COLLECTIVE)
-        assert collective[0][1] == REF.atom_frequency_hz
+        two = variant_modes(REF, ModelVariant.TWO_MODE_SUPERRADIANT)
+        assert [a.size for a in two] == [1, 1]
+        multi = variant_modes(REF, ModelVariant.FULL_MULTIMODE)
+        assert [a.size for a in multi] == [500, 500]  # odd modes of a 1000-site chain
+        assert (multi[0][0], multi[1][0]) == (two[0][0], two[1][0])
+        collective = variant_modes(REF, ModelVariant.NONINTERACTING_COLLECTIVE)
+        assert collective[1].tolist() == [0.0]  # on the atomic line
 
     def test_exact_envelope_sees_only_bright_modes(self):
-        flat = variant_resonances(REF, ModelVariant.FULL_MULTIMODE)
-        exact = variant_resonances(REF, ModelVariant.FULL_MULTIMODE, envelope_exact=True)
-        assert [f for _, f in exact] == [f for _, f in flat]
+        _, flat = variant_modes(REF, ModelVariant.FULL_MULTIMODE)
+        _, exact = variant_modes(REF, ModelVariant.FULL_MULTIMODE, envelope_exact=True)
+        assert exact.tolist() == flat.tolist()
 
     def test_undamped_pole_blocks_transmission(self):
         undamped = DampingSet(1e7, 1e7, 0.0)

@@ -27,7 +27,6 @@ from lattice_polariton.resolvent import chain_sum
 from lattice_polariton.spectra import _transfer
 from oracles import resonance_loop
 
-mpmath.mp.dps = 40
 BOUND = 1e-13
 
 MODELS = [
@@ -39,6 +38,13 @@ MODELS = [
 SIZES = [1, 2, 7, 1000]
 ANGLES = [0.0, MAGIC_ANGLE_RAD, math.pi / 2]
 ANGLE_IDS = ["0", "magic", "90"]
+
+
+@pytest.fixture(autouse=True)
+def forty_digits():
+    """Each test runs at 40 digits and leaves mpmath's precision as it was."""
+    with mpmath.workdps(40):
+        yield
 
 
 def mp_lines(params):
