@@ -8,8 +8,8 @@ transmission/reflection spectra of the driven system.
 """
 
 from .exciton import (
-    coupling_sum, envelope_mode_couplings, exciton_energies, mode_coupling_array,
-    oscillator_fractions, site_coupling, superradiant_coupling,
+    envelope_mode_couplings, exciton_energies, mode_coupling_array, oscillator_fractions,
+    site_coupling,
 )
 from .params import (
     EPSILON_0, MAGIC_ANGLE_RAD, PLANCK_H, ConfigError, DampingSet, InvalidParameterError,
@@ -18,8 +18,8 @@ from .params import (
 )
 from .polariton import (
     ModelVariant, PolaritonDoublet, collective_coupling_noninteracting, generalized_rabi,
-    multimode_diagonalize, superradiant_doublet, two_mode_doublet, vacuum_rabi_vs_N,
-    variant_center,
+    multimode_diagonalize, superradiant_coupling, superradiant_doublet, two_mode_doublet,
+    vacuum_rabi_vs_N, variant_center,
 )
 from .spectra import (
     NoOutputChannelError, Peak, SpectrumTrace, cavity_response, default_grid, peak_find, sweep,

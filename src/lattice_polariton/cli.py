@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -19,16 +19,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .blocks import DENSE_BUDGET_BYTES
-from .exciton import (
-    exciton_shifts, mode_coupling_array, oscillator_fractions, superradiant_coupling,
-)
+from .exciton import exciton_shifts, mode_coupling_array, oscillator_fractions
 from .params import (
     MAGIC_ANGLE_RAD, MAX_NUM_SITES, ConfigError, DampingSet, SystemParams, cavity_frequency,
     load_params, superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant, collective_coupling_noninteracting, generalized_rabi, superradiant_doublet,
-    vacuum_rabi_vs_N, variant_center,
+    ModelVariant, _one_mode, collective_coupling_noninteracting, generalized_rabi,
+    superradiant_coupling, two_mode_doublet, vacuum_rabi_vs_N, variant_center,
 )
 from .spectra import DEFAULT_GRID_POINTS, SpectrumTrace, default_grid, peak_find, sweep
 
@@ -126,12 +124,13 @@ _WEIGHTS = (
 def _polariton(spec: RunSpec) -> Dataset:
     """Doublets over a symmetric detuning sweep of the cavity frequency."""
     params = spec.params
+    num_sites, theta = params.num_sites, params.theta_rad
     deltas = np.linspace(-spec.grid_span_hz, spec.grid_span_hz, spec.grid_points)
     exciton_hz = superradiant_energy(params)
     # Python floats: a numpy scalar divided by zero warns instead of raising.
     doublets = [
-        superradiant_doublet(replace(params, cavity_frequency_hz=cavity_hz))
-        for cavity_hz in (exciton_hz + 2.0 * deltas).tolist()
+        two_mode_doublet(c, exciton_hz, _one_mode(params, _TWO_MODE, c, num_sites, theta)[0])
+        for c in (exciton_hz + 2.0 * deltas).tolist()
     ]
     columns = {
         "delta_hz": deltas,

@@ -41,35 +41,22 @@ def exciton_energies(params: SystemParams) -> np.ndarray:
     return params.atom_frequency_hz + exciton_shifts(params)
 
 
-def coupling_sum(k: int, num_sites: int) -> float:
-    """Site sum of the mode-k sine amplitudes.
-
-    Equals cot(pi k / (2(N+1))) for odd k and exactly zero for even k;
-    the even case is decided by parity, not by numeric cancellation.
-    """
-    if not 1 <= k <= num_sites:
-        raise ValueError(f"mode index k={k} out of range 1..{num_sites}")
-    if k % 2 == 0:
-        return 0.0
-    return 1.0 / math.tan(math.pi * k / (2.0 * (num_sites + 1)))
-
-
 def site_coupling(params: SystemParams) -> float:
     """Single-site exciton-photon coupling magnitude in Hz:
     sqrt(nu_c mu^2 / (2 eps0 V h))."""
-    nu_c = cavity_frequency(params)
+    return _site_coupling_at(params, cavity_frequency(params))
+
+
+def _site_coupling_at(params: SystemParams, cavity_hz: float) -> float:
+    """site_coupling with the cavity at ``cavity_hz``."""
     volume = mode_volume(params)
-    return math.sqrt(nu_c * params.dipole_Cm**2 / (2.0 * EPSILON_0 * volume * PLANCK_H))
-
-
-def _coupling_scale(params: SystemParams) -> float:
-    return site_coupling(params) * math.sqrt(2.0 / (params.num_sites + 1))
+    return math.sqrt(cavity_hz * params.dipole_Cm**2 / (2.0 * EPSILON_0 * volume * PLANCK_H))
 
 
 def _odd_cotangents(num_sites: int) -> np.ndarray:
-    """coupling_sum(k, N) for the odd k = 1, 3, ... <= N, to the last bit:
-    the tangents come from math.tan, as there, since np.tan differs from
-    libm in the last bit for a few modes in a thousand."""
+    """cot(pi k / (2(N+1))), the site sum of mode k's sine amplitudes, for
+    the odd k <= N; from math.tan, as for k = 1 alone, since np.tan differs
+    from libm in the last bit for a few modes in a thousand."""
     angles = np.pi * np.arange(1, num_sites + 1, 2) / (2.0 * (num_sites + 1))
     return 1.0 / np.fromiter(map(math.tan, memoryview(angles)), float, angles.size)
 
@@ -81,16 +68,9 @@ def mode_coupling_array(params: SystemParams) -> np.ndarray:
     single-site coupling for odd k, and exactly zero for even k.
     """
     couplings = np.zeros(params.num_sites)
-    couplings[::2] = _coupling_scale(params) * _odd_cotangents(params.num_sites)
+    scale = site_coupling(params) * math.sqrt(2.0 / (params.num_sites + 1))
+    couplings[::2] = scale * _odd_cotangents(params.num_sites)
     return couplings
-
-
-def superradiant_coupling(params: SystemParams) -> float:
-    """Cavity coupling magnitude in Hz of the k = 1 exciton.
-
-    Equal to mode_coupling_array(params)[0], but O(1) instead of O(N).
-    """
-    return _coupling_scale(params) * coupling_sum(1, params.num_sites)
 
 
 def envelope_mode_couplings(params: SystemParams) -> np.ndarray:

@@ -39,6 +39,25 @@ class ConfigError(ValueError):
 _RATES = ("gamma_mirror_hz", "gamma_cavity_hz", "gamma_atom_hz")
 
 
+# Checks of SystemParams, used also by the functions that sweep one of its
+# fields (the cavity, N, theta) without building a SystemParams per point.
+def _check_positive(name: str, value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be a positive number, got {value!r}")
+
+
+def _check_num_sites(value) -> None:
+    if not (isinstance(value, int) and 1 <= value <= MAX_NUM_SITES):
+        raise InvalidParameterError(
+            f"num_sites must be an integer in 1..{MAX_NUM_SITES}, got {value!r}"
+        )
+
+
+def _check_angle(value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise InvalidParameterError(f"theta_rad must be a finite number, got {value!r}")
+
+
 def _check_rates(owner) -> None:
     """Refuse a damping rate of ``owner`` that is not a finite number >= 0."""
     for name in _RATES:
@@ -74,29 +93,16 @@ class SystemParams:
     mode_volume_m3: float | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "lattice_constant_m",
-            "beam_waist_m",
-            "mirror_distance_m",
-            "dipole_Cm",
-            "atom_frequency_hz",
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise InvalidParameterError(f"{name} must be a positive number, got {value!r}")
-        if not (isinstance(self.num_sites, int) and 1 <= self.num_sites <= MAX_NUM_SITES):
-            raise InvalidParameterError(
-                f"num_sites must be an integer in 1..{MAX_NUM_SITES}, got {self.num_sites!r}"
-            )
-        if not (isinstance(self.theta_rad, (int, float)) and math.isfinite(self.theta_rad)):
-            raise InvalidParameterError(f"theta_rad must be a finite number, got {self.theta_rad!r}")
+        for name in ("lattice_constant_m", "beam_waist_m", "mirror_distance_m", "dipole_Cm",
+                     "atom_frequency_hz"):
+            _check_positive(name, getattr(self, name))
+        _check_num_sites(self.num_sites)
+        _check_angle(self.theta_rad)
         _check_rates(self)
         for name in ("cavity_frequency_hz", "mode_volume_m3"):
             value = getattr(self, name)
-            if value is not None and not (
-                isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-            ):
-                raise InvalidParameterError(f"{name} must be a positive number, got {value!r}")
+            if value is not None:
+                _check_positive(name, value)
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,12 @@ def transfer_parameter(params: SystemParams) -> float:
     mu^2 (1 - 3 cos^2 theta) / (4 pi eps0 a^3 h): negative for a dipole
     along the chain, positive beyond the magic angle.
     """
-    geometry = 1.0 - 3.0 * math.cos(params.theta_rad) ** 2
+    return _transfer_at(params, params.theta_rad)
+
+
+def _transfer_at(params: SystemParams, theta_rad: float) -> float:
+    """transfer_parameter at dipole angle ``theta_rad``."""
+    geometry = 1.0 - 3.0 * math.cos(theta_rad) ** 2
     return (
         params.dipole_Cm**2
         * geometry
@@ -159,7 +170,12 @@ def site_positions(params: SystemParams) -> np.ndarray:
 def superradiant_shift(params: SystemParams) -> float:
     """Offset in Hz of the lowest (nodeless, k = 1) exciton mode from the
     atomic line: 2 J cos(pi / (N+1))."""
-    return 2.0 * transfer_parameter(params) * math.cos(math.pi / (params.num_sites + 1))
+    return _superradiant_shift_at(transfer_parameter(params), params.num_sites)
+
+
+def _superradiant_shift_at(transfer_hz: float, num_sites: int) -> float:
+    """superradiant_shift of an N-site chain with transfer rate J."""
+    return 2.0 * transfer_hz * math.cos(math.pi / (num_sites + 1))
 
 
 def superradiant_energy(params: SystemParams) -> float:

@@ -12,16 +12,19 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .exciton import (
-    envelope_mode_couplings, exciton_shifts, mode_coupling_array, site_coupling,
-    superradiant_coupling,
+    _site_coupling_at, envelope_mode_couplings, exciton_shifts, mode_coupling_array,
+    site_coupling,
 )
-from .params import SystemParams, cavity_frequency, superradiant_shift, transfer_parameter
+from .params import (
+    SystemParams, _check_angle, _check_num_sites, _check_positive, _superradiant_shift_at,
+    _transfer_at, cavity_frequency, transfer_parameter,
+)
 
 if TYPE_CHECKING:
     from .arrowhead import ArrowheadEigen
@@ -74,22 +77,53 @@ class PolaritonDoublet:
         return self.photon_amp_lower**2
 
 
+def _one_mode(
+    params: SystemParams, variant: ModelVariant, cavity_hz: float | None, num_sites: int,
+    theta_rad: float,
+) -> tuple[float, float]:
+    """Coupling in Hz, and line offset in Hz from the atomic line, of a
+    one-mode variant's exciton: the superradiant k = 1 mode, coupled with
+    sqrt(2/(N+1)) cot(pi / (2(N+1))) times the single-site coupling, or the
+    noninteracting collective mode on the atomic line, with sqrt(N) times
+    it.  The cavity (None: on the superradiant line), N and theta replace
+    the parameters' own, and are checked as SystemParams checks them."""
+    _check_num_sites(num_sites)
+    _check_angle(theta_rad)
+    shift = _superradiant_shift_at(_transfer_at(params, theta_rad), num_sites)
+    if cavity_hz is None:
+        cavity_hz = params.atom_frequency_hz + shift
+    _check_positive("cavity_frequency_hz", cavity_hz)
+    site = _site_coupling_at(params, cavity_hz)
+    if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
+        cotangent = 1.0 / math.tan(math.pi / (2.0 * (num_sites + 1)))
+        return site * math.sqrt(2.0 / (num_sites + 1)) * cotangent, shift
+    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
+        return site * math.sqrt(num_sites), 0.0
+    raise ValueError(f"no single mode in model variant {variant!r}: use two-mode or noninteracting")
+
+
+def _own_mode(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
+    """_one_mode at the parameters' own cavity, N and angle."""
+    return _one_mode(
+        params, variant, params.cavity_frequency_hz, params.num_sites, params.theta_rad
+    )
+
+
+def superradiant_coupling(params: SystemParams) -> float:
+    """Cavity coupling magnitude in Hz of the k = 1 exciton.
+
+    Equal to mode_coupling_array(params)[0], but O(1) instead of O(N).
+    """
+    return _own_mode(params, ModelVariant.TWO_MODE_SUPERRADIANT)[0]
+
+
 def collective_coupling_noninteracting(params: SystemParams) -> float:
     """Collective coupling magnitude in Hz of N independent atoms:
     sqrt(N) times the single-site coupling."""
-    return site_coupling(params) * math.sqrt(params.num_sites)
+    return _own_mode(params, ModelVariant.NONINTERACTING_COLLECTIVE)[0]
 
 
-def _half_splitting(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> tuple[float, float]:
-    """Signed half-detuning (E_c - E_ex)/2 of one exciton mode from the
-    cavity, and the doublet's half-splitting sqrt(detuning^2 + coupling^2)."""
-    detuning = (cavity_hz - exciton_hz) / 2.0
-    return detuning, math.hypot(detuning, coupling_hz)
-
-
-def two_mode_doublet(
-    cavity_hz: float, exciton_hz: float, coupling_hz: float
-) -> PolaritonDoublet:
+def two_mode_doublet(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> PolaritonDoublet:
     """Diagonalize one exciton mode against the cavity mode.
 
     Branch energies are (E_c + E_ex)/2 +- sqrt(detuning^2 + coupling^2).
@@ -99,19 +133,16 @@ def two_mode_doublet(
     """
     if coupling_hz < 0:
         raise ValueError(f"coupling_hz must be >= 0, got {coupling_hz}")
-    detuning, half_split = _half_splitting(cavity_hz, exciton_hz, coupling_hz)
+    detuning = (cavity_hz - exciton_hz) / 2.0
+    half_split = math.hypot(detuning, coupling_hz)
     mean = (cavity_hz + exciton_hz) / 2.0
     upper = mean + half_split
     lower = mean - half_split
 
-    if half_split == 0.0:
-        amps = (1.0, 0.0, 0.0, 1.0)
-    elif coupling_hz == 0.0:
-        # Pure states; the general amplitude formulas hit 0/0 here.
-        if detuning > 0:
-            amps = (0.0, 1.0, -1.0, 0.0)
-        else:
-            amps = (1.0, 0.0, 0.0, 1.0)
+    if coupling_hz == 0.0:
+        # Pure states; the general amplitude formulas hit 0/0 here.  With
+        # zero detuning too, the upper branch is the exciton by convention.
+        amps = (0.0, 1.0, -1.0, 0.0) if detuning > 0 else (1.0, 0.0, 0.0, 1.0)
     else:
         # (half - det) and (half + det) multiply to coupling^2; computing the
         # smaller one from that identity avoids cancellation at small coupling,
@@ -128,35 +159,15 @@ def two_mode_doublet(
         y_lower = coupling_hz / math.sqrt(2.0 * half_split * plus)
         amps = (x_upper, y_upper, x_lower, y_lower)
 
-    return PolaritonDoublet(
-        detuning_hz=detuning,
-        half_splitting_hz=half_split,
-        upper_hz=upper,
-        lower_hz=lower,
-        exciton_amp_upper=amps[0],
-        photon_amp_upper=amps[1],
-        exciton_amp_lower=amps[2],
-        photon_amp_lower=amps[3],
-    )
+    # amps: (exciton, photon) of the upper branch, then of the lower one.
+    return PolaritonDoublet(detuning, half_split, upper, lower, *amps)
 
 
 def superradiant_doublet(params: SystemParams) -> PolaritonDoublet:
     """Doublet of the cavity mode and the superradiant exciton at the
     parameters' cavity frequency."""
-    coupling_hz, shift_hz = _single_mode(params, ModelVariant.TWO_MODE_SUPERRADIANT)
-    exciton_hz = params.atom_frequency_hz + shift_hz
-    return two_mode_doublet(cavity_frequency(params), exciton_hz, coupling_hz)
-
-
-def _single_mode(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
-    """Coupling in Hz and line offset in Hz from the atomic line of a
-    one-mode variant: the superradiant exciton, or the noninteracting
-    collective mode on the atomic line."""
-    if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
-        return superradiant_coupling(params), superradiant_shift(params)
-    if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-        return collective_coupling_noninteracting(params), 0.0
-    raise ValueError(f"no single mode in model variant {variant!r}: use two-mode or noninteracting")
+    coupling, shift = _own_mode(params, ModelVariant.TWO_MODE_SUPERRADIANT)
+    return two_mode_doublet(cavity_frequency(params), params.atom_frequency_hz + shift, coupling)
 
 
 def variant_modes(
@@ -171,7 +182,7 @@ def variant_modes(
     the cavity; each coupling is taken at the parameters' cavity.
     """
     if variant is not ModelVariant.FULL_MULTIMODE:
-        coupling, shift = _single_mode(params, variant)
+        coupling, shift = _own_mode(params, variant)
         return np.array([coupling]), np.array([shift])
     couplings = envelope_mode_couplings(params) if envelope_exact else mode_coupling_array(params)
     keep = couplings != 0.0
@@ -184,36 +195,28 @@ def variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, 
     The multimode model is placed and sized by its superradiant mode."""
     if variant is ModelVariant.FULL_MULTIMODE:
         variant = ModelVariant.TWO_MODE_SUPERRADIANT
-    coupling_hz, shift_hz = _single_mode(params, variant)
+    coupling_hz, shift_hz = _own_mode(params, variant)
     exciton_hz = params.atom_frequency_hz + shift_hz
     return (cavity_frequency(params) + exciton_hz) / 2.0, 2.0 * coupling_hz
 
 
 def vacuum_rabi_vs_N(
-    params: SystemParams,
-    n_values: Iterable[int],
-    variant: ModelVariant,
+    params: SystemParams, n_values: Iterable[int], variant: ModelVariant
 ) -> list[tuple[int, float]]:
     """Vacuum Rabi splitting 2|coupling|/h versus atom number.
 
     The cavity sits on the variant's own line: the superradiant exciton for
     the interacting chain, the bare atomic line for the non-interacting gas.
     """
-    results = []
-    for n in n_values:
-        p = replace(params, num_sites=int(n))
-        # The line does not depend on the cavity, the coupling does.
-        line = p.atom_frequency_hz + _single_mode(p, variant)[1]
-        coupling, _ = _single_mode(replace(p, cavity_frequency_hz=line), variant)
-        results.append((int(n), 2.0 * _half_splitting(line, line, coupling)[1]))
-    return results
+    cavity_hz = None if variant is ModelVariant.TWO_MODE_SUPERRADIANT else params.atom_frequency_hz
+    return [
+        (int(n), 2.0 * _one_mode(params, variant, cavity_hz, int(n), params.theta_rad)[0])
+        for n in n_values
+    ]
 
 
 def generalized_rabi(
-    params: SystemParams,
-    theta_rad: float,
-    num_sites: int,
-    variant: ModelVariant,
+    params: SystemParams, theta_rad: float, num_sites: int, variant: ModelVariant
 ) -> float:
     """Rabi splitting with the cavity locked on the bare atomic line.
 
@@ -222,14 +225,10 @@ def generalized_rabi(
     and depends on the dipole angle; the non-interacting splitting is
     2 sqrt(N) times the single-site coupling, angle-independent.
     """
-    p = replace(
-        params,
-        theta_rad=theta_rad,
-        num_sites=int(num_sites),
-        cavity_frequency_hz=params.atom_frequency_hz,
-    )
-    coupling, shift = _single_mode(p, variant)
-    return 2.0 * _half_splitting(p.atom_frequency_hz, p.atom_frequency_hz + shift, coupling)[1]
+    atom_hz = params.atom_frequency_hz
+    coupling, shift = _one_mode(params, variant, atom_hz, int(num_sites), theta_rad)
+    # The detuning from the absolute exciton line, rounded as in two_mode_doublet.
+    return 2.0 * math.hypot((atom_hz - (atom_hz + shift)) / 2.0, coupling)
 
 
 def multimode_diagonalize(

@@ -211,8 +211,8 @@ def sweep(
 ) -> SpectrumTrace:
     """Evaluate the spectrum over a frequency grid and locate peaks.
 
-    The grid must be strictly increasing and must comfortably cover the
-    polariton doublet around the cavity/exciton midpoint.
+    The grid must be strictly increasing, above 0 Hz, and must comfortably
+    cover the polariton doublet around the cavity/exciton midpoint.
     """
     center, omega0 = variant_center(params, variant)
     if grid is None:
@@ -221,6 +221,8 @@ def sweep(
         grid = np.asarray(grid, dtype=float)
     if grid.size < 3 or np.any(np.diff(grid) <= 0):
         raise ValueError("frequency grid must be strictly increasing with >= 3 points")
+    if grid[0] <= 0.0:
+        raise ValueError(f"frequency grid starts at {grid[0]:.6e} Hz: every frequency must be > 0")
     reach = _DOUBLET_REACH * omega0
     if grid[0] > center - reach or grid[-1] < center + reach:
         raise ValueError(

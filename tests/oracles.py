@@ -2,9 +2,9 @@
 only by tests.
 
 The package computes the standing-wave modes in closed form; these helpers
-rebuild the same objects the slow way (explicit sine vectors, a per-mode sum
-rule and a LAPACK tridiagonal eigensolve) so the tests can check the closed
-forms against them.  ``resonance_loop`` is the cavity response as one
+rebuild the same objects the slow way (explicit sine vectors, the per-mode
+coupling sum and its sum rule, and a LAPACK tridiagonal eigensolve) so the
+tests can check the closed forms against them.  ``resonance_loop`` is the cavity response as one
 complex pass per resonance, the form the package used before its blocked
 and closed-form self-energy kernel.  scipy, which the tridiagonal
 eigensolver needs, is a test dependency only.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from lattice_polariton import DampingSet, SystemParams, coupling_sum, transfer_parameter
+from lattice_polariton import DampingSet, SystemParams, transfer_parameter
 
 
 def sine_mode_vector(k: int, num_sites: int) -> np.ndarray:
@@ -28,6 +28,19 @@ def sine_mode_vector(k: int, num_sites: int) -> np.ndarray:
         raise ValueError(f"mode index k={k} out of range 1..{num_sites}")
     n = np.arange(1, num_sites + 1)
     return math.sqrt(2.0 / (num_sites + 1)) * np.sin(np.pi * n * k / (num_sites + 1))
+
+
+def coupling_sum(k: int, num_sites: int) -> float:
+    """Site sum of the mode-k sine amplitudes.
+
+    Equals cot(pi k / (2(N+1))) for odd k and exactly zero for even k;
+    the even case is decided by parity, not by numeric cancellation.
+    """
+    if not 1 <= k <= num_sites:
+        raise ValueError(f"mode index k={k} out of range 1..{num_sites}")
+    if k % 2 == 0:
+        return 0.0
+    return 1.0 / math.tan(math.pi * k / (2.0 * (num_sites + 1)))
 
 
 def coupling_sum_rule(num_sites: int) -> float:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 import lattice_polariton
 from lattice_polariton import (
-    cavity_frequency, cli, exciton, load_params, superradiant_coupling, superradiant_energy,
+    InvalidParameterError, ModelVariant, SystemParams, cavity_frequency, cli, exciton,
+    load_params, superradiant_coupling, superradiant_doublet, superradiant_energy,
     transfer_parameter,
 )
 from lattice_polariton.cli import _CHUNK_CELLS, FIGURE_IDS, _write_csv, main
@@ -327,6 +329,14 @@ class TestGridFlags:
     def test_flags_the_command_reads_are_accepted(self, argv, tmp_path, capsys):
         assert main([*argv.split(), "--num-sites", "50", "--out", str(tmp_path / "o.csv")]) == 0
 
+    def test_detuning_span_past_zero_hz_is_refused(self, tmp_path, capsys):
+        # The cavity sweeps from the superradiant line down to -1.6e15 Hz.
+        out = tmp_path / "o.csv"
+        assert main(["polariton", "--grid-span-hz", "1e15", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cavity_frequency_hz must be a positive number, got -1600000135638581.0\n")
+        assert not out.exists()
+
     def test_single_point_accepted(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(["polariton", "--grid-points", "1", "--out", str(out)]) == 0
@@ -550,6 +560,61 @@ class TestCommands:
         assert rc == 0
         _, _, comments = read_csv(out)
         assert sum(1 for c in comments if c.startswith("# peak")) == 2
+
+
+def post_init_calls(argv, tmp_path, monkeypatch):
+    """SystemParams built (and validated) during one run of ``argv``."""
+    calls = []
+    original = SystemParams.__post_init__
+    monkeypatch.setattr(SystemParams, "__post_init__", lambda self: calls.append(1) or original(self))
+    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+    monkeypatch.setattr(SystemParams, "__post_init__", original)
+    return len(calls)
+
+
+@pytest.mark.parametrize("command", ["polariton", "rabi-vs-n", "rabi-vs-theta", "figure 7b"])
+def test_sweeps_build_no_system_params_per_point(command, tmp_path, monkeypatch, capsys):
+    pairs = [("--num-sites", "50", "3000")]
+    if command in ("polariton", "rabi-vs-theta"):
+        pairs.append(("--grid-points", "11", "401"))
+    for flag, small, large in pairs:
+        counts = [post_init_calls([*command.split(), flag, size], tmp_path, monkeypatch)
+                  for size in (small, large)]
+        assert counts[0] == counts[1], (flag, counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_sites=st.integers(1, 10**7),
+    theta=st.floats(0.0, math.pi),
+    dipole=st.floats(-31.0, -27.0).map(lambda e: 10.0**e),
+    waist=st.floats(-6.0, -2.0).map(lambda e: 10.0**e),
+    span=st.floats(0.0, 15.5).map(lambda e: 10.0**e),
+    points=st.integers(1, 41),
+)
+def test_polariton_rows_match_per_point_doublets_bitwise(num_sites, theta, dipole, waist, span,
+                                                         points):
+    """Each `polariton` row against superradiant_doublet on a SystemParams
+    with that row's cavity, the form the command had before its kernel; a
+    cavity at or below 0 Hz is refused by both with the same message."""
+    params = SystemParams(num_sites=num_sites, theta_rad=theta, dipole_Cm=dipole,
+                          beam_waist_m=waist)
+    spec = cli.RunSpec("polariton", params, ModelVariant.TWO_MODE_SUPERRADIANT, Path("o.csv"),
+                       grid_points=points, grid_span_hz=span)
+    exciton_hz = superradiant_energy(params)
+    cavities = (exciton_hz + 2.0 * np.linspace(-span, span, points)).tolist()
+    try:
+        doublets = [superradiant_doublet(replace(params, cavity_frequency_hz=c)) for c in cavities]
+    except InvalidParameterError as refused:
+        with pytest.raises(InvalidParameterError) as also_refused:
+            cli._polariton(spec)
+        assert str(also_refused.value) == str(refused)
+        return
+    columns = cli._polariton(spec).columns
+    assert columns["upper_shift_hz"].tolist() == [d.upper_hz - exciton_hz for d in doublets]
+    assert columns["lower_shift_hz"].tolist() == [d.lower_hz - exciton_hz for d in doublets]
+    for name in cli._WEIGHTS:
+        assert columns[name].tolist() == [getattr(d, name) for d in doublets]
 
 
 def readme_library_example():

@@ -1,6 +1,7 @@
 """Every command and preset, over parameter sets that SystemParams accepts,
-ends one of two ways: exit 0 with a finite, physically sensible CSV, or
-exit 1 with a single ``error:`` line, no traceback and no file."""
+ends one of two ways: exit 0 with a finite, physically sensible CSV (a
+spectrum on a grid above 0 Hz), or exit 1 with a single ``error:`` line, no
+traceback and no file."""
 
 import contextlib
 import io
@@ -86,6 +87,7 @@ def check_run(argv, config):
     assert all(np.isfinite(column).all() for column in columns.values())
     if "transmission" in columns:
         t, r, grid = columns["transmission"], columns["reflection"], columns["nu_hz"]
+        assert grid[0] > 0.0
         assert t.min() >= 0.0 and r.min() >= 0.0
         assert (t + r).max() <= 1.0 + 1e-9
         for line in comments:
@@ -105,5 +107,7 @@ REFERENCE = {"num_sites": 100_000, "theta_rad": 0.0, "dipole_Cm": 5e-29, "beam_w
          config=dict(REFERENCE, theta_rad=math.pi / 2, gamma_cavity_hz=0.0))
 @example(argv=["figure", "7b"], config=dict(REFERENCE, beam_waist_m=1e-9))
 @example(argv=["rabi-vs-theta"], config=dict(REFERENCE, dipole_Cm=1e-40))
+# A coupling of 5.1e14 Hz puts the default grid's lower end at -2.15e15 Hz.
+@example(argv=["spectrum"], config={"dipole_Cm": 1e-21, "theta_rad": MAGIC_ANGLE_RAD})
 def test_every_run_writes_sensible_output_or_exits_1(argv, config):
     check_run(argv, config)

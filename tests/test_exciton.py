@@ -13,7 +13,6 @@ from lattice_polariton import (
     PLANCK_H,
     SystemParams,
     cavity_frequency,
-    coupling_sum,
     envelope_mode_couplings,
     exciton_energies,
     mode_coupling_array,
@@ -24,7 +23,8 @@ from lattice_polariton import (
     transfer_parameter,
 )
 from oracles import (
-    SiteHamiltonian, coupling_sum_rule, diagonalize_site_hamiltonian, sine_mode_vector,
+    SiteHamiltonian, coupling_sum, coupling_sum_rule, diagonalize_site_hamiltonian,
+    sine_mode_vector,
 )
 
 REF = SystemParams()

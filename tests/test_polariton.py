@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lattice_polariton import (
     MAGIC_ANGLE_RAD,
+    InvalidParameterError,
     ModelVariant,
     SystemParams,
     collective_coupling_noninteracting,
@@ -158,6 +159,30 @@ class TestVacuumRabiVsN:
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(LIMIT_RATIO, rel=5e-3)
 
+    @pytest.mark.parametrize("variant", [ModelVariant.TWO_MODE_SUPERRADIANT,
+                                         ModelVariant.NONINTERACTING_COLLECTIVE])
+    def test_refuses_what_system_params_refuses(self, variant):
+        with pytest.raises(InvalidParameterError, match="num_sites must be an integer in "
+                                                         r"1\.\.100000000, got 0$"):
+            vacuum_rabi_vs_N(REF, [10, 0], variant)
+        for theta, num_sites, message in [
+            (0.0, 0, "num_sites must be an integer in 1..100000000, got 0"),
+            (0.0, 10**8 + 1, "num_sites must be an integer in 1..100000000, got 100000001"),
+            (math.nan, 10, "theta_rad must be a finite number, got nan"),
+        ]:
+            with pytest.raises(InvalidParameterError) as refused:
+                generalized_rabi(REF, theta, num_sites, variant)
+            assert str(refused.value) == message
+
+    def test_superradiant_line_below_zero_is_refused(self):
+        # J is so large that the superradiant line, where the cavity sits,
+        # is negative from N = 2 on.
+        params = SystemParams(dipole_Cm=3e-24, cavity_frequency_hz=4e14)
+        with pytest.raises(InvalidParameterError, match="cavity_frequency_hz must be a positive"):
+            vacuum_rabi_vs_N(params, [1, 2], ModelVariant.TWO_MODE_SUPERRADIANT)
+        (_, omega), = vacuum_rabi_vs_N(params, [2], ModelVariant.NONINTERACTING_COLLECTIVE)
+        assert omega == 2.0 * collective_coupling_noninteracting(replace(params, num_sites=2))
+
     def test_multimode_not_supported(self):
         with pytest.raises(ValueError, match="two-mode or noninteracting"):
             vacuum_rabi_vs_N(REF, [10], ModelVariant.FULL_MULTIMODE)
@@ -299,16 +324,18 @@ class TestMultimode:
             assert carried[-1] >= doublet.upper_hz
 
     def test_truncation_deviation_report(self):
-        # Exploratory: how far the photon-dominated doublet moves when every
-        # bright mode is kept.  No fixed tolerance; prints for the record.
-        for n in (2, 10, 50, 1000):
+        # How far the photon-dominated doublet moves when every bright mode
+        # is kept: not at all at N = 2 and 10, by 13 % at 50 and 11 % at 1000.
+        bounds = {2: (0.999, 1.001), 10: (0.999, 1.001), 50: (1.12, 1.14), 1000: (1.10, 1.12)}
+        for n, (low, high) in bounds.items():
             p = SystemParams(num_sites=n)
             result = multimode_diagonalize(p)
             doublet = superradiant_doublet(p)
             top2 = np.sort(np.argsort(result.photon_weights)[-2:])
             multi = result.frequencies_hz[top2[1]] - result.frequencies_hz[top2[0]]
-            two = doublet.splitting_hz
-            print(f"N={n}: multimode/two-mode splitting ratio = {multi / two:.4f}")
+            ratio = multi / doublet.splitting_hz
+            print(f"N={n}: multimode/two-mode splitting ratio = {ratio:.4f}")
+            assert low < ratio < high, (n, ratio)
 
     def test_envelope_flag(self):
         p = SystemParams(num_sites=30)
