@@ -12,7 +12,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -59,13 +58,83 @@ class Dataset(NamedTuple):
 
 
 # printf conversion per numpy dtype kind: floats carry 12 significant
-# digits, integers and strings are written as they are.
+# digits, integers and strings are written as they are.  It converts only
+# the cells whose bytes the block kernels below cannot prove.
 _CELL_FORMATS = {"f": "%.11e", "i": "%d", "u": "%d", "U": "%s"}
-# Rows are formatted a chunk at a time, with one % per chunk of at most this
-# many cells.  The chunk's text (under 100 kB) stays below glibc's 128 kB mmap
-# threshold: larger chunks make glibc raise it and serve them from the heap,
-# which then fragments; a run of several large tables peaked 10 MB higher.
-_CHUNK_CELLS = 4096
+# Bytes of row text laid out at a time, in buffers reused from block to block.
+_BLOCK_BYTES = 1 << 18
+# Digit pairs "00" to "99" read as uint16; 10**k correctly rounded for k in
+# [-297, 308]; the largest odd m with m * 5**j < 2**53; and the exponent
+# 308 - k (sign and three digits) read as uint32, for the scale _POW10[k].
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_POW10 = np.array([float(f"1e{k}") for k in range(-297, 309)])
+_ODD_LIMITS = np.array([(2**53 - 1) // 5**j for j in range(23)])
+_EXPONENTS = np.frombuffer("".join(f"{e:+04d}" for e in range(308, -298, -1)).encode(), np.uint32)
+# A field starts with its separator, and keeps its digit pairs at even
+# offsets: a float's sign, d.ddddddddddd, e and exponent; an integer's sign,
+# two bytes that only "-9223372036854775808" needs, and 18 digits.
+_FLOAT_FIELD = b",-0.00000000000e+000"
+_INT_FIELD = b",-\0\0" + b"0" * 18
+
+
+def _float_fields(x, field, keep):
+    """Lay out '%.11e' of the floats x (rows x columns) in ``field`` (rows x
+    columns x 20 bytes), and return where its digits are not proven: the
+    13th digit near a tie, or a value not finite, subnormal or beyond the
+    10**k table.  Zeros take the same path as any other cell."""
+    with np.errstate(all="ignore"):  # log10(0) and non-finite cells
+        a = np.abs(x)
+        e = np.nan_to_num(np.floor(np.log10(a)), nan=0.0, posinf=0.0, neginf=0.0)
+        k = np.clip(308 - e.astype(np.intp), 0, _POW10.size - 1)  # _POW10[k] = 10**(11 - e)
+        s = a * _POW10[k]
+        k += (s > 0) & (s < 1e11)  # log10 rounded across a power of ten
+        k -= s >= 1e12
+        np.clip(k, 0, _POW10.size - 1, out=k)
+        s = a * _POW10[k]  # within 2 ulp: the 12 digits before the point
+        fits = (s >= 1e11) & (s < 1e12)
+        near = np.abs(s - np.floor(s) - 0.5) <= 1e-3  # to a tie, against an error of 2.3e-4
+    proven = fits & ~near | (a == 0)
+    # rint breaks a tie to even, as '%' does, so a near-tie is proven when s
+    # is exact: 10**j is (0 <= j <= 22), and a's odd mantissa times 5**j fits
+    # in 53 bits.
+    ties = np.flatnonzero(fits & near & (k >= 297) & (k <= 319))
+    mantissa = (np.frexp(a.flat[ties])[0] * 2.0**53).astype(np.int64)
+    proven.flat[ties] = mantissa // (mantissa & -mantissa) <= _ODD_LIMITS[k.flat[ties] - 297]
+    digits = np.rint(np.where(proven, s, 0.0)).astype(np.int64)
+    carry = digits == 10**12
+    digits[carry] = 10**11
+    high = digits // 10**11
+    field[..., 2] = ord("0") + high
+    pairs = field.view(np.uint16)
+    for i, scale in enumerate((10**9, 10**7, 10**5, 10**3, 10)):
+        low = digits // scale
+        pairs[..., 2 + i] = _PAIRS[low - 100 * high]
+        high = low
+    field[..., 14] = ord("0") + digits - 10 * high
+    k -= carry
+    field.view(np.uint32)[..., 4] = _EXPONENTS[k]
+    keep[..., 1] = np.signbit(x)
+    keep[..., 17] = field[..., 17] != ord("0")
+    return ~proven
+
+
+def _int_fields(v, field, keep):
+    """Lay out '%d' of the int64 cells v (rows x columns) in ``field`` (rows x
+    columns x 22 bytes), and return where |v| reaches 10**18."""
+    a = np.abs(v)  # -2**63 stays negative
+    unproven = (a >= 10**18) | (a < 0)
+    a[unproven] = 0
+    pairs = field.view(np.uint16)
+    top, high = max(int(a.max()), 1), 0
+    for i, scale in enumerate(10 ** (16 - 2 * i) for i in range(9)):
+        if scale <= top:  # the pairs above are "00", hidden as leading zeros
+            low = a // scale
+            pairs[..., 2 + i] = _PAIRS[low - 100 * high]
+            high = low
+    shown = np.searchsorted(10 ** np.arange(1, 18), a, side="right")  # digits - 1
+    keep[..., 4:] = np.arange(18) >= 17 - shown[..., None]
+    keep[..., 1] = v < 0
+    return unproven
 
 
 def _write_csv(
@@ -75,19 +144,60 @@ def _write_csv(
 
     Comment lines end in "\\n"; the header and data rows end in "\\r\\n", as
     csv.writer's do.  Strings are written unquoted, so they must not hold a
-    comma, a double quote or a line break.
+    comma, a double quote, a line break or a NUL.  A block of rows is laid
+    out in fixed-width fields, each with a mask of its bytes to keep: one
+    kernel call fills every float column's fields, one every integer
+    column's.  They are joined in column order, and the kept bytes written.
     """
-    row_format = ",".join(_CELL_FORMATS[c.dtype.kind] for c in columns.values()) + "\r\n"
-    rows = len(next(iter(columns.values())))
+    cells = list(columns.values())
+    kinds = [c.dtype.kind for c in cells]
+    formats = [_CELL_FORMATS[kind] for kind in kinds]
+    floats, ints, strs = ([j for j, k in enumerate(kinds) if k in ks] for ks in ("f", "iu", "U"))
+    # A string field holds its label in UTF-8, at most 4 bytes a character.
+    texts = [{"f": _FLOAT_FIELD, "i": _INT_FIELD, "u": _INT_FIELD}.get(k, b"," + bytes(c.itemsize))
+             for k, c in zip(kinds, cells)]
+    starts = np.cumsum([0] + [len(t) for t in texts]).tolist()
+    rows = len(cells[0])
+    step = max(1, min(rows, _BLOCK_BYTES // (starts[-1] + 2)))
+
+    def fields(text, count):  # (2 x step x count x width): bytes, and 1 where one is kept
+        text = np.frombuffer(text, np.uint8)
+        return np.tile(np.stack([text, text != 0])[:, None, None], (1, step, count, 1))
+
+    floatf, intf = fields(_FLOAT_FIELD, len(floats)), fields(_INT_FIELD, len(ints))
+    strf = {j: fields(texts[j], 1)[:, :, 0] for j in strs}
+    parts = {**{j: floatf[:, :, i] for i, j in enumerate(floats)}, **strf}
+    parts.update({j: intf[:, :, i] for i, j in enumerate(ints)})
+    parts = [parts[j] for j in range(len(cells))] + [fields(b"\r\n", 1)[:, :, 0]]
+    row = np.empty((2, step, starts[-1] + 2), np.uint8)
+    unsigned = np.array([kinds[j] == "u" for j in ints])
     with open(path, "w", newline="") as handle:
         for line in comments:
             handle.write(f"# {line}\n")
         handle.write(",".join(columns) + "\r\n")
-        chunk_rows = max(1, _CHUNK_CELLS // len(columns))
-        for start in range(0, rows, chunk_rows):
-            chunk = [c[start : start + chunk_rows].tolist() for c in columns.values()]
-            cells = tuple(chain.from_iterable(zip(*chunk)))
-            handle.write(row_format * len(chunk[0]) % cells)
+        handle.flush()
+        for r0 in range(0, rows, step):
+            n = min(step, rows - r0)
+            unproven = np.zeros((n, len(cells)), bool)
+            if floats:
+                x = np.stack([cells[j][r0 : r0 + n] for j in floats], axis=1, dtype=float)
+                unproven[:, floats] = _float_fields(x, floatf[0, :n], floatf[1, :n])
+            if ints:
+                v = np.stack([cells[j][r0 : r0 + n] for j in ints], 1, dtype=np.int64, casting="unsafe")
+                unproven[:, ints] = _int_fields(v, intf[0, :n], intf[1, :n]) | (v < 0) & unsigned
+            for j, field in strf.items():  # UCS-4 code points: an ASCII label's bytes
+                points = np.ascontiguousarray(cells[j][r0 : r0 + n]).view(np.uint32).reshape(n, -1)
+                field[0, :n, 1 : 1 + points.shape[1]] = points
+                field[1, :n, 1 : 1 + points.shape[1]] = points != 0
+                unproven[:, j] = (points > 127).any(axis=1)
+            np.concatenate([part[:, :n] for part in parts], axis=2, out=row[:, :n])
+            row[1, :n, 0] = 0  # the first field's separator
+            for i, j in zip(*np.nonzero(unproven)):
+                text = (formats[j] % cells[j][r0 + i]).encode(handle.encoding)
+                start, end = starts[j] + 1, starts[j + 1]
+                row[0, i, start : start + len(text)] = np.frombuffer(text, np.uint8)
+                row[1, i, start:end] = np.arange(end - start) < len(text)
+            handle.buffer.write(row[0, :n][row[1, :n].view(bool)])
 
 
 def _width(fwhm_hz: float, spec: str, missing: str) -> str:
@@ -228,7 +338,8 @@ _DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], tuple[str, ...] | None,
 
 def _dataset_bytes(spec: RunSpec) -> float:
     """Peak bytes a dataset's builder and writer take: per row (site or grid
-    point), the tracemalloc peaks at 1e5-1e6 rows, rounded up."""
+    point), the tracemalloc peaks at 1e5-1e6 rows, rounded up, apart from
+    the writer's blocks, about 1 MB whatever the rows."""
     build = _DATASETS[spec.dataset][0]
     if build is _exciton_modes:
         return 80.0 * spec.params.num_sites
@@ -340,9 +451,11 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
 
     if args.grid_points is not None and not 1 <= args.grid_points <= MAX_NUM_SITES:
         raise ConfigError(f"--grid-points must be in 1..{MAX_NUM_SITES}, got {args.grid_points}")
-    if args.grid_span_hz is not None and not (0 < args.grid_span_hz < math.inf):
+    # The grids reach 2 x span across: the spectrum's from -span to +span, and
+    # polariton's cavity from 2 x span below the line to 2 x span above it.
+    if args.grid_span_hz is not None and not (0 < 2.0 * args.grid_span_hz < math.inf):
         raise ConfigError(
-            f"--grid-span-hz must be a positive finite number, got {args.grid_span_hz}"
+            f"--grid-span-hz must be a positive number whose double is finite, got {args.grid_span_hz}"
         )
     build, _, grid_defaults = _DATASETS[dataset]
     grid = dict(grid_defaults)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import locale
 import math
 import os
 import string
@@ -22,7 +23,7 @@ from lattice_polariton import (
     load_params, superradiant_coupling, superradiant_doublet, superradiant_energy,
     transfer_parameter,
 )
-from lattice_polariton.cli import _CHUNK_CELLS, FIGURE_IDS, _write_csv, main
+from lattice_polariton.cli import _BLOCK_BYTES, FIGURE_IDS, _write_csv, main
 from lattice_polariton.params import MAX_NUM_SITES, superradiant_shift
 
 COMMANDS = ("dispersion", "couplings", "polariton", "spectrum", "rabi-vs-n", "rabi-vs-theta")
@@ -328,6 +329,25 @@ class TestGridFlags:
     )
     def test_flags_the_command_reads_are_accepted(self, argv, tmp_path, capsys):
         assert main([*argv.split(), "--num-sites", "50", "--out", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize("command", ["polariton", "spectrum", "figure 4a", "figure 5"])
+    @pytest.mark.parametrize("span", ["1e308", "8.99e307", "inf", "nan"])
+    def test_span_whose_grid_overflows_is_refused(self, command, span, tmp_path, capsys):
+        # The pytest filters turn any numpy overflow warning into an error.
+        out = tmp_path / "o.csv"
+        assert main([*command.split(), "--grid-span-hz", span, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --grid-span-hz must be a positive number whose double is finite, "
+            f"got {float(span)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["polariton", "spectrum"])
+    def test_largest_span_with_a_finite_grid_is_refused_further_on(self, command, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([command, "--grid-span-hz", "8.98e307", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--grid-span-hz" not in err
+        assert not out.exists()
 
     def test_detuning_span_past_zero_hz_is_refused(self, tmp_path, capsys):
         # The cavity sweeps from the superradiant line down to -1.6e15 Hz.
@@ -716,7 +736,9 @@ class TestWriteCsv:
         _write_csv(path, columns, comments)
         assert path.read_bytes() == reference_csv(names, list(zip(*values)), comments)
 
-    CHUNK_ROWS = _CHUNK_CELLS // 3  # rows per chunk of the three-column table below
+    # Rows per block of the table below: a 22-byte int field, a 20-byte float
+    # field, a 17-byte field for "<U4" labels, and the line end.
+    CHUNK_ROWS = _BLOCK_BYTES // (22 + 20 + 17 + 2)
 
     @pytest.mark.parametrize(
         "rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 4096, 8193]
@@ -737,3 +759,70 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         _write_csv(path, {"k": k, "x": x})
         assert path.read_bytes() == reference_csv(["k", "x"], zip(k.tolist(), x.tolist()))
+
+    @pytest.mark.parametrize("block_bytes", [1, 61, 200, 1000])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16, 17, 50])
+    def test_small_blocks(self, block_bytes, rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        x = np.geomspace(1e-300, 1e300, rows) * np.where(np.arange(rows) % 2, -1, 1)
+        label = np.where(np.arange(rows) % 3 == 0, "bright", "\u00e9t\u00e9")
+        k = np.array([2**63 - 1 - i if i % 4 == 1 else i * 7919 * (-1) ** i for i in range(rows)])
+        self.assert_matches_oracle({"x": x, "label": label, "k": k, "y": -x}, tmp_path)
+
+    @staticmethod
+    def assert_matches_oracle(columns, tmp_path, comments=()):
+        path = tmp_path / "t.csv"
+        _write_csv(path, columns, comments)
+        rows = zip(*[c.tolist() for c in columns.values()])
+        # A label that is not ASCII is written in the encoding open() uses.
+        text = reference_csv(list(columns), rows, comments).decode()
+        assert path.read_bytes() == text.encode(locale.getpreferredencoding(False))
+
+    def test_decimal_ties_at_the_13th_digit(self, tmp_path):
+        # Half a unit of the 12th digit, exactly in binary or not: '%' rounds
+        # an exact tie to even and any other value to its nearer side.
+        ties = [1234567890125.0, 1234567890135.0, 0.5, 2.5, 1.25, 9.5, 1.0000000000050000e2,
+                1.000000000015e6, 123456789012.5, 4.5e-7, 2.0**-20, 2.0**60, 3.0 * 2.0**-40]
+        x = np.array(ties + [np.nextafter(t, np.inf) for t in ties] + [np.nextafter(t, 0) for t in ties])
+        self.assert_matches_oracle({"x": x, "neg": -x}, tmp_path)
+
+    def test_doubles_nearest_decimal_ties(self, tmp_path):
+        # 13 significant digits ending in 5: the double is just above or below
+        # the tie, and the scaled product can round onto it.
+        rng = np.random.default_rng(12)
+        mantissas = rng.integers(10**11, 10**12, 3000)
+        x = np.array([float(f"{m}5e{p}") for m, p in zip(mantissas, rng.integers(-40, 30, 3000))])
+        self.assert_matches_oracle({"x": x, "neg": -x}, tmp_path)
+
+    def test_round_up_across_a_power_of_ten(self, tmp_path):
+        k = np.arange(-300, 301)
+        x = np.array([float(f"9.999999999995e{e}") for e in k] + [float(f"9.9999999999949e{e}") for e in k])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0)])
+        self.assert_matches_oracle({"x": x, "neg": -x}, tmp_path)
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        x = np.array([float(f"1e{e}") for e in range(-300, 301)])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0), 5 * x, 0.5 * x])
+        self.assert_matches_oracle({"x": x, "neg": -x}, tmp_path)
+
+    def test_special_floats_and_int64_extremes(self, tmp_path):
+        info, tiny = np.iinfo(np.int64), np.finfo(float).tiny
+        x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, tiny / 3, tiny,
+                      np.nextafter(tiny, 0), np.finfo(float).max, -np.finfo(float).max, 1e-297, 1e-298])
+        k = np.array([info.min, info.max, info.min + 1, -(10**18), 10**18 - 1, 10**18, 0, -1, 1,
+                      -(10**18) + 1, 999_999_999_999_999_999, 10, -10, 99, 100], np.int64)
+        u = np.array([2**64 - 1, 2**63, 2**63 - 1, 10**18, 0, 7, 10**18 - 1, 1, 2, 3, 4, 5, 6, 8, 9],
+                     np.uint64)
+        self.assert_matches_oracle({"x": x, "k": k, "u": u, "small": k.astype(np.int8)}, tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["dispersion", "--num-sites", "200000", "--theta-deg", "30"],
+        ["spectrum", "--grid-points", "125000"],
+    ])
+    def test_large_tables_match_the_per_cell_writer(self, argv, tmp_path):
+        path = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        spec = cli._build_spec(cli.build_parser().parse_args([*argv, "--out", str(path)]))
+        dataset = cli._DATASETS[spec.dataset][0](spec)
+        rows = zip(*[c.tolist() for c in dataset.columns.values()])
+        assert path.read_bytes() == reference_csv(list(dataset.columns), rows, dataset.comments)

@@ -214,6 +214,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(REF, REF_DAMPING, ModelVariant.TWO_MODE_SUPERRADIANT, narrow)
 
+    @pytest.mark.parametrize("span_hz", [0.0, -1.0, 1e308, math.inf, math.nan])
+    def test_grid_span_that_overflows_linspace_is_refused(self, span_hz):
+        # The suite's filters would raise numpy's overflow warning instead.
+        with pytest.raises(ValueError, match="grid span must be positive"):
+            default_grid(REF, span_hz=span_hz)
+
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_default_grid_widens_with_the_splitting(self, variant):
         # Omega_0 grows as sqrt(N): 2.5 Omega_0 passes the fixed 150 MHz
