@@ -17,9 +17,8 @@ from .params import (
     site_positions, superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant, PolaritonDoublet, collective_coupling_noninteracting, generalized_rabi,
-    multimode_diagonalize, superradiant_coupling, superradiant_doublet, two_mode_doublet,
-    vacuum_rabi_vs_N, variant_center,
+    ModelVariant, PolaritonDoublet, collective_coupling_noninteracting, multimode_diagonalize,
+    rabi_splitting, superradiant_coupling, superradiant_doublet, two_mode_doublet, variant_center,
 )
 from .spectra import (
     NoOutputChannelError, Peak, SpectrumTrace, cavity_response, default_grid, peak_find, sweep,

@@ -13,7 +13,9 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +26,8 @@ from .params import (
     load_params, superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant, _one_mode, collective_coupling_noninteracting, generalized_rabi,
-    superradiant_coupling, two_mode_doublet, vacuum_rabi_vs_N, variant_center,
+    ModelVariant, _one_mode, collective_coupling_noninteracting, rabi_splitting,
+    superradiant_coupling, two_mode_doublet, variant_center,
 )
 from .spectra import DEFAULT_GRID_POINTS, SpectrumTrace, default_grid, peak_find, sweep
 
@@ -57,10 +59,10 @@ class Dataset(NamedTuple):
     trace: SpectrumTrace | None = None
 
 
-# printf conversion per numpy dtype kind: floats carry 12 significant
-# digits, integers and strings are written as they are.  It converts only
+# printf conversion per numpy dtype kind of a number: floats carry 12
+# significant digits, integers are written as they are.  It converts only
 # the cells whose bytes the block kernels below cannot prove.
-_CELL_FORMATS = {"f": "%.11e", "i": "%d", "u": "%d", "U": "%s"}
+_CELL_FORMATS = {"f": "%.11e", "i": "%d"}
 # Bytes of row text laid out at a time, in buffers reused from block to block.
 _BLOCK_BYTES = 1 << 18
 # Digit pairs "00" to "99" read as uint16; 10**k correctly rounded for k in
@@ -143,18 +145,21 @@ def _write_csv(
     """Write equal-length named columns as one CSV dataset.
 
     Comment lines end in "\\n"; the header and data rows end in "\\r\\n", as
-    csv.writer's do.  Strings are written unquoted, so they must not hold a
+    csv.writer's do.  A column holds floats, signed integers or labels as
+    byte strings, written as their bytes, unquoted: a label must not hold a
     comma, a double quote, a line break or a NUL.  A block of rows is laid
     out in fixed-width fields, each with a mask of its bytes to keep: one
     kernel call fills every float column's fields, one every integer
-    column's.  They are joined in column order, and the kept bytes written.
+    column's, and a label's bytes are copied.  They are joined in column
+    order, and the kept bytes written.
     """
     cells = list(columns.values())
     kinds = [c.dtype.kind for c in cells]
-    formats = [_CELL_FORMATS[kind] for kind in kinds]
-    floats, ints, strs = ([j for j, k in enumerate(kinds) if k in ks] for ks in ("f", "iu", "U"))
-    # A string field holds its label in UTF-8, at most 4 bytes a character.
-    texts = [{"f": _FLOAT_FIELD, "i": _INT_FIELD, "u": _INT_FIELD}.get(k, b"," + bytes(c.itemsize))
+    for name, kind in zip(columns, kinds):
+        if kind not in "fiS":
+            raise ValueError(f"column {name} has dtype kind {kind!r}: write floats, ints or bytes")
+    floats, ints, strs = ([j for j, k in enumerate(kinds) if k == kind] for kind in "fiS")
+    texts = [{"f": _FLOAT_FIELD, "i": _INT_FIELD}.get(k, b"," + bytes(c.itemsize))
              for k, c in zip(kinds, cells)]
     starts = np.cumsum([0] + [len(t) for t in texts]).tolist()
     rows = len(cells[0])
@@ -170,7 +175,6 @@ def _write_csv(
     parts.update({j: intf[:, :, i] for i, j in enumerate(ints)})
     parts = [parts[j] for j in range(len(cells))] + [fields(b"\r\n", 1)[:, :, 0]]
     row = np.empty((2, step, starts[-1] + 2), np.uint8)
-    unsigned = np.array([kinds[j] == "u" for j in ints])
     with open(path, "w", newline="") as handle:
         for line in comments:
             handle.write(f"# {line}\n")
@@ -183,17 +187,16 @@ def _write_csv(
                 x = np.stack([cells[j][r0 : r0 + n] for j in floats], axis=1, dtype=float)
                 unproven[:, floats] = _float_fields(x, floatf[0, :n], floatf[1, :n])
             if ints:
-                v = np.stack([cells[j][r0 : r0 + n] for j in ints], 1, dtype=np.int64, casting="unsafe")
-                unproven[:, ints] = _int_fields(v, intf[0, :n], intf[1, :n]) | (v < 0) & unsigned
-            for j, field in strf.items():  # UCS-4 code points: an ASCII label's bytes
-                points = np.ascontiguousarray(cells[j][r0 : r0 + n]).view(np.uint32).reshape(n, -1)
-                field[0, :n, 1 : 1 + points.shape[1]] = points
-                field[1, :n, 1 : 1 + points.shape[1]] = points != 0
-                unproven[:, j] = (points > 127).any(axis=1)
+                v = np.stack([cells[j][r0 : r0 + n] for j in ints], axis=1, dtype=np.int64)
+                unproven[:, ints] = _int_fields(v, intf[0, :n], intf[1, :n])
+            for j, field in strf.items():
+                text = np.ascontiguousarray(cells[j][r0 : r0 + n]).view(np.uint8).reshape(n, -1)
+                field[0, :n, 1:] = text
+                field[1, :n, 1:] = text != 0
             np.concatenate([part[:, :n] for part in parts], axis=2, out=row[:, :n])
             row[1, :n, 0] = 0  # the first field's separator
             for i, j in zip(*np.nonzero(unproven)):
-                text = (formats[j] % cells[j][r0 + i]).encode(handle.encoding)
+                text = (_CELL_FORMATS[kinds[j]] % cells[j][r0 + i]).encode()
                 start, end = starts[j] + 1, starts[j + 1]
                 row[0, i, start : start + len(text)] = np.frombuffer(text, np.uint8)
                 row[1, i, start:end] = np.arange(end - start) < len(text)
@@ -220,7 +223,7 @@ def _exciton_modes(spec: RunSpec) -> Dataset:
         "coupling_hz": couplings,
         "coupling_sq_hz2": couplings**2,
         # Even-k modes have no net dipole, so parity alone decides darkness.
-        "class": np.where(k % 2 == 0, "dark", "bright"),
+        "class": np.where(k % 2 == 0, b"dark", b"bright"),
         "oscillator_fraction": oscillator_fractions(couplings),
     }
     return Dataset(columns)
@@ -268,47 +271,44 @@ def _spectrum(spec: RunSpec) -> Dataset:
     return Dataset(columns, comments, trace)
 
 
+def _rabi_curves(spec: RunSpec, axis: dict[str, np.ndarray], cavity_hz: float | None,
+                 curves: dict[str, tuple[ModelVariant, Iterable, Iterable]]) -> Dataset:
+    """Rabi splittings along the axis column: each curve is a variant with
+    its site counts and angles, the axis's values and one value repeated."""
+    columns = dict(axis)
+    for name, (variant, sites, thetas) in curves.items():
+        # Straight into an array: a per-point list of floats would double the peak memory.
+        splittings = map(partial(rabi_splitting, spec.params, variant), sites, thetas, repeat(cavity_hz))
+        columns[name] = np.fromiter(splittings, float)
+    return Dataset(columns)
+
+
 def _rabi_vs_n(spec: RunSpec) -> Dataset:
     counts = _log_site_counts(spec.params.num_sites)
-    interacting = vacuum_rabi_vs_N(spec.params, counts, _TWO_MODE)
-    collective = vacuum_rabi_vs_N(spec.params, counts, _NONINTERACTING)
-    columns = {
-        "N": counts,
-        "omega0_int_hz": np.array([omega for _, omega in interacting]),
-        "omega0_nonint_hz": np.array([omega for _, omega in collective]),
-    }
-    return Dataset(columns)
+    sites, theta = counts.tolist(), repeat(spec.params.theta_rad)
+    return _rabi_curves(spec, {"N": counts}, None, {
+        "omega0_int_hz": (_TWO_MODE, sites, theta),
+        "omega0_nonint_hz": (_NONINTERACTING, sites, theta),
+    })
 
 
 def _rabi_vs_theta(spec: RunSpec) -> Dataset:
-    params = spec.params
-    thetas = np.linspace(0.0, math.pi / 2.0, spec.grid_points)
-
-    def curve(variant: ModelVariant) -> np.ndarray:
-        return np.array([generalized_rabi(params, t, params.num_sites, variant) for t in thetas])
-
-    columns = {
-        "theta_rad": thetas,
-        "omega_int_hz": curve(_TWO_MODE),
-        "omega_nonint_hz": curve(_NONINTERACTING),
-    }
-    return Dataset(columns)
+    thetas, num_sites = np.linspace(0.0, math.pi / 2.0, spec.grid_points), repeat(spec.params.num_sites)
+    return _rabi_curves(spec, {"theta_rad": thetas}, spec.params.atom_frequency_hz, {
+        "omega_int_hz": (_TWO_MODE, num_sites, thetas),
+        "omega_nonint_hz": (_NONINTERACTING, num_sites, thetas),
+    })
 
 
 def _rabi_vs_n_at_angles(spec: RunSpec) -> Dataset:
     counts = _log_site_counts(spec.params.num_sites)
-
-    def curve(theta: float, variant: ModelVariant) -> np.ndarray:
-        return np.array([generalized_rabi(spec.params, theta, n, variant) for n in counts])
-
-    columns = {
-        "N": counts,
-        "omega_int_theta0_hz": curve(0.0, _TWO_MODE),
-        "omega_int_magic_hz": curve(MAGIC_ANGLE_RAD, _TWO_MODE),
-        "omega_int_theta90_hz": curve(math.pi / 2.0, _TWO_MODE),
-        "omega_nonint_hz": curve(0.0, _NONINTERACTING),
-    }
-    return Dataset(columns)
+    sites = counts.tolist()
+    return _rabi_curves(spec, {"N": counts}, spec.params.atom_frequency_hz, {
+        "omega_int_theta0_hz": (_TWO_MODE, sites, repeat(0.0)),
+        "omega_int_magic_hz": (_TWO_MODE, sites, repeat(MAGIC_ANGLE_RAD)),
+        "omega_int_theta90_hz": (_TWO_MODE, sites, repeat(math.pi / 2.0)),
+        "omega_nonint_hz": (_NONINTERACTING, sites, repeat(0.0)),
+    })
 
 
 # A span of None lets default_grid size the spectrum's grid.
@@ -336,20 +336,13 @@ _DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], tuple[str, ...] | None,
 }
 
 
-def _dataset_bytes(spec: RunSpec) -> float:
-    """Peak bytes a dataset's builder and writer take: per row (site or grid
-    point), the tracemalloc peaks at 1e5-1e6 rows, rounded up, apart from
-    the writer's blocks, about 1 MB whatever the rows."""
-    build = _DATASETS[spec.dataset][0]
-    if build is _exciton_modes:
-        return 80.0 * spec.params.num_sites
-    if build is _polariton:  # one doublet object per grid point
-        return 480.0 * spec.grid_points
-    if build is _spectrum:
-        return 56.0 * spec.grid_points + 64.0 * spec.params.num_sites * spec.envelope_exact
-    if build is _rabi_vs_theta:
-        return 64.0 * spec.grid_points
-    return 0.0  # 61 atom numbers at most
+# Peak bytes a builder and the writer take per site and per grid point: the
+# tracemalloc peaks at 1e5-1e6 rows, rounded up, apart from the writer's
+# blocks, about 1 MB whatever the rows.  A builder not listed takes 61 atom
+# numbers at most.  The exact envelope adds its own per-site bytes.
+_ROW_BYTES = {_exciton_modes: (64.0, 0.0), _polariton: (0.0, 480.0), _spectrum: (0.0, 56.0),
+              _rabi_vs_theta: (0.0, 32.0)}
+_ENVELOPE_SITE_BYTES = 64.0
 
 
 def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace | None) -> list[str]:
@@ -366,7 +359,7 @@ def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace |
         for p in trace.peaks:
             lines.append(f"  {p.location_hz:.6e}  {p.height:.4e}  {_width(p.fwhm_hz, '.4e', 'n/a')}")
         lines.append("reflection dips (location_hz, depth):")
-        dips = peak_find(trace.frequencies_hz, -trace.reflection)
+        dips = peak_find(trace.frequencies_hz, -trace.reflection, ceiling=0.0)
         lines += [f"  {dip.location_hz:.6e}  {-dip.height:.4e}" for dip in dips]
     return lines
 
@@ -374,7 +367,9 @@ def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace |
 def run(spec: RunSpec) -> int:
     """Execute a resolved RunSpec: write its CSV dataset, print a summary."""
     build, names, _ = _DATASETS[spec.dataset]
-    need = _dataset_bytes(spec)
+    site_bytes, point_bytes = _ROW_BYTES.get(build, (0.0, 0.0))
+    need = ((site_bytes + _ENVELOPE_SITE_BYTES * spec.envelope_exact) * spec.params.num_sites
+            + point_bytes * (spec.grid_points or 0))
     if need > DENSE_BUDGET_BYTES:
         name = f"figure {spec.dataset}" if spec.dataset in FIGURE_IDS else spec.dataset
         points = "" if spec.grid_points is None else f" and {spec.grid_points} grid points"
@@ -394,34 +389,42 @@ def run(spec: RunSpec) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON parameter file")
-    common.add_argument("--out", metavar="PATH", help="output CSV path")
-    common.add_argument("--model", choices=[v.value for v in ModelVariant], default="two-mode",
-                        help="model variant (default: two-mode)")
-    common.add_argument("--num-sites", type=int, help="number of lattice sites")
-    common.add_argument("--theta-deg", type=float, help="dipole angle in degrees")
-    common.add_argument("--nu-c-hz", type=float, help="explicit cavity frequency in Hz")
-    common.add_argument("--grid-points", type=int, help="sweep grid size")
-    common.add_argument("--grid-span-hz", type=float, help="sweep half-span in Hz")
-    common.add_argument("--envelope", choices=("exact", "flat"), default="flat",
-                        help="beam envelope for the multimode model (default: flat)")
+# Each command with its help line: the choices of the command argument, and
+# the listing in --help.
+_COMMANDS = {
+    "dispersion": "exciton mode energies",
+    "couplings": "exciton-photon couplings",
+    "polariton": "polariton doublet vs detuning",
+    "spectrum": "transmission/reflection spectrum",
+    "rabi-vs-n": "vacuum Rabi splitting vs atom number",
+    "rabi-vs-theta": "generalized Rabi splitting vs angle",
+    "figure": f"named figure presets, by id: {', '.join(FIGURE_IDS)}",
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-polariton",
-        description="Collective excitons of a finite atomic chain in a cavity: "
+        description="Collective excitons of a finite atomic chain in a cavity:\n"
         "dispersion, couplings, polariton doublets, Rabi splittings, and spectra.",
+        epilog="commands:\n" + "\n".join(f"  {c:15} {text}" for c, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("dispersion", parents=[common], help="exciton mode energies")
-    sub.add_parser("couplings", parents=[common], help="exciton-photon couplings")
-    sub.add_parser("polariton", parents=[common], help="polariton doublet vs detuning")
-    sub.add_parser("spectrum", parents=[common], help="transmission/reflection spectrum")
-    sub.add_parser("rabi-vs-n", parents=[common], help="vacuum Rabi splitting vs atom number")
-    sub.add_parser("rabi-vs-theta", parents=[common], help="generalized Rabi splitting vs angle")
-    fig = sub.add_parser("figure", parents=[common], help="named figure presets")
-    fig.add_argument("id", nargs="?", choices=FIGURE_IDS, help="figure preset id")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("id", nargs="?", choices=FIGURE_IDS, metavar="id",
+                        help="figure preset id, after figure only")
+    parser.add_argument("--config", metavar="PATH", help="JSON parameter file")
+    parser.add_argument("--out", metavar="PATH", help="output CSV path")
+    parser.add_argument("--model", choices=[v.value for v in ModelVariant], default="two-mode",
+                        help="model variant (default: two-mode)")
+    parser.add_argument("--num-sites", type=int, help="number of lattice sites")
+    parser.add_argument("--theta-deg", type=float, help="dipole angle in degrees")
+    parser.add_argument("--nu-c-hz", type=float, help="explicit cavity frequency in Hz")
+    parser.add_argument("--grid-points", type=int, help="sweep grid size")
+    parser.add_argument("--grid-span-hz", type=float, help="sweep half-span in Hz")
+    parser.add_argument("--envelope", choices=("exact", "flat"), default="flat",
+                        help="beam envelope for the multimode model (default: flat)")
     return parser
 
 
@@ -437,10 +440,8 @@ def _check_transfer_rate(params: SystemParams) -> None:
     if not math.isfinite(transfer):
         raise ArithmeticError(f"the dipole-dipole transfer rate J is {transfer} Hz")
     if not 0.0 < cavity < math.inf:
-        raise ConfigError(
-            f"the dipole-dipole transfer rate J = {transfer:.6e} Hz puts the superradiant "
-            f"line, the default cavity frequency, at {cavity:.6e} Hz"
-        )
+        raise ConfigError(f"the dipole-dipole transfer rate J = {transfer:.6e} Hz puts the superradiant "
+                          f"line, the default cavity frequency, at {cavity:.6e} Hz")
 
 
 def _build_spec(args: argparse.Namespace) -> RunSpec:
@@ -468,36 +469,19 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
     if args.envelope == "exact" and not (build is _spectrum and args.model == "multimode"):
         raise ConfigError("--envelope exact needs spectrum or figure 5 with --model multimode")
 
-    overrides = {
-        "num_sites": args.num_sites,
-        "cavity_frequency_hz": args.nu_c_hz,
-    }
+    overrides = {"num_sites": args.num_sites, "cavity_frequency_hz": args.nu_c_hz}
     if args.theta_deg is not None:
         overrides["theta_rad"] = math.radians(args.theta_deg)
     params = load_params(args.config, **overrides)
 
     if figure and params.cavity_frequency_hz is not None:
-        raise ConfigError(
-            "figure presets own the resonance convention; give neither --nu-c-hz "
-            "nor cavity_frequency_hz in the parameter file"
-        )
+        raise ConfigError("figure presets own the resonance convention; give neither --nu-c-hz "
+                          "nor cavity_frequency_hz in the parameter file")
     _check_transfer_rate(params)
 
-    if args.out:
-        out_path = Path(args.out)
-    elif figure:
-        out_path = Path(f"fig{dataset}.csv")
-    else:
-        out_path = Path(f"{dataset}.csv")
-
-    return RunSpec(
-        dataset=dataset,
-        params=params,
-        variant=ModelVariant(args.model),
-        out_path=out_path,
-        envelope_exact=(args.envelope == "exact"),
-        **grid,
-    )
+    out_path = Path(args.out or (f"fig{dataset}.csv" if figure else f"{dataset}.csv"))
+    return RunSpec(dataset, params, ModelVariant(args.model), out_path,
+                   envelope_exact=args.envelope == "exact", **grid)
 
 
 def _refuse(exc: Exception) -> int:
@@ -510,7 +494,9 @@ def _refuse(exc: Exception) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
+    if args.id is not None and args.command != "figure":
+        parser.error(f"{args.command} takes no figure id, got {args.id}")
     try:
         spec = _build_spec(args)
     except (ValueError, OSError, ArithmeticError) as exc:

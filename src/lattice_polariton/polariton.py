@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -123,6 +123,12 @@ def collective_coupling_noninteracting(params: SystemParams) -> float:
     return _own_mode(params, ModelVariant.NONINTERACTING_COLLECTIVE)[0]
 
 
+def _half_splitting(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> float:
+    """Half-splitting sqrt(detuning^2 + coupling^2) of one exciton mode
+    against the cavity, with the detuning (E_c - E_ex)/2."""
+    return math.hypot((cavity_hz - exciton_hz) / 2.0, coupling_hz)
+
+
 def two_mode_doublet(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> PolaritonDoublet:
     """Diagonalize one exciton mode against the cavity mode.
 
@@ -134,7 +140,7 @@ def two_mode_doublet(cavity_hz: float, exciton_hz: float, coupling_hz: float) ->
     if coupling_hz < 0:
         raise ValueError(f"coupling_hz must be >= 0, got {coupling_hz}")
     detuning = (cavity_hz - exciton_hz) / 2.0
-    half_split = math.hypot(detuning, coupling_hz)
+    half_split = _half_splitting(cavity_hz, exciton_hz, coupling_hz)
     mean = (cavity_hz + exciton_hz) / 2.0
     upper = mean + half_split
     lower = mean - half_split
@@ -200,35 +206,23 @@ def variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, 
     return (cavity_frequency(params) + exciton_hz) / 2.0, 2.0 * coupling_hz
 
 
-def vacuum_rabi_vs_N(
-    params: SystemParams, n_values: Iterable[int], variant: ModelVariant
-) -> list[tuple[int, float]]:
-    """Vacuum Rabi splitting 2|coupling|/h versus atom number.
-
-    The cavity sits on the variant's own line: the superradiant exciton for
-    the interacting chain, the bare atomic line for the non-interacting gas.
-    """
-    cavity_hz = None if variant is ModelVariant.TWO_MODE_SUPERRADIANT else params.atom_frequency_hz
-    return [
-        (int(n), 2.0 * _one_mode(params, variant, cavity_hz, int(n), params.theta_rad)[0])
-        for n in n_values
-    ]
-
-
-def generalized_rabi(
-    params: SystemParams, theta_rad: float, num_sites: int, variant: ModelVariant
+def rabi_splitting(
+    params: SystemParams, variant: ModelVariant, num_sites: int, theta_rad: float,
+    cavity_hz: float | None = None,
 ) -> float:
-    """Rabi splitting with the cavity locked on the bare atomic line.
-
-    The transfer shift then detunes the superradiant exciton from the
-    cavity, so the interacting splitting is 2 sqrt(detuning^2 + coupling^2)
-    and depends on the dipole angle; the non-interacting splitting is
-    2 sqrt(N) times the single-site coupling, angle-independent.
-    """
+    """Rabi splitting 2 sqrt(detuning^2 + coupling^2) of a one-mode variant
+    at N sites and dipole angle theta.  A cavity of None sits on the
+    variant's own line (the superradiant exciton, or the bare atomic line
+    for the non-interacting gas): the vacuum Rabi splitting 2 |coupling|.
+    On the atomic line, the transfer shift detunes the superradiant
+    exciton, and the generalized splitting depends on the angle."""
     atom_hz = params.atom_frequency_hz
-    coupling, shift = _one_mode(params, variant, atom_hz, int(num_sites), theta_rad)
-    # The detuning from the absolute exciton line, rounded as in two_mode_doublet.
-    return 2.0 * math.hypot((atom_hz - (atom_hz + shift)) / 2.0, coupling)
+    if cavity_hz is None and variant is ModelVariant.NONINTERACTING_COLLECTIVE:
+        cavity_hz = atom_hz
+    coupling, shift = _one_mode(params, variant, cavity_hz, num_sites, theta_rad)
+    exciton_hz = atom_hz + shift
+    cavity_hz = exciton_hz if cavity_hz is None else cavity_hz
+    return 2.0 * _half_splitting(cavity_hz, exciton_hz, coupling)
 
 
 def multimode_diagonalize(

@@ -236,7 +236,7 @@ def sweep(
     imag_sq = np.square(t_imag, out=t_imag)
     transmission = t_real * t_real + imag_sq
     reflection = (1.0 - t_real) ** 2 + imag_sq
-    peaks = tuple(peak_find(grid, transmission))
+    peaks = tuple(peak_find(grid, transmission, ceiling=1.0))
     return SpectrumTrace(
         frequencies_hz=grid,
         transmission=transmission,
@@ -246,15 +246,20 @@ def sweep(
     )
 
 
-def _parabolic_vertex(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _parabolic_vertex(x: np.ndarray, y: np.ndarray, floor: float, ceiling: float) -> tuple[float, float]:
     """Vertex of the parabola through three points (x shifted for
-    conditioning); falls back to the middle sample if degenerate."""
+    conditioning), at or above the middle sample.  The maximum is
+    unresolved, and keeps its sample, if the fit is degenerate, if the
+    vertex passes ``ceiling``, or if a neighbour lies below half the
+    sample's height above ``floor``: next to a one-point transmission zero,
+    say, the vertex would overshoot by up to 1/8 of the drop."""
     x0 = x[1]
     a, b, c = np.polyfit(x - x0, y, 2)
-    if a >= 0.0:
-        return float(x0), float(y[1])
-    xv = -b / (2.0 * a)
-    return float(x0 + xv), float(c - b**2 / (4.0 * a))
+    if a < 0.0 and 2.0 * min(y[0], y[2]) >= y[1] + floor:
+        height = c - b**2 / (4.0 * a)
+        if height <= ceiling:
+            return float(x0 - b / (2.0 * a)), float(max(height, y[1]))
+    return float(x0), float(y[1])
 
 
 # Steps the first window of a half-height search tests; each later window
@@ -288,8 +293,9 @@ def _half_crossing(
     return math.nan
 
 
-def peak_find(frequencies_hz: np.ndarray, values: np.ndarray) -> list[Peak]:
-    """Local maxima by 3-point comparison with parabolic refinement.
+def peak_find(frequencies_hz: np.ndarray, values: np.ndarray, ceiling: float = math.inf) -> list[Peak]:
+    """Local maxima by 3-point comparison with parabolic refinement, which
+    stops at ``ceiling``, the trace's bound (1 for a transmission).
 
     FWHM comes from linearly interpolated half-height crossings on both
     sides (NaN when a side never crosses).  Peaks are ordered by location;
@@ -303,9 +309,10 @@ def peak_find(frequencies_hz: np.ndarray, values: np.ndarray) -> list[Peak]:
         return []
     inner = vals[1:-1]
     maxima = np.flatnonzero((inner > vals[:-2]) & (inner > vals[2:])) + 1
+    floor = vals.min()
     peaks = []
     for i in maxima.tolist():
-        location, height = _parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2])
+        location, height = _parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2], floor, ceiling)
         half = height / 2.0
         left = _half_crossing(freq, vals, i, half, -1)
         right = _half_crossing(freq, vals, i, half, +1)

@@ -17,17 +17,16 @@ from lattice_polariton import (
     SystemParams,
     collective_coupling_noninteracting,
     exciton_energies,
-    generalized_rabi,
     mode_coupling_array,
     multimode_diagonalize,
     oscillator_fractions,
     peak_find,
+    rabi_splitting,
     superradiant_coupling,
     superradiant_doublet,
     sweep,
     transfer_parameter,
     two_mode_doublet,
-    vacuum_rabi_vs_N,
 )
 from oracles import (
     SiteHamiltonian, coupling_sum_rule, diagonalize_site_hamiltonian, sine_mode_vector,
@@ -121,8 +120,9 @@ def test_criterion_5_collective_coupling():
     collective = collective_coupling_noninteracting(resonant)
     ok_value = math.isclose(collective, 2.8e7, rel_tol=0.03)
 
-    (_, omega_int), = vacuum_rabi_vs_N(REF, [1000], ModelVariant.TWO_MODE_SUPERRADIANT)
-    (_, omega_non), = vacuum_rabi_vs_N(REF, [1000], ModelVariant.NONINTERACTING_COLLECTIVE)
+    # The cavity on each variant's own line.
+    omega_int = rabi_splitting(REF, ModelVariant.TWO_MODE_SUPERRADIANT, 1000, REF.theta_rad)
+    omega_non = rabi_splitting(REF, ModelVariant.NONINTERACTING_COLLECTIVE, 1000, REF.theta_rad)
     difference = omega_non - omega_int
     ok_diff = math.isclose(difference, 5e6, rel_tol=0.25)
 
@@ -176,17 +176,18 @@ def test_criterion_6_polariton_doublet():
 def test_criterion_7_generalized_rabi_minimum():
     resonant = SystemParams(cavity_frequency_hz=REF.atom_frequency_hz)
     floor = 2.0 * superradiant_coupling(resonant)
-    at_magic = generalized_rabi(REF, MAGIC_ANGLE_RAD, 1000, ModelVariant.TWO_MODE_SUPERRADIANT)
+    atom_hz = REF.atom_frequency_hz  # the cavity on the bare atomic line
+    at_magic = rabi_splitting(REF, ModelVariant.TWO_MODE_SUPERRADIANT, 1000, MAGIC_ANGLE_RAD, atom_hz)
     ok_equal = abs(at_magic - floor) <= 1e-12 * floor
 
     thetas = np.linspace(0.0, math.pi / 2, 499)
     omegas = np.array(
-        [generalized_rabi(REF, t, 1000, ModelVariant.TWO_MODE_SUPERRADIANT) for t in thetas]
+        [rabi_splitting(REF, ModelVariant.TWO_MODE_SUPERRADIANT, 1000, t, atom_hz) for t in thetas]
     )
     ok_min = bool(np.all(omegas >= floor))
     ok_min &= abs(thetas[int(np.argmin(omegas))] - MAGIC_ANGLE_RAD) < thetas[1] - thetas[0]
 
-    nonint = generalized_rabi(REF, MAGIC_ANGLE_RAD, 1000, ModelVariant.NONINTERACTING_COLLECTIVE)
+    nonint = rabi_splitting(REF, ModelVariant.NONINTERACTING_COLLECTIVE, 1000, MAGIC_ANGLE_RAD, atom_hz)
     ok_below = at_magic < nonint
     report(
         7,

@@ -60,10 +60,13 @@ def arrowhead_matrix(poles, couplings, corner):
 
 def assert_eigen_equation(matrix, solution):
     """max |A V - V Lambda| within 1e-13 of ||A||_2: orthonormal vectors
-    alone do not show that they belong to A."""
+    alone do not show that they belong to A.  For a subnormal matrix that
+    bound rounds to 0, below the float64 quantum, so it is floored at one
+    smallest subnormal per row of the product's sums."""
     vectors = solution.eigenvectors
     residual = matrix @ vectors - vectors * solution.frequencies_hz
-    assert np.abs(residual).max() <= 1e-13 * np.linalg.norm(matrix, 2)
+    floor = matrix.shape[0] * np.finfo(float).smallest_subnormal
+    assert np.abs(residual).max() <= max(1e-13 * np.linalg.norm(matrix, 2), floor)
 
 
 def oracle(params, envelope):
@@ -355,6 +358,10 @@ def arrowheads(draw):
 # point onto the wrong side of the root between them, and the eigenvectors
 # missed A v = lam v by 0.05 of the scale.
 @example((np.array([1.0, 1.000000000000001]), np.array([0.875, 1.0]), 0.0))
+# A subnormal matrix: the residual is one subnormal step, and 1e-13 of the
+# norm rounds to 0 (the floor of assert_eigen_equation).
+@example((np.array([5e-320]), np.array([5e-320]), 0.0))
+@example((np.array([2.22507386e-313]), np.array([2.22507386e-313]), 0.0))
 def test_random_arrowheads(problem):
     poles, couplings, corner = problem
     n = poles.size

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import locale
 import math
 import os
 import string
@@ -141,8 +140,8 @@ class TestExitCodes:
              "polariton at N = 1000 and 100000000 grid points needs about 48 GB"),
             ("figure 4b --grid-points 100000000",
              "figure 4b at N = 1000 and 100000000 grid points needs about 48 GB"),
-            ("dispersion --num-sites 100000000", "dispersion at N = 100000000 needs about 8 GB"),
-            ("couplings --num-sites 100000000", "couplings at N = 100000000 needs about 8 GB"),
+            ("dispersion --num-sites 100000000", "dispersion at N = 100000000 needs about 6.4 GB"),
+            ("couplings --num-sites 100000000", "couplings at N = 100000000 needs about 6.4 GB"),
             ("spectrum --grid-points 100000000",
              "spectrum at N = 1000 and 100000000 grid points needs about 5.6 GB"),
             ("spectrum --model multimode --envelope exact --num-sites 100000000",
@@ -256,6 +255,38 @@ class TestExitCodes:
         assert main(["dispersion", "--out", str(out)]) == 1
         assert "(x is not finite)" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParser:
+    def test_help_names_every_command_with_its_help_line(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        listing = capsys.readouterr().out.split("\ncommands:\n", 1)[1].splitlines()
+        assert set(cli._COMMANDS) == {*COMMANDS, "figure"}
+        assert [line.split(None, 1) for line in listing] == [list(c) for c in cli._COMMANDS.items()]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_figure_id_after_another_command_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main([command, "5"])
+        assert exited.value.code == 2
+        assert f"error: {command} takes no figure id, got 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--num-sites", "7", "--out", "{out}", "figure", "3a"],
+        ["figure", "--num-sites", "7", "--out", "{out}", "3a"],
+        ["--num-sites", "7", "figure", "--out", "{out}", "3a"],
+        ["figure", "3a", "--num-sites", "7", "--out", "{out}"],
+    ])
+    def test_flags_before_and_between_positionals_are_accepted(self, argv, tmp_path, capsys):
+        reference = tmp_path / "reference.csv"
+        assert main(["dispersion", "--num-sites", "7", "--out", str(reference)]) == 0
+        out = tmp_path / "o.csv"
+        assert main([a.format(out=out) for a in argv]) == 0
+        assert out.read_bytes() == reference.read_bytes()
 
 
 class TestGridFlags:
@@ -479,6 +510,25 @@ class TestCommands:
         assert np.isfinite(values).all()
         assert values[len(values) // 2].tolist() == [4e14, 0.0, 0.0, 1.0]
 
+    def test_peaks_and_dips_next_to_a_transmission_zero(self, tmp_path, capsys):
+        # Each doublet maximum has a one-point transmission zero beside it;
+        # the parabolas through them once gave heights of 1.1245 and dips
+        # of depth -0.1245.
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps({
+            "dipole_Cm": 1e-40, "gamma_atom_hz": 0, "gamma_cavity_hz": 0,
+            "theta_rad": 0.9553166181245092, "num_sites": 857,
+        }))
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--model", "multimode", "--config", str(config),
+                     "--out", str(out)]) == 0
+        _, rows, comments = read_csv(out)
+        heights = [float(c.split(",")[2]) for c in comments if c.startswith("# peak")]
+        assert heights == [max(float(r[2]) for r in rows)] * 2 == [9.99775050614e-01] * 2
+        stdout = capsys.readouterr().out
+        depths = [float(line.split()[1]) for line in stdout.split("depth):\n")[1].splitlines()[:-1]]
+        assert depths == [2.2495e-04] * 2
+
     def test_polariton_resonant_weights(self, tmp_path, capsys):
         out = tmp_path / "pol.csv"
         assert main(["polariton", "--grid-points", "11", "--out", str(out)]) == 0
@@ -690,14 +740,16 @@ def test_module_entry_point_runs_main(tmp_path, monkeypatch, capsys):
 
 def reference_csv(header, rows, comments=()):
     """The per-cell writer that produced the reference datasets: csv.writer
-    rows, floats as f"{v:.11e}", ints and strings as they are."""
+    rows, floats as f"{v:.11e}", ints and strings as they are, and byte
+    strings decoded."""
     handle = io.StringIO(newline="")
     for line in comments:
         handle.write(f"# {line}\n")
     writer = csv.writer(handle)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([cell if isinstance(cell, (str, int)) else f"{cell:.11e}" for cell in row])
+        writer.writerow([cell.decode() if isinstance(cell, bytes) else
+                         cell if isinstance(cell, (str, int)) else f"{cell:.11e}" for cell in row])
     return handle.getvalue().encode()
 
 
@@ -717,7 +769,7 @@ def tables(draw):
     rows = draw(st.integers(min_value=0, max_value=20))
     kinds = draw(st.lists(st.sampled_from(["float", "int", "str"]), min_size=1, max_size=6))
     strategy = {"float": FLOATS, "int": INTS, "str": STRS}
-    dtype = {"float": np.float64, "int": np.int64, "str": str}
+    dtype = {"float": np.float64, "int": np.int64, "str": np.bytes_}
     values = [draw(st.lists(strategy[kind], min_size=rows, max_size=rows)) for kind in kinds]
     names = [f"c{i}_{kind}" for i, kind in enumerate(kinds)]
     columns = {n: np.array(v, dtype=dtype[kind]) for n, v, kind in zip(names, values, kinds)}
@@ -737,7 +789,8 @@ class TestWriteCsv:
         assert path.read_bytes() == reference_csv(names, list(zip(*values)), comments)
 
     # Rows per block of the table below: a 22-byte int field, a 20-byte float
-    # field, a 17-byte field for "<U4" labels, and the line end.
+    # field, a 17-byte field for labels padded with NULs to "S16", and the
+    # line end.
     CHUNK_ROWS = _BLOCK_BYTES // (22 + 20 + 17 + 2)
 
     @pytest.mark.parametrize(
@@ -746,7 +799,7 @@ class TestWriteCsv:
     def test_chunk_boundaries(self, rows, tmp_path):
         k = np.arange(rows)
         x = np.linspace(-1.0, 1.0, rows)
-        label = np.where(k % 3 == 0, "100%", "%s%d")
+        label = np.where(k % 3 == 0, b"100%", b"%s%d").astype("S16")
         path = tmp_path / "t.csv"
         _write_csv(path, {"k": k, "x": x, "label": label}, ("50% done",))
         expected = reference_csv(["k", "x", "label"], zip(k.tolist(), x.tolist(), label.tolist()),
@@ -765,7 +818,7 @@ class TestWriteCsv:
     def test_small_blocks(self, block_bytes, rows, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
         x = np.geomspace(1e-300, 1e300, rows) * np.where(np.arange(rows) % 2, -1, 1)
-        label = np.where(np.arange(rows) % 3 == 0, "bright", "\u00e9t\u00e9")
+        label = np.where(np.arange(rows) % 3 == 0, b"bright", b"dark")
         k = np.array([2**63 - 1 - i if i % 4 == 1 else i * 7919 * (-1) ** i for i in range(rows)])
         self.assert_matches_oracle({"x": x, "label": label, "k": k, "y": -x}, tmp_path)
 
@@ -774,9 +827,7 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         _write_csv(path, columns, comments)
         rows = zip(*[c.tolist() for c in columns.values()])
-        # A label that is not ASCII is written in the encoding open() uses.
-        text = reference_csv(list(columns), rows, comments).decode()
-        assert path.read_bytes() == text.encode(locale.getpreferredencoding(False))
+        assert path.read_bytes() == reference_csv(list(columns), rows, comments)
 
     def test_decimal_ties_at_the_13th_digit(self, tmp_path):
         # Half a unit of the 12th digit, exactly in binary or not: '%' rounds
@@ -811,9 +862,16 @@ class TestWriteCsv:
                       np.nextafter(tiny, 0), np.finfo(float).max, -np.finfo(float).max, 1e-297, 1e-298])
         k = np.array([info.min, info.max, info.min + 1, -(10**18), 10**18 - 1, 10**18, 0, -1, 1,
                       -(10**18) + 1, 999_999_999_999_999_999, 10, -10, 99, 100], np.int64)
-        u = np.array([2**64 - 1, 2**63, 2**63 - 1, 10**18, 0, 7, 10**18 - 1, 1, 2, 3, 4, 5, 6, 8, 9],
-                     np.uint64)
-        self.assert_matches_oracle({"x": x, "k": k, "u": u, "small": k.astype(np.int8)}, tmp_path)
+        self.assert_matches_oracle({"x": x, "k": k, "small": k.astype(np.int8)}, tmp_path)
+
+    @pytest.mark.parametrize("column", [
+        np.array(["dark"]), np.array([7], np.uint64), np.array([True]), np.array([1j]),
+    ], ids=["U", "u", "b", "c"])
+    def test_refuses_columns_that_are_not_floats_ints_or_bytes(self, column, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=f"column c has dtype kind '{column.dtype.kind}'"):
+            _write_csv(path, {"x": np.zeros(1), "c": column})
+        assert not path.exists()
 
     @pytest.mark.parametrize("argv", [
         ["dispersion", "--num-sites", "200000", "--theta-deg", "30"],

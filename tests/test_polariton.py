@@ -13,15 +13,14 @@ from lattice_polariton import (
     SystemParams,
     collective_coupling_noninteracting,
     exciton_energies,
-    generalized_rabi,
     mode_coupling_array,
     multimode_diagonalize,
+    rabi_splitting,
     site_coupling,
     superradiant_coupling,
     superradiant_doublet,
     superradiant_energy,
     two_mode_doublet,
-    vacuum_rabi_vs_N,
 )
 
 REF = SystemParams()
@@ -138,95 +137,97 @@ class TestTwoModeDoublet:
             two_mode_doublet(4e14, 4e14, -1.0)
 
 
+TWO, NON = ModelVariant.TWO_MODE_SUPERRADIANT, ModelVariant.NONINTERACTING_COLLECTIVE
+
+
+def vacuum_rabi(params, variant, num_sites):
+    """rabi_splitting with the cavity on the variant's own line."""
+    return rabi_splitting(params, variant, num_sites, params.theta_rad)
+
+
+def generalized_rabi(params, variant, num_sites, theta_rad):
+    """rabi_splitting with the cavity on the bare atomic line."""
+    return rabi_splitting(params, variant, num_sites, theta_rad, params.atom_frequency_hz)
+
+
 class TestVacuumRabiVsN:
     def test_reference_values(self):
-        (_, omega_int), = vacuum_rabi_vs_N(REF, [1000], ModelVariant.TWO_MODE_SUPERRADIANT)
-        (_, omega_non), = vacuum_rabi_vs_N(REF, [1000], ModelVariant.NONINTERACTING_COLLECTIVE)
+        omega_int = vacuum_rabi(REF, TWO, 1000)
+        omega_non = vacuum_rabi(REF, NON, 1000)
         assert omega_int == pytest.approx(5.1e7, rel=0.02)
         assert omega_non == pytest.approx(2 * 2.835e7, rel=0.02)
         assert omega_non - omega_int == pytest.approx(5e6, rel=0.25)
 
     def test_noninteracting_exact_sqrt_n(self):
-        results = dict(vacuum_rabi_vs_N(REF, [1, 4, 9, 100], ModelVariant.NONINTERACTING_COLLECTIVE))
+        results = {n: vacuum_rabi(REF, NON, n) for n in [1, 4, 9, 100]}
         for n, omega in results.items():
             assert omega == pytest.approx(math.sqrt(n) * results[1], rel=1e-12)
 
     def test_ratio_monotone_to_limit(self):
         counts = [2, 3, 5, 10, 20, 50, 100, 300, 1000, 3000]
-        interacting = dict(vacuum_rabi_vs_N(REF, counts, ModelVariant.TWO_MODE_SUPERRADIANT))
-        collective = dict(vacuum_rabi_vs_N(REF, counts, ModelVariant.NONINTERACTING_COLLECTIVE))
-        ratios = [interacting[n] / collective[n] for n in counts]
+        ratios = [vacuum_rabi(REF, TWO, n) / vacuum_rabi(REF, NON, n) for n in counts]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(LIMIT_RATIO, rel=5e-3)
 
-    @pytest.mark.parametrize("variant", [ModelVariant.TWO_MODE_SUPERRADIANT,
-                                         ModelVariant.NONINTERACTING_COLLECTIVE])
+    @pytest.mark.parametrize("variant", [TWO, NON])
     def test_refuses_what_system_params_refuses(self, variant):
-        with pytest.raises(InvalidParameterError, match="num_sites must be an integer in "
-                                                         r"1\.\.100000000, got 0$"):
-            vacuum_rabi_vs_N(REF, [10, 0], variant)
         for theta, num_sites, message in [
             (0.0, 0, "num_sites must be an integer in 1..100000000, got 0"),
             (0.0, 10**8 + 1, "num_sites must be an integer in 1..100000000, got 100000001"),
             (math.nan, 10, "theta_rad must be a finite number, got nan"),
         ]:
-            with pytest.raises(InvalidParameterError) as refused:
-                generalized_rabi(REF, theta, num_sites, variant)
-            assert str(refused.value) == message
+            for cavity_hz in (None, REF.atom_frequency_hz):
+                with pytest.raises(InvalidParameterError) as refused:
+                    rabi_splitting(REF, variant, num_sites, theta, cavity_hz)
+                assert str(refused.value) == message
 
     def test_superradiant_line_below_zero_is_refused(self):
         # J is so large that the superradiant line, where the cavity sits,
         # is negative from N = 2 on.
         params = SystemParams(dipole_Cm=3e-24, cavity_frequency_hz=4e14)
+        assert vacuum_rabi(params, TWO, 1) > 0.0
         with pytest.raises(InvalidParameterError, match="cavity_frequency_hz must be a positive"):
-            vacuum_rabi_vs_N(params, [1, 2], ModelVariant.TWO_MODE_SUPERRADIANT)
-        (_, omega), = vacuum_rabi_vs_N(params, [2], ModelVariant.NONINTERACTING_COLLECTIVE)
+            vacuum_rabi(params, TWO, 2)
+        omega = vacuum_rabi(params, NON, 2)
         assert omega == 2.0 * collective_coupling_noninteracting(replace(params, num_sites=2))
 
     def test_multimode_not_supported(self):
-        with pytest.raises(ValueError, match="two-mode or noninteracting"):
-            vacuum_rabi_vs_N(REF, [10], ModelVariant.FULL_MULTIMODE)
-        with pytest.raises(ValueError, match="two-mode or noninteracting"):
-            generalized_rabi(REF, 0.0, 10, ModelVariant.FULL_MULTIMODE)
+        for cavity_hz in (None, REF.atom_frequency_hz):
+            with pytest.raises(ValueError, match="two-mode or noninteracting"):
+                rabi_splitting(REF, ModelVariant.FULL_MULTIMODE, 10, 0.0, cavity_hz)
 
 
 class TestGeneralizedRabi:
     def test_magic_angle_equals_vacuum_splitting(self):
         resonant = SystemParams(cavity_frequency_hz=REF.atom_frequency_hz)
         expected = 2.0 * superradiant_coupling(resonant)
-        omega = generalized_rabi(REF, MAGIC_ANGLE_RAD, 1000, ModelVariant.TWO_MODE_SUPERRADIANT)
+        omega = generalized_rabi(REF, TWO, 1000, MAGIC_ANGLE_RAD)
         assert omega == pytest.approx(expected, rel=1e-12)
-        omega_non = generalized_rabi(REF, MAGIC_ANGLE_RAD, 1000, ModelVariant.NONINTERACTING_COLLECTIVE)
-        assert omega < omega_non
+        assert omega < generalized_rabi(REF, NON, 1000, MAGIC_ANGLE_RAD)
 
     def test_parallel_dipole_value(self):
         # frozen from the rounded transfer and coupling scales
         expected = 2.0 * math.hypot(6.8e7 * math.cos(math.pi / 1001), 2.55e7)
-        omega = generalized_rabi(REF, 0.0, 1000, ModelVariant.TWO_MODE_SUPERRADIANT)
+        omega = generalized_rabi(REF, TWO, 1000, 0.0)
         assert omega == pytest.approx(expected, rel=0.01)
         assert omega == pytest.approx(1.45e8, rel=0.01)
 
     def test_perpendicular_dipole_value(self):
         expected = 2.0 * math.hypot(3.4e7 * math.cos(math.pi / 1001), 2.55e7)
-        omega = generalized_rabi(REF, math.pi / 2, 1000, ModelVariant.TWO_MODE_SUPERRADIANT)
+        omega = generalized_rabi(REF, TWO, 1000, math.pi / 2)
         assert omega == pytest.approx(expected, rel=0.01)
         assert omega == pytest.approx(8.5e7, rel=0.01)
 
     def test_minimum_at_magic_angle(self):
         thetas = np.linspace(0.0, math.pi / 2, 499)
-        omegas = np.array(
-            [generalized_rabi(REF, t, 1000, ModelVariant.TWO_MODE_SUPERRADIANT) for t in thetas]
-        )
-        floor = generalized_rabi(REF, MAGIC_ANGLE_RAD, 1000, ModelVariant.TWO_MODE_SUPERRADIANT)
+        omegas = np.array([generalized_rabi(REF, TWO, 1000, t) for t in thetas])
+        floor = generalized_rabi(REF, TWO, 1000, MAGIC_ANGLE_RAD)
         assert np.all(omegas >= floor)
         step = thetas[1] - thetas[0]
         assert abs(thetas[np.argmin(omegas)] - MAGIC_ANGLE_RAD) < step
 
     def test_noninteracting_theta_independent(self):
-        values = {
-            generalized_rabi(REF, t, 1000, ModelVariant.NONINTERACTING_COLLECTIVE)
-            for t in (0.0, 0.4, MAGIC_ANGLE_RAD, 1.2)
-        }
+        values = {generalized_rabi(REF, NON, 1000, t) for t in (0.0, 0.4, MAGIC_ANGLE_RAD, 1.2)}
         assert len(values) == 1
 
 
@@ -259,9 +260,7 @@ def reference_generalized_rabi(params, theta_rad, num_sites, variant):
     waist=st.floats(min_value=1e-6, max_value=1e-2),
     atom_hz=st.floats(min_value=1e13, max_value=1e16),
     cavity_hz=st.one_of(st.none(), st.floats(min_value=1e13, max_value=1e16)),
-    variant=st.sampled_from(
-        [ModelVariant.TWO_MODE_SUPERRADIANT, ModelVariant.NONINTERACTING_COLLECTIVE]
-    ),
+    variant=st.sampled_from([TWO, NON]),
 )
 def test_rabi_splittings_match_per_variant_formulas_bitwise(
     num_sites, theta, waist, atom_hz, cavity_hz, variant
@@ -270,9 +269,9 @@ def test_rabi_splittings_match_per_variant_formulas_bitwise(
         beam_waist_m=waist, atom_frequency_hz=atom_hz, cavity_frequency_hz=cavity_hz
     )
     expected = reference_vacuum_rabi(params, num_sites, variant)
-    assert vacuum_rabi_vs_N(params, [num_sites], variant) == [(num_sites, expected)]
+    assert rabi_splitting(params, variant, num_sites, params.theta_rad) == expected
     expected = reference_generalized_rabi(params, theta, num_sites, variant)
-    assert generalized_rabi(params, theta, num_sites, variant) == expected
+    assert rabi_splitting(params, variant, num_sites, theta, atom_hz) == expected
 
 
 class TestMultimode:

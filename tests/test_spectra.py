@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_polariton import (
@@ -22,6 +22,7 @@ from lattice_polariton import (
     sweep,
     variant_center,
 )
+from lattice_polariton.params import MAGIC_ANGLE_RAD
 from lattice_polariton.polariton import variant_modes
 from lattice_polariton.spectra import _DOUBLET_REACH, DEFAULT_GRID_POINTS, Peak, _parabolic_vertex
 
@@ -272,6 +273,69 @@ class TestPeakFind:
         with pytest.raises(ValueError):
             peak_find(np.arange(4.0), np.arange(5.0))
 
+    def test_maximum_next_to_a_one_point_zero_keeps_its_sample(self):
+        # The parabola through (0.999, 1.0, 0.0) peaks at 1.125, 1/8 of the
+        # drop above the sample.
+        x = np.arange(7.0)
+        values = np.array([0.5, 0.9, 0.999, 1.0, 0.0, 0.0, 0.0])
+        peak, = peak_find(x, values)
+        assert (peak.location_hz, peak.height) == (3.0, 1.0)
+        dip, = peak_find(x, -np.array([0.5, 0.1, 0.001, 0.0, 1.0, 1.0, 1.0]), ceiling=0.0)
+        assert (dip.location_hz, dip.height) == (3.0, 0.0)
+
+    def test_vertex_above_the_ceiling_keeps_its_sample(self):
+        x = np.arange(5.0)
+        values = np.array([0.0, 0.9, 0.99, 0.98, 0.0])
+        assert peak_find(x, values)[0].height > 0.99
+        assert peak_find(x, values, ceiling=0.99)[0].height == 0.99
+        assert peak_find(x, values, ceiling=0.99)[0].location_hz == 2.0
+
+
+def assert_peaks_at_or_above_their_samples(freq, values, peaks):
+    inner = values[1:-1]
+    maxima = np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
+    assert [p.height >= values[i] for p, i in zip(peaks, maxima)] == [True] * maxima.size
+    assert len(peaks) == maxima.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=8),
+       step=st.floats(1e-3, 1e9), start=st.floats(-1e15, 1e15))
+def test_refined_peaks_lie_at_or_above_their_samples(values, step, start):
+    freq, values = start + step * np.arange(float(len(values))), np.array(values)
+    if np.all(np.diff(freq) > 0):
+        peaks = peak_find(freq, values, ceiling=1.0)
+        assert_peaks_at_or_above_their_samples(freq, values, peaks)
+        assert all(p.height <= 1.0 for p in peaks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_sites=st.integers(1, 3000),
+    theta=st.sampled_from([0.0, 0.3, MAGIC_ANGLE_RAD, math.pi / 2]),
+    dipole=st.one_of(st.just(5e-29), st.floats(-40.0, -26.0).map(lambda e: 10.0**e)),
+    gamma_atom=st.sampled_from([0.0, 1e5, 1e7]),
+    gamma_cavity=st.sampled_from([0.0, 1e5, 1e7]),
+    variant=st.sampled_from(list(ModelVariant)),
+    points=st.sampled_from([7, 31, 301, DEFAULT_GRID_POINTS]),
+)
+# A multimode transmission zero one grid point from each maximum: the
+# parabolas through them peaked at 1.1245.
+@example(857, MAGIC_ANGLE_RAD, 1e-40, 0.0, 0.0, ModelVariant.FULL_MULTIMODE, DEFAULT_GRID_POINTS)
+# A resolved, undamped doublet whose parabolas peak at 1.000003.
+@example(1, 0.0, 5e-29, 0.0, 0.0, ModelVariant.TWO_MODE_SUPERRADIANT, DEFAULT_GRID_POINTS)
+# A symmetric maximum whose fitted vertex rounds one ulp below its sample.
+@example(1, 0.0, 5e-29, 1e7, 0.0, ModelVariant.TWO_MODE_SUPERRADIANT, DEFAULT_GRID_POINTS)
+def test_no_transmission_peak_exceeds_1(
+    num_sites, theta, dipole, gamma_atom, gamma_cavity, variant, points
+):
+    params = SystemParams(num_sites=num_sites, theta_rad=theta, dipole_Cm=dipole,
+                          gamma_atom_hz=gamma_atom, gamma_cavity_hz=gamma_cavity)
+    trace = sweep(params, DampingSet.from_params(params), variant,
+                  default_grid(params, variant, points=points))
+    assert_peaks_at_or_above_their_samples(trace.frequencies_hz, trace.transmission, trace.peaks)
+    assert all(p.height <= 1.0 for p in trace.peaks)
+
 
 def walked_half_crossing(freq, values, start, half, step):
     """The point-by-point walk that _half_crossing's windowed search replaced."""
@@ -296,7 +360,7 @@ def per_point_peak_find(frequencies_hz, values):
     peaks = []
     for i in range(1, freq.size - 1):
         if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
-            location, height = _parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2])
+            location, height = _parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2], vals.min(), math.inf)
             half = height / 2.0
             left = walked_half_crossing(freq, vals, i, half, -1)
             right = walked_half_crossing(freq, vals, i, half, +1)
