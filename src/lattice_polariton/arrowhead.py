@@ -18,8 +18,8 @@ The solver follows the standard accurate recipe for this problem:
   is added to each eigenvalue last, so the poles and the corner are small
   numbers with full relative precision.
 - Deflate: a coupling of at most eps * ||(d, z, alpha)|| leaves its pole an
-  exact eigenvalue with a unit eigenvector; a run of poles that coincide
-  within the same tolerance is reflected (as in LAPACK dlaed2) so that one
+  exact eigenvalue with a unit eigenvector; a run of poles that spans at
+  most the same tolerance is reflected (as in LAPACK dlaed2) so that one
   member carries its whole coupling and the others deflate like zero ones.
 - Find all roots at once, vectorized over roots and chunked so that every
   temporary has a fixed size.  Each root is stored as its offset from the
@@ -30,23 +30,28 @@ The solver follows the standard accurate recipe for this problem:
   one-pole model that keeps the linear term exact.  Every step is
   safeguarded by bisection inside a closed bracket and stops at the
   rounding level of f or of the offset.
-- Evaluate the sums in f one of two ways.  In general they are summed over
-  the poles, O(N) per root.  For the flat chain (the ``chain`` argument)
-  the sum is the chain's resolvent, whose closed form
+- Evaluate the sums in f one of two ways.  In general each block of
+  BLOCK_ROWS interior roots sums the poles within one block width of its
+  interval exactly and takes the others from Chebyshev interpolants built
+  once per block (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
+  Livne and Brandt, SIAM J. Matrix Anal. Appl. 24, 2002); the two outer
+  roots, and every root of a problem whose poles are all near, are summed
+  over every pole.  For the flat chain (the ``chain`` argument) the sum is
+  the chain's resolvent, whose closed form
   (``resolvent.chain_sum_near_pole``) costs O(1) per root; it gives only
   the total, so the model keeps the origin pole's own term exact and gives
-  the rest of f' to the other pole (a fixed-weight step), and the photon
-  weights are 1 / f'(lam).
-- Recompute the couplings from the computed roots (Gu and Eisenstat, SIAM
-  J. Matrix Anal. Appl. 16, 1995), so that the eigenvectors
-  v ~ [z_hat / (lam - d); 1] are orthogonal to working precision
-  (Jakovcevic Stor, Slapnicar and Barlow, Linear Algebra Appl. 464, 2015).
-  The photon weights of the pole-sum solve come from z_hat too: from the
-  original couplings they are not backward stable.
+  the rest of f' to the other pole (a fixed-weight step).  Either way the
+  photon weights are 1 / f'(lam) at the roots.
+- Recompute the couplings from the computed roots (Gu and Eisenstat), so
+  that the eigenvectors v ~ [z_hat / (lam - d); 1] are orthogonal to
+  working precision (Jakovcevic Stor, Slapnicar and Barlow, Linear Algebra
+  Appl. 464, 2015).
 
 Frequencies and photon weights need O(N) memory, and O(N) time for the flat
-chain, O(N^2) otherwise; z_hat costs O(N^2) and the dense eigenvector matrix
-O(N^2) memory, so both are built only on request.
+chain; in general the far-field tables cost FAR_NODES / BLOCK_ROWS pole
+sums per root, still O(N^2) but with a small constant.  z_hat costs O(N^2)
+time and the dense eigenvector matrix O(N^2) memory, so both are built on
+the first access of ``eigenvectors``.
 """
 
 from __future__ import annotations
@@ -62,6 +67,14 @@ from .resolvent import chain_sum_near_pole
 
 EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 100
+# Interior roots per block of the general solve, and the Chebyshev points
+# (second kind, on [0, 1]) with their barycentric weights for its far field.
+BLOCK_ROWS = 64
+FAR_NODES = 24
+FAR_CHUNK = 512  # far poles per pass of the table build
+_NODES = (1.0 + np.cos(np.pi * np.arange(FAR_NODES) / (FAR_NODES - 1))) / 2.0
+_NODE_WEIGHTS = np.where(np.arange(FAR_NODES) % 2, -1.0, 1.0)
+_NODE_WEIGHTS[[0, -1]] /= 2.0
 
 
 def _model_root(c, a, b):
@@ -74,22 +87,25 @@ def _model_root(c, a, b):
 
 
 class _PoleSums:
-    """The secular sums of one chunk of roots r0..r1-1, summed over the
-    poles in two reused (rows x n) buffers.  Root i lies between poles i-1
-    and i, so for row i the poles j < i are below the current point and the
-    poles j >= i above."""
+    """The secular sums of one chunk of roots r0..r1-1: summed over the
+    near poles lo..hi-1 (every pole by default) in two reused
+    (rows x (hi - lo)) buffers, plus the ``far`` field of the others.  Root
+    i lies between poles i-1 and i, so for row i the poles j < i are below
+    the current point and the poles j >= i above."""
 
-    def __init__(self, poles, couplings, r0, r1, buffers):
-        n = couplings.size
-        self.poles, self.couplings = poles, couplings
-        self.r0, self.mix_end = r0, min(r1, n)
+    def __init__(self, poles, couplings, r0, r1, buffers, near=None, far=None):
+        lo, hi = near or (0, couplings.size)
+        self.poles, self.near, self.couplings, self.far = poles, poles[lo:hi], couplings[lo:hi], far
+        self.r0, self.mix_end = r0 - lo, min(r1, hi) - lo
         rows = np.arange(r0, r1)[:, None]
-        self.below_mix = (np.arange(r0, self.mix_end)[None, :] < rows).astype(float)
+        self.below_mix = (np.arange(r0, min(r1, hi))[None, :] < rows).astype(float)
         self.offsets, self.buffer = buffers
 
     def at(self, origin):
         """Measure each row's point from its pole ``origin``."""
-        np.subtract(self.poles[None, :], self.poles[origin][:, None], out=self.offsets)
+        np.subtract(self.near[None, :], self.poles[origin][:, None], out=self.offsets)
+        if self.far is not None:
+            self.start = self.poles[origin] - self.far.ref
 
     def __call__(self, tau):
         """psi, phi (sums of z_j^2 / (d_j - lam) over the poles below and
@@ -106,6 +122,9 @@ class _PoleSums:
         phi = above @ z[end:] + mix_above @ z[r0:end]
         dpsi = _sum_squares(below) + _sum_squares(mix_below)
         dphi = _sum_squares(above) + _sum_squares(mix_above)
+        if self.far is not None:
+            far_psi, far_phi, far_dpsi, far_dphi = self.far(self.start + tau)
+            psi, phi, dpsi, dphi = psi + far_psi, phi + far_phi, dpsi + far_dpsi, dphi + far_dphi
         return psi, phi, dpsi, dphi, phi - psi
 
 
@@ -113,10 +132,60 @@ def _sum_squares(block):
     return np.einsum("ij,ij->i", block, block)
 
 
+class _FarField:
+    """psi, phi and their derivatives over the poles outside lo..hi-1, at
+    points ref + t for t in [0, width]: Chebyshev interpolants through
+    FAR_NODES points, in barycentric form.  Every such pole lies more than
+    ``width`` from the interval, so the interpolants converge like
+    (3 + sqrt 8)^-FAR_NODES; nodes and poles are offsets from ``ref``, a
+    pole of the block, which keeps each term's relative accuracy."""
+
+    def __init__(self, poles, couplings, lo, hi, ref, width):
+        self.ref, self.nodes = ref, width * _NODES
+        self.table = np.zeros((FAR_NODES, 4))  # psi, phi, dpsi, dphi at each node
+        for side, (c0, c1) in enumerate(((0, lo), (hi, poles.size))):
+            for p0 in range(c0, c1, FAR_CHUNK):
+                p1 = min(c1, p0 + FAR_CHUNK)
+                z = couplings[p0:p1]
+                y = z / ((poles[p0:p1] - ref) - self.nodes[:, None])
+                # Pairwise sums along rows: a dot product's running sum would
+                # err by 20 eps of these same-sign sums at N = 10^4.
+                self.table[:, side] += np.sum(y * z, axis=1)
+                self.table[:, side + 2] += np.sum(y * y, axis=1)
+
+    def __call__(self, t):
+        diff = t[:, None] - self.nodes
+        exact = diff == 0.0
+        weights = _NODE_WEIGHTS / np.where(exact, 1.0, diff)
+        hit = exact.any(axis=1)
+        weights[hit] = exact[hit]
+        return (weights @ self.table / weights.sum(axis=1)[:, None]).T
+
+
+def _outer(poles, couplings, row):
+    """Root ``row``, 0 or n, beyond an end of the band: summed over every
+    pole."""
+    buffers = [np.empty((1, poles.size), poles.dtype) for _ in range(2)]
+    return row, row + 1, _PoleSums(poles, couplings, row, row + 1, buffers)
+
+
 def _pole_sums(poles, couplings):
+    """The two outer roots summed over every pole, and the interior roots
+    BLOCK_ROWS at a time: exact over the poles within one block width, in
+    value, of the block's interval [d_{r0-1}, d_{r1-1}], and from a far
+    field built once for the others.  Its tables cost O(N) per block, the
+    near sums O(1) per root."""
     n = poles.size
-    for r0, r1, buffers in row_blocks(n + 1, n, buffers=2):
-        yield r0, r1, _PoleSums(poles, couplings, r0, r1, buffers)
+    yield _outer(poles, couplings, 0)
+    for b0 in range(1, n, BLOCK_ROWS):
+        b1 = min(b0 + BLOCK_ROWS, n)
+        ref, top = poles[b0 - 1], poles[b1 - 1]
+        lo, hi = np.searchsorted(poles, (2.0 * ref - top, 2.0 * top - ref))
+        far = None if lo == 0 and hi == n else _FarField(poles, couplings, lo, hi, ref, top - ref)
+        for r0, r1, buffers in row_blocks(b1 - b0, hi - lo, buffers=2):
+            yield b0 + r0, b0 + r1, _PoleSums(poles, couplings, b0 + r0, b0 + r1, buffers,
+                                              (lo, hi), far)
+    yield _outer(poles, couplings, n)
 
 
 class _ChainSums:
@@ -160,14 +229,10 @@ def _chain_sums(poles, couplings, chain):
     to a band edge where the closed form cancels, are summed over the poles
     at O(N) each."""
     n = poles.size
-
-    def outer(row):
-        buffers = [np.empty((1, n), poles.dtype), np.empty((1, n), poles.dtype)]
-        return row, row + 1, _PoleSums(poles, couplings, row, row + 1, buffers)
-    yield outer(0)
+    yield _outer(poles, couplings, 0)
     for r0, r1, _ in row_blocks(n - 1, 1):
         yield r0 + 1, r1 + 1, _ChainSums(couplings, chain, r0 + 1, r1 + 1)
-    yield outer(n)
+    yield _outer(poles, couplings, n)
 
 
 def _polish(alpha, chain, origin, tau):
@@ -203,8 +268,9 @@ def _polish(alpha, chain, origin, tau):
 
 
 def _solve_chunk(poles, alpha, bound, r0, r1, secular):
-    """Origins and offsets of roots r0..r1-1 of the deflated problem;
-    ``secular`` evaluates the sums of these rows."""
+    """Origins, offsets and slopes f' of roots r0..r1-1 of the deflated
+    problem; ``secular`` evaluates the sums of these rows.  Each row's last
+    evaluation is at its returned offset."""
     n = poles.size
     i = np.arange(r0, r1)
     first, last = i == 0, i == n
@@ -273,7 +339,7 @@ def _solve_chunk(poles, alpha, bound, r0, r1, secular):
         lo = np.where(f < 0.0, tau, lo)
         error = EPS * (8.0 * size + 2.0 * np.abs(base) + np.abs(tau) * (1.0 + dpsi + dphi))
         done |= (np.abs(f) <= error) | (hi - lo <= 2.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)))
-    return origin, tau
+    return origin, tau, 1.0 + dpsi + dphi
 
 
 def _recomputed_couplings(poles, couplings, origin, tau):
@@ -302,28 +368,17 @@ def _recomputed_couplings(poles, couplings, origin, tau):
     return np.copysign(z_hat, couplings)
 
 
-def _photon_weights(poles, z_hat, origin, tau):
-    """1 / (1 + sum_j z_hat_j^2 / (lam - d_j)^2) for every root."""
-    weights = np.empty(tau.size)
-    for r0, r1, (y,) in row_blocks(tau.size, poles.size, buffers=1):
-        np.subtract(poles[None, :], poles[origin[r0:r1]][:, None], out=y)
-        y -= tau[r0:r1, None]
-        np.divide(z_hat, y, out=y)
-        weights[r0:r1] = 1.0 / (1.0 + _sum_squares(y))
-    return weights
-
-
 def _secular_roots(poles, couplings, alpha, blocks):
-    """Origins and offsets of the n + 1 roots for n sorted, distinct poles
-    with nonzero couplings; ``blocks`` yields each chunk of rows with its
-    evaluator of the sums."""
+    """Origins, offsets and slopes f' of the n + 1 roots for n sorted,
+    distinct poles with nonzero couplings; ``blocks`` yields each chunk of
+    rows with its evaluator of the sums."""
     n = poles.size
     bound = float(np.sqrt(couplings @ couplings))
     origin = np.empty(n + 1, dtype=int)
-    tau = np.empty(n + 1)
+    tau, slope = np.empty(n + 1), np.empty(n + 1)
     for r0, r1, secular in blocks:
-        origin[r0:r1], tau[r0:r1] = _solve_chunk(poles, alpha, bound, r0, r1, secular)
-    return origin, tau
+        origin[r0:r1], tau[r0:r1], slope[r0:r1] = _solve_chunk(poles, alpha, bound, r0, r1, secular)
+    return origin, tau, slope
 
 
 class ArrowheadEigen:
@@ -367,8 +422,19 @@ class ArrowheadEigen:
         coupled = coupled[np.argsort(poles[coupled], kind="stable")]
         # Poles closer than tol merge: a reflector I - 2 w w^T puts a run's whole
         # coupling on its last member, and the others deflate like dark modes.
-        starts = np.diff(poles[coupled], prepend=-np.inf) > tol
-        ends = np.diff(poles[coupled], append=np.inf) > tol
+        values = poles[coupled]
+        starts = np.diff(values, prepend=-np.inf) > tol
+        # A run must span at most tol, not merely step by at most tol, or the
+        # merge moves its lower members by many tol.  Longer chains split from
+        # the top, so the members that keep their couplings stay over tol apart.
+        first = np.nonzero(starts)[0]
+        last = np.append(first[1:], values.size) - 1
+        for a, top in zip(first, last):
+            while values[top] - values[a] > tol:
+                top = a + int(np.searchsorted(values[a:top], values[top] - tol))
+                starts[top] = True
+                top -= 1
+        ends = np.append(starts[1:], True)[:values.size]
         kept = coupled[ends]
         kept_couplings = border[kept].copy()
         self._runs = []
@@ -391,18 +457,16 @@ class ArrowheadEigen:
         if self._closed:
             transfer, coupling = chain
             chain = (kept + 1, transfer / unit, (coupling / unit) ** 2, self.size)
-            self._origin, tau = _secular_roots(
+            self._origin, tau, _ = _secular_roots(
                 self._kept_poles, kept_couplings, alpha,
                 _chain_sums(self._kept_poles, kept_couplings, chain))
             self._tau, slope = _polish(alpha, chain, self._origin, tau)
-            bright_weights = 1.0 / slope
         elif n:
-            self._origin, self._tau = _secular_roots(
+            self._origin, self._tau, slope = _secular_roots(
                 self._kept_poles, kept_couplings, alpha, _pole_sums(self._kept_poles, kept_couplings))
-            bright_weights = self._vectors[3]
         else:  # the photon alone
-            self._origin, self._tau = np.zeros(1, dtype=int), np.array([alpha])
-            bright_weights = np.ones(1)
+            self._origin, self._tau, slope = np.zeros(1, dtype=int), np.array([alpha]), np.ones(1)
+        bright_weights = 1.0 / slope
         bright_values = diagonal[kept[self._origin]] + unit * self._tau if n else np.array([corner])
 
         # Deflated eigenpairs sit on their own poles, without photon weight.
@@ -420,23 +484,6 @@ class ArrowheadEigen:
         self._position[order] = np.arange(order.size)
 
     @cached_property
-    def _vectors(self):
-        """Origins, offsets, recomputed couplings z_hat and photon weights of
-        the bright roots that the eigenvectors are built from, in O(N^2)
-        time.  The closed form's roots are those of the chain's exact lines,
-        which differ from the rounded diagonal by up to an ulp of the band;
-        z_hat would absorb that difference and miss A v = lam v by 1e-12 of
-        ||A|| at N = 2000, so the vectors come from the pole sums' roots."""
-        if not self._kept.size:
-            return self._origin, self._tau, np.zeros(0), np.ones(1)
-        poles, couplings = self._kept_poles, self._kept_couplings
-        origin, tau = self._origin, self._tau
-        if self._closed:
-            origin, tau = _secular_roots(poles, couplings, self._alpha, _pole_sums(poles, couplings))
-        z_hat = _recomputed_couplings(poles, couplings, origin, tau)
-        return origin, tau, z_hat, _photon_weights(poles, z_hat, origin, tau)
-
-    @cached_property
     def eigenvectors(self) -> np.ndarray:
         """(N+1, N+1) orthonormal eigenvectors, one column per eigenvalue."""
         dim = self.size + 1
@@ -445,16 +492,25 @@ class ArrowheadEigen:
             raise ValueError(
                 f"the dense eigenvectors of N = {self.size} modes need {need / 1e9:.3g} GB "
                 f"((N+1)^2 float64 values), over the {DENSE_BUDGET_BYTES / 1e9:.3g} GB limit")
-        origin, tau, z_hat, weights = self._vectors
+        poles, couplings = self._kept_poles, self._kept_couplings
+        origin, tau = self._origin, self._tau
+        # The closed form's roots are those of the chain's exact lines, which
+        # differ from the rounded diagonal by up to an ulp of the band; z_hat
+        # would absorb that difference and miss A v = lam v by 1e-12 of ||A||
+        # at N = 2000, so the vectors come from the pole sums' roots.
+        if self._closed:
+            origin, tau, _ = _secular_roots(poles, couplings, self._alpha, _pole_sums(poles, couplings))
+        z_hat = _recomputed_couplings(poles, couplings, origin, tau) if poles.size else couplings
         out = np.zeros((dim, dim))
-        position, poles = self._position, self._kept_poles
+        position = self._position
         for r0, r1, _ in row_blocks(tau.size, poles.size):
             cols = position[r0:r1]
-            photon = np.sqrt(weights[r0:r1])
-            out[-1, cols] = photon
-            if poles.size:  # exciton amplitudes z_hat_j / (lam - d_j) * sqrt(w)
+            photon = np.ones(r1 - r0)
+            if poles.size:  # [z_hat_j / (lam - d_j); 1], normalized
                 amps = z_hat / ((poles[origin[r0:r1], None] - poles) + tau[r0:r1, None])
+                photon = np.sqrt(1.0 / (1.0 + _sum_squares(amps)))
                 out[np.ix_(self._kept, cols)] = (amps * photon[:, None]).T
+            out[-1, cols] = photon
         out[self._deflated, position[tau.size:]] = 1.0
         # Back from each run's rotated coordinates, a chunk of rows at a time.
         for members, w in self._runs:

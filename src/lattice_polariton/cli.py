@@ -92,9 +92,13 @@ def _float_fields(x, field, keep):
         k += (s > 0) & (s < 1e11)  # log10 rounded across a power of ten
         k -= s >= 1e12
         np.clip(k, 0, _POW10.size - 1, out=k)
-        s = a * _POW10[k]  # within 2 ulp: the 12 digits before the point
+        s = a * _POW10[k]  # the 12 digits before the point
         fits = (s >= 1e11) & (s < 1e12)
-        near = np.abs(s - np.floor(s) - 0.5) <= 1e-3  # to a tie, against an error of 2.3e-4
+        # The power and the product each round by at most 2**-53 relative, so
+        # s errs by under 2 ulp of s, at most 2.45e-4 as s < 1e12 < 2**40, and
+        # s - floor(s) is exact.  A fraction more than 3e-4 from 1/2 leaves the
+        # exact product on the same side of the tie, so rint(s) rounds as '%'.
+        near = np.abs(s - np.floor(s) - 0.5) <= 3e-4
     proven = fits & ~near | (a == 0)
     # rint breaks a tie to even, as '%' does, so a near-tie is proven when s
     # is exact: 10**j is (0 <= j <= 22), and a's odd mantissa times 5**j fits
@@ -240,18 +244,16 @@ def _polariton(spec: RunSpec) -> Dataset:
     num_sites, theta = params.num_sites, params.theta_rad
     deltas = np.linspace(-spec.grid_span_hz, spec.grid_span_hz, spec.grid_points)
     exciton_hz = superradiant_energy(params)
+    # Each doublet's six values go into preallocated columns as it is made.
+    names = ("upper_shift_hz", "lower_shift_hz", *_WEIGHTS)
+    values = np.empty((len(names), deltas.size))
     # Python floats: a numpy scalar divided by zero warns instead of raising.
-    doublets = [
-        two_mode_doublet(c, exciton_hz, _one_mode(params, _TWO_MODE, c, num_sites, theta)[0])
-        for c in (exciton_hz + 2.0 * deltas).tolist()
-    ]
-    columns = {
-        "delta_hz": deltas,
-        "upper_shift_hz": np.array([d.upper_hz for d in doublets]) - exciton_hz,
-        "lower_shift_hz": np.array([d.lower_hz for d in doublets]) - exciton_hz,
-    }
-    columns.update((name, np.array([getattr(d, name) for d in doublets])) for name in _WEIGHTS)
-    return Dataset(columns)
+    for i, c in enumerate((exciton_hz + 2.0 * deltas).tolist()):
+        d = two_mode_doublet(c, exciton_hz, _one_mode(params, _TWO_MODE, c, num_sites, theta)[0])
+        values[:, i] = (d.upper_hz, d.lower_hz, d.exciton_weight_upper, d.photon_weight_upper,
+                        d.exciton_weight_lower, d.photon_weight_lower)
+    values[:2] -= exciton_hz
+    return Dataset({"delta_hz": deltas, **dict(zip(names, values))})
 
 
 def _spectrum(spec: RunSpec) -> Dataset:
@@ -340,7 +342,7 @@ _DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], tuple[str, ...] | None,
 # tracemalloc peaks at 1e5-1e6 rows, rounded up, apart from the writer's
 # blocks, about 1 MB whatever the rows.  A builder not listed takes 61 atom
 # numbers at most.  The exact envelope adds its own per-site bytes.
-_ROW_BYTES = {_exciton_modes: (64.0, 0.0), _polariton: (0.0, 480.0), _spectrum: (0.0, 56.0),
+_ROW_BYTES = {_exciton_modes: (64.0, 0.0), _polariton: (0.0, 100.0), _spectrum: (0.0, 56.0),
               _rabi_vs_theta: (0.0, 32.0)}
 _ENVELOPE_SITE_BYTES = 64.0
 

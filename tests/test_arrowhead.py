@@ -5,6 +5,7 @@ the zero couplings, then np.linalg.eigh on the coupled block bordered by
 the photon.  It is O(N^3), so it is used for N <= 2000 only.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -26,7 +27,16 @@ from lattice_polariton import (
     superradiant_coupling,
     transfer_parameter,
 )
-from lattice_polariton.arrowhead import DENSE_BUDGET_BYTES, ArrowheadEigen
+from lattice_polariton.arrowhead import (
+    DENSE_BUDGET_BYTES,
+    ArrowheadEigen,
+    _FarField,
+    _pole_sums,
+    _PoleSums,
+    _recomputed_couplings,
+    _secular_roots,
+)
+from lattice_polariton.blocks import row_blocks
 from lattice_polariton.exciton import exciton_shifts
 
 
@@ -277,6 +287,187 @@ def test_closed_form_weights_match_mpmath():
             assert abs(result.photon_weights[i] - photon) < 1e-13
 
 
+def test_flat_outputs_are_bitwise_unchanged():
+    # SHA-256 of the flat solve's frequencies and photon weights at N = 2000,
+    # recorded (x86-64, 80-bit long double) before the general solve moved to
+    # near and far sums: the closed form and its two outer rows must not
+    # move by a bit.
+    expected = {
+        0.0: ("aa8c16de6485550229107fdf40486e51788d9261592ea2a7ec449ac4ae3da3b5",
+              "899e8857157ce1167e237b492e70240c56b2e3d4780a0bb77fa7a55fa14d09b5"),
+        40.0: ("fae3dc9e1ed600f41e549cad921f1a856b4bf2650f787b4e7517816982d87362",
+               "47d3aa8eafd1a45225fc530a6a1f51dd708afb06748f10a6f59ce9daf1d923fc"),
+    }
+    for theta_deg, hashes in expected.items():
+        result = multimode_diagonalize(SystemParams(num_sites=2000, theta_rad=math.radians(theta_deg)))
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (result.frequencies_hz, result.photon_weights))
+        assert got == hashes
+
+
+def whole_row_sums(poles, couplings):
+    """The general solve's former evaluator, and the oracle of its block
+    evaluator: every row summed over every pole, in the poles' dtype."""
+    n = poles.size
+    for r0, r1, _ in row_blocks(n + 1, n):
+        buffers = [np.empty((r1 - r0, n), poles.dtype) for _ in range(2)]
+        yield r0, r1, _PoleSums(poles, couplings, r0, r1, buffers)
+
+
+def sums_at(blocks, origin, tau):
+    """psi, phi, their derivatives and phi - psi of every row, at d_origin + tau."""
+    out = np.empty((5, tau.size), tau.dtype)
+    for r0, r1, secular in blocks:
+        secular.at(origin[r0:r1])
+        out[:, r0:r1] = secular(tau[r0:r1])
+    return out
+
+
+def envelope_arrowhead(num_sites, waist_m=3e-4, theta_deg=0.0):
+    """The deflated envelope problem the general solve sees: sorted bright
+    poles, their couplings and the corner, in the solver's units."""
+    params = SystemParams(num_sites=num_sites, beam_waist_m=waist_m,
+                          theta_rad=math.radians(theta_deg))
+    solver = ArrowheadEigen(exciton_shifts(params), envelope_mode_couplings(params),
+                            cavity_frequency(params) - params.atom_frequency_hz)
+    return solver._kept_poles, solver._kept_couplings, solver._alpha
+
+
+def reference_weights(poles, couplings, alpha, origin, tau):
+    """1 / f' at the exact roots of the given matrix: two Newton steps from
+    the computed ones, with every sum in long double."""
+    wide = np.longdouble
+    poles, couplings, tau = poles.astype(wide), couplings.astype(wide), tau.astype(wide)
+    weights = np.empty(tau.size)
+    for r0, r1, _ in row_blocks(tau.size, poles.size):
+        start = poles[origin[r0:r1]]
+        for _ in range(2):
+            y = couplings / ((poles - start[:, None]) - tau[r0:r1, None])
+            slope = 1.0 + np.sum(y * y, axis=1)
+            tau[r0:r1] -= (start - alpha + tau[r0:r1] + y @ couplings) / slope
+        weights[r0:r1] = 1.0 / slope
+    return weights
+
+
+def zhat_weights(poles, couplings, origin, tau):
+    """The former photon weights: from the recomputed couplings z_hat,
+    1 / (1 + sum_j z_hat_j^2 / (lam - d_j)^2)."""
+    z_hat = _recomputed_couplings(poles, couplings, origin, tau)
+    weights = np.empty(tau.size)
+    for r0, r1, _ in row_blocks(tau.size, poles.size):
+        y = z_hat / ((poles[origin[r0:r1], None] - poles) + tau[r0:r1, None])
+        weights[r0:r1] = 1.0 / (1.0 + np.sum(y * y, axis=1))
+    return weights
+
+
+class TestBlockEvaluator:
+    """The general solve sums each block's near poles exactly and takes the
+    others from Chebyshev interpolants; the whole-row pole sums are its
+    oracle."""
+
+    @pytest.mark.parametrize("theta_deg", [0.0, 40.0])
+    @pytest.mark.parametrize("waist_m", [3e-4, 1e-3])
+    @pytest.mark.parametrize("num_sites", [300, 2000, 10_000])
+    def test_sums_match_the_whole_row(self, num_sites, waist_m, theta_deg):
+        # At the roots and at a random point in every gap, band-edge blocks
+        # included.  The oracle sums every row in long double: in double the
+        # whole-row sums are themselves off by up to 13.5 eps (phi - psi) at
+        # N = 10^4, where the block sums are off by 4.2 eps.
+        poles, couplings, alpha = envelope_arrowhead(num_sites, waist_m, theta_deg)
+        origin, tau, _ = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
+        rng = np.random.default_rng(num_sites)
+        inner = np.arange(1, poles.size)
+        gaps_origin, gaps_tau = origin.copy(), tau.copy()
+        gaps_origin[inner] = inner - 1
+        gaps_tau[inner] = rng.uniform(0.0, 1.0, inner.size) * np.diff(poles)
+        wide = np.longdouble
+        for at, offset in ((origin, tau), (gaps_origin, gaps_tau)):
+            block = sums_at(_pole_sums(poles, couplings), at, offset)
+            exact = sums_at(whole_row_sums(poles.astype(wide), couplings.astype(wide)), at,
+                            offset.astype(wide))
+            size, slope = exact[1] - exact[0], exact[2] + exact[3]
+            assert np.all(np.abs(block[:2] - exact[:2]) <= 8.0 * EPS * size)
+            assert np.all(np.abs(block[2:4] - exact[2:4]) <= 8.0 * EPS * slope)
+
+    def test_every_pole_near_is_the_whole_row(self):
+        # In a small problem every block's near set is the whole row, and its
+        # evaluator is the pole sums over the same rows, bit for bit.
+        poles, couplings, alpha = envelope_arrowhead(100)
+        origin, tau, _ = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
+        for r0, r1, secular in _pole_sums(poles, couplings):
+            assert secular.far is None and secular.near.size == poles.size
+            buffers = [np.empty((r1 - r0, poles.size)) for _ in range(2)]
+            oracle = _PoleSums(poles, couplings, r0, r1, buffers)
+            for evaluator in (secular, oracle):
+                evaluator.at(origin[r0:r1])
+            for got, want in zip(secular(tau[r0:r1]), oracle(tau[r0:r1])):
+                np.testing.assert_array_equal(got, want)
+
+    def test_far_field_at_its_own_nodes(self):
+        # A point on a node gives that node's value, not 0 / 0.
+        poles, couplings, _ = envelope_arrowhead(2000)
+        ref, top = poles[500], poles[564]
+        lo, hi = np.searchsorted(poles, (2.0 * ref - top, 2.0 * top - ref))
+        far = _FarField(poles, couplings, lo, hi, ref, top - ref)
+        np.testing.assert_array_equal(far(far.nodes), far.table.T)
+
+    @pytest.mark.parametrize("num_sites, theta", CASES)
+    def test_no_more_evaluations_per_root(self, num_sites, theta, monkeypatch):
+        # Rows evaluated over the whole solve, against the whole-row sums.
+        poles, couplings, alpha = envelope_arrowhead(num_sites, theta_deg=math.degrees(theta))
+        rows = []
+        call = _PoleSums.__call__
+
+        def counting(self, tau):
+            rows.append(tau.size)
+            return call(self, tau)
+
+        monkeypatch.setattr(_PoleSums, "__call__", counting)
+        counts = []
+        for blocks in (_pole_sums(poles, couplings), whole_row_sums(poles, couplings)):
+            rows.clear()
+            _secular_roots(poles, couplings, alpha, blocks)
+            counts.append(sum(rows))
+        assert counts[0] <= counts[1]
+
+    @pytest.mark.parametrize("theta_deg", [0.0, 40.0])
+    @pytest.mark.parametrize("num_sites", [400, 2000, 5000])
+    def test_photon_weights_are_one_over_the_slope(self, num_sites, theta_deg):
+        # 1 / f' at the roots, where the former weights came from z_hat.  At
+        # N = 5000 and 0 degrees the two differ by 1.2e-13: against the
+        # exact roots of the matrix, the z_hat weights are off by 1.5e-13
+        # there and 1 / f' by 7.5e-14.
+        params = SystemParams(num_sites=num_sites, theta_rad=math.radians(theta_deg))
+        result = multimode_diagonalize(params, include_envelope=True)
+        assert abs(result.photon_weights.sum() - 1.0) <= 1e-13
+        poles, couplings, alpha = envelope_arrowhead(num_sites, theta_deg=theta_deg)
+        origin, tau, slope = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
+        bright = np.sort(result.photon_weights[result.photon_weights > 0.0])
+        np.testing.assert_array_equal(bright, np.sort(1.0 / slope))
+        assert np.abs(1.0 / slope - reference_weights(poles, couplings, alpha, origin, tau)).max() <= 1e-13
+        former = _secular_roots(poles, couplings, alpha, whole_row_sums(poles, couplings))
+        assert np.abs(1.0 / slope - zhat_weights(poles, couplings, *former[:2])).max() <= 2e-13
+
+    def test_weights_match_mpmath(self):
+        # The top three photon weights of an envelope chain of N = 600,
+        # against 30-digit roots of the given (double) matrix.
+        params = SystemParams(num_sites=600, theta_rad=math.radians(30.0))
+        shift = params.atom_frequency_hz
+        poles, couplings = exciton_shifts(params), envelope_mode_couplings(params)
+        corner = cavity_frequency(params) - shift
+        result = ArrowheadEigen(poles, couplings, corner)
+        bright = couplings != 0.0
+        with mpmath.workdps(30):
+            lines = [mpmath.mpf(x) for x in poles[bright]]
+            weights = [mpmath.mpf(x) ** 2 for x in couplings[bright]]
+            for i in np.argsort(result.photon_weights)[-3:]:
+                root = mpmath.findroot(
+                    lambda x: x - corner + mpmath.fsum(w / (d - x) for d, w in zip(lines, weights)),
+                    mpmath.mpf(result.frequencies_hz[i]))
+                photon = 1 / (1 + mpmath.fsum(w / (d - root) ** 2 for d, w in zip(lines, weights)))
+                assert abs(result.photon_weights[i] - photon) < 1e-13
+
+
 @st.composite
 def flat_chains(draw):
     """A flat chain of 1 to 20,000 sites at, near or beyond the magic angle,
@@ -381,9 +572,61 @@ def test_random_arrowheads(problem):
     slack = 4.0 * np.finfo(float).eps * scale * n
     assert np.all(values[:-1] <= bare + slack) and np.all(bare <= values[1:] + slack)
     vectors = solution.eigenvectors
-    # The photon weights come from the recomputed couplings, not from the
+    # The photon weights are 1 / f' at the roots, not taken from the
     # vectors, so their sum with the exciton weights is a real check.
     weights = np.square(vectors[:-1, :].T)
     assert np.abs(solution.photon_weights + weights.sum(axis=1) - 1.0).max() < 1e-12
     assert np.abs(vectors.T @ vectors - np.eye(n + 1)).max() < 1e-9
     assert_eigen_equation(matrix, solution)
+
+
+@st.composite
+def clustered_arrowheads(draw):
+    """Up to 1500 poles in a few clusters of very different widths (exact
+    repeats among them), so that blocks meet far fields on one or both
+    sides, near sets of the whole row and merged runs; couplings with exact
+    zeros and tiny values; the corner inside the band or far outside it."""
+    n = draw(st.one_of(st.integers(1, 200), st.integers(201, 1500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 6))
+    widths = np.array(draw(st.lists(st.sampled_from([0.0, 1e-13, 1e-9, 1e-5, 1e-2, 1.0]),
+                                    min_size=count, max_size=count)))
+    member = rng.integers(0, count, n)
+    poles = rng.uniform(-1.0, 1.0, count)[member] + widths[member] * rng.uniform(-1.0, 1.0, n)
+    couplings = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1.0, 1e-3]))
+    kind = rng.integers(0, 8, n)
+    couplings[kind == 0] = 0.0
+    couplings[kind == 1] = 1e-14
+    corner = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1e3, 1e3])))
+    return poles, couplings, corner
+
+
+def test_chain_of_close_poles_merges_within_tolerance():
+    """1000 poles 1e-15 apart step by less than the deflation tolerance
+    (about 6e-15 here) but span 1e-12: merged as one run they would move
+    the lowest root by several 1e-13."""
+    rng = np.random.default_rng(3)
+    poles = np.concatenate([-0.8287 + 1e-15 * np.arange(1000), [0.1, 0.5]])
+    couplings = 1e-3 * rng.uniform(-1.0, 1.0, poles.size)
+    solution = ArrowheadEigen(poles, couplings, 0.0)
+    matrix = arrowhead_matrix(poles, couplings, 0.0)
+    scale = np.linalg.norm(matrix, 2)
+    assert np.abs(solution.frequencies_hz - np.linalg.eigvalsh(matrix)).max() <= 1e-13 * scale
+    assert_eigen_equation(matrix, solution)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(clustered_arrowheads())
+# 1500 poles spread over the band: far fields on both sides of most blocks.
+@example((np.linspace(-1.0, 1.0, 1500), np.full(1500, 0.02), 0.1))
+def test_clustered_arrowheads(problem):
+    poles, couplings, corner = problem
+    solution = ArrowheadEigen(poles, couplings, corner)
+    matrix = arrowhead_matrix(poles, couplings, corner)
+    scale = np.linalg.norm(matrix, 2)
+    assert np.abs(solution.frequencies_hz - np.linalg.eigvalsh(matrix)).max() <= 1e-13 * scale
+    vectors = solution.eigenvectors
+    assert np.abs(vectors.T @ vectors - np.eye(poles.size + 1)).max() < 1e-9
+    assert_eigen_equation(matrix, solution)
+    weights = np.square(vectors[:-1, :].T)
+    assert np.abs(solution.photon_weights + weights.sum(axis=1) - 1.0).max() < 1e-12

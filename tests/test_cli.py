@@ -137,9 +137,9 @@ class TestExitCodes:
         "argv, message",
         [
             ("polariton --grid-points 100000000",
-             "polariton at N = 1000 and 100000000 grid points needs about 48 GB"),
+             "polariton at N = 1000 and 100000000 grid points needs about 10 GB"),
             ("figure 4b --grid-points 100000000",
-             "figure 4b at N = 1000 and 100000000 grid points needs about 48 GB"),
+             "figure 4b at N = 1000 and 100000000 grid points needs about 10 GB"),
             ("dispersion --num-sites 100000000", "dispersion at N = 100000000 needs about 6.4 GB"),
             ("couplings --num-sites 100000000", "couplings at N = 100000000 needs about 6.4 GB"),
             ("spectrum --grid-points 100000000",
@@ -843,6 +843,20 @@ class TestWriteCsv:
         rng = np.random.default_rng(12)
         mantissas = rng.integers(10**11, 10**12, 3000)
         x = np.array([float(f"{m}5e{p}") for m, p in zip(mantissas, rng.integers(-40, 30, 3000))])
+        self.assert_matches_oracle({"x": x, "neg": -x}, tmp_path)
+
+    def test_fractions_at_the_edge_of_the_near_tie_window(self, tmp_path):
+        # Doubles whose scaled product s = a * 10**(11 - e) has a fraction of
+        # 1/2 +- {2.4e-4, 2.5e-4, 3e-4, 1e-3}, inside, at and outside the
+        # window of 3e-4 beyond which rint(s) is trusted, and their
+        # neighbours.  With s below 1.3e11 the nearest double moves the
+        # fraction by at most 1.5e-5.
+        rng = np.random.default_rng(14)
+        digits = rng.integers(10**11, 13 * 10**10, 400)
+        exponents = rng.integers(-40, 30, digits.size)
+        x = np.array([float(f"{m}.{fraction}e{p - 11}") for m, p in zip(digits, exponents)
+                      for fraction in ("499", "4997", "49975", "49976", "50024", "50025", "5003", "501")])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0)])
         self.assert_matches_oracle({"x": x, "neg": -x}, tmp_path)
 
     def test_round_up_across_a_power_of_ten(self, tmp_path):
