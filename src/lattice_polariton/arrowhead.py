@@ -41,7 +41,10 @@ The solver follows the standard accurate recipe for this problem:
   (``resolvent.chain_sum_near_pole``) costs O(1) per root; it gives only
   the total, so the model keeps the origin pole's own term exact and gives
   the rest of f' to the other pole (a fixed-weight step).  Either way the
-  photon weights are 1 / f'(lam) at the roots.
+  photon weights are 1 / f'(lam) at the roots; in the general solve, f'
+  takes z_hat (below) for the few poles where it differs from the given
+  coupling by more than PHOTON_MISMATCH, so that weights and eigenvectors
+  agree.
 - Recompute the couplings from the computed roots (Gu and Eisenstat), so
   that the eigenvectors v ~ [z_hat / (lam - d); 1] are orthogonal to
   working precision (Jakovcevic Stor, Slapnicar and Barlow, Linear Algebra
@@ -67,6 +70,10 @@ from .resolvent import chain_sum_near_pole
 
 EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 100
+# Relative difference of z_hat from a coupling beyond which the photon weights
+# use z_hat (``_slopes_of_recomputed``): under the 1e-12 to which weights and
+# eigenvectors agree, over the 1e-13 an envelope chain of N = 5000 reaches.
+PHOTON_MISMATCH = 5e-13
 # Interior roots per block of the general solve, and the Chebyshev points
 # (second kind, on [0, 1]) with their barycentric weights for its far field.
 BLOCK_ROWS = 64
@@ -268,9 +275,10 @@ def _polish(alpha, chain, origin, tau):
 
 
 def _solve_chunk(poles, alpha, bound, r0, r1, secular):
-    """Origins, offsets and slopes f' of roots r0..r1-1 of the deflated
-    problem; ``secular`` evaluates the sums of these rows.  Each row's last
-    evaluation is at its returned offset."""
+    """Origins, offsets, slopes f' and error bounds of roots r0..r1-1 of the
+    deflated problem; ``secular`` evaluates the sums of these rows.  Each
+    row's last evaluation is at its returned offset, and its error bound is
+    twice the rounding level of f there over f'."""
     n = poles.size
     i = np.arange(r0, r1)
     first, last = i == 0, i == n
@@ -281,16 +289,20 @@ def _solve_chunk(poles, alpha, bound, r0, r1, secular):
     # Brackets and start points as offsets from each root's lower pole
     # (from pole 0 for the root below the band): interior roots start at
     # the middle of their gap, outer roots at the middle of the interval
-    # between the end pole and the Weyl bound.
+    # between the end pole and the Weyl bound.  That bound is reached for one
+    # pole on the corner, so it is taken in offsets and widened past its
+    # rounding: from the rounded point d_0 - |z| the root of d_0 = alpha,
+    # z = 1e-14 lay 4e-18 out of the bracket, and the step stalled there.
     origin = np.where(first, 0, lower)
-    lo = np.where(first, min(poles[0], alpha) - bound - poles[0], 0.0)
-    hi = np.where(last, max(poles[-1], alpha) + bound - poles[-1], np.where(first, 0.0, gap))
+    widen = 1.0 + 4.0 * EPS
+    lo = np.where(first, (min(0.0, alpha - poles[0]) - bound) * widen, 0.0)
+    hi = np.where(last, (max(0.0, alpha - poles[-1]) + bound) * widen, np.where(first, 0.0, gap))
     tau = (lo + hi) / 2.0
 
     # At the offset itself: the rounded point poles[origin] + tau can lie past
     # a root between close poles, and a bracket from its sign would miss it.
     secular.at(origin)
-    psi, phi, dpsi, dphi, _ = secular(tau)
+    psi, phi, dpsi, dphi, size = secular(tau)
     f = poles[origin] - alpha + tau + psi + phi
     hi = np.where(f > 0.0, tau, hi)
     lo = np.where(f < 0.0, tau, lo)
@@ -337,48 +349,85 @@ def _solve_chunk(poles, alpha, bound, r0, r1, secular):
         f = base + tau + psi + phi
         hi = np.where(f > 0.0, tau, hi)
         lo = np.where(f < 0.0, tau, lo)
-        error = EPS * (8.0 * size + 2.0 * np.abs(base) + np.abs(tau) * (1.0 + dpsi + dphi))
+        error = _rounding(size, base, tau, dpsi, dphi)
         done |= (np.abs(f) <= error) | (hi - lo <= 2.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)))
-    return origin, tau, 1.0 + dpsi + dphi
+    slope = 1.0 + dpsi + dphi
+    return origin, tau, slope, 2.0 * _rounding(size, base, tau, dpsi, dphi) / slope
 
 
-def _recomputed_couplings(poles, couplings, origin, tau):
+def _rounding(size, base, tau, dpsi, dphi):
+    """The rounding level of f = base + tau + psi + phi."""
+    return EPS * (8.0 * size + 2.0 * np.abs(base) + np.abs(tau) * (1.0 + dpsi + dphi))
+
+
+def _recomputed_couplings(poles, couplings, origin, tau, rows=None):
     """Couplings z_hat for which the computed roots are exact eigenvalues
-    (Gu-Eisenstat): z_hat_j^2 = -prod_k (lam_k - d_j) / prod_{k != j} (d_k - d_j).
-    Each d_k pairs with lam_k below d_j and with lam_{k+1} above it, so
-    every ratio lies between one and the ratio of neighbouring gaps."""
+    (Gu-Eisenstat): z_hat_j^2 = -prod_k (lam_k - d_j) / prod_{k != j} (d_k - d_j),
+    for the poles ``rows`` (every pole by default).  Each d_k pairs with
+    lam_k below d_j and with lam_{k+1} above it, so every ratio lies between
+    one and the ratio of neighbouring gaps."""
     n = poles.size
-    z_hat = np.empty(n)
+    rows = np.arange(n) if rows is None else rows
+    z_hat = np.empty(rows.size)
     root_poles = poles[origin]
-    for r0, r1, (lam_minus_d, ratios) in row_blocks(n, n + 1, buffers=2):
-        m = r1 - r0
-        own = np.arange(m)
-        pole = poles[r0:r1, None]
+    for r0, r1, (lam_minus_d, ratios) in row_blocks(rows.size, n + 1, buffers=2):
+        j = rows[r0:r1, None]
+        pole = poles[j]
         np.subtract(root_poles[None, :], pole, out=lam_minus_d)
         lam_minus_d += tau
         ratios = np.subtract(poles[None, :], pole, out=ratios[:, :n])
-        np.divide(lam_minus_d[:, :r0], ratios[:, :r0], out=ratios[:, :r0])
-        np.divide(lam_minus_d[:, r1 + 1:], ratios[:, r1:], out=ratios[:, r1:])
-        block = ratios[:, r0:r1]
-        block[own, own] = 1.0
-        block[...] = np.where(np.tri(m, k=-1, dtype=bool), lam_minus_d[:, r0:r1],
-                              lam_minus_d[:, r0 + 1:r1 + 1]) / block
+        ratios[np.arange(r1 - r0), j[:, 0]] = 1.0
+        below = np.arange(n)[None, :] < j
+        np.divide(np.where(below, lam_minus_d[:, :n], lam_minus_d[:, 1:]), ratios, out=ratios)
         product = np.prod(ratios, axis=1)
-        z_hat[r0:r1] = np.sqrt(np.abs(lam_minus_d[own, r0 + own] * product))
-    return np.copysign(z_hat, couplings)
+        z_hat[r0:r1] = np.sqrt(np.abs(np.take_along_axis(lam_minus_d, j, 1)[:, 0] * product))
+    return np.copysign(z_hat, couplings[rows])
+
+
+def _slopes_of_recomputed(poles, couplings, origin, tau, slope, error):
+    """f' at the roots with the couplings z_hat of the eigenvectors: f' plus
+    sum_j (z_hat_j^2 - z_j^2) / (lam - d_j)^2 over the poles whose z_hat
+    differs from z_j by more than PHOTON_MISMATCH, relatively, so that the
+    photon weights 1 / f' agree with the eigenvectors.
+
+    z_hat_j / z_j - 1 is about sum_k (error of lam_k) / (2 (lam_k - d_j)),
+    where the two roots next to d_j dominate; their error bounds screen the
+    poles, and z_hat, at O(N) a pole, decides.  It is large only where a
+    root lies within about its error over PHOTON_MISMATCH of a pole: a
+    weakly coupled pole that the photon line of the others crosses, split
+    into two roots about 2 |z_j| apart, whose weights 1 / f' with the given
+    z_j are then as uncertain as those offsets, relatively.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = np.where(tau == 0.0, 0.0, error / np.abs(tau))
+    loose = np.nonzero(relative[:-1] + relative[1:] > PHOTON_MISMATCH)[0]
+    if loose.size:
+        z_hat = _recomputed_couplings(poles, couplings, origin, tau, loose)
+        off = np.abs(z_hat - couplings[loose]) > PHOTON_MISMATCH * np.abs(couplings[loose])
+        loose, z_hat = loose[off], z_hat[off]
+    if not loose.size:
+        return slope
+    change = (z_hat - couplings[loose]) * (z_hat + couplings[loose])
+    slope = slope.copy()
+    for r0, r1, _ in row_blocks(tau.size, loose.size):
+        distance = (poles[origin[r0:r1], None] - poles[loose]) + tau[r0:r1, None]
+        slope[r0:r1] += np.sum(change / np.square(distance), axis=1)
+    return slope
 
 
 def _secular_roots(poles, couplings, alpha, blocks):
-    """Origins, offsets and slopes f' of the n + 1 roots for n sorted,
-    distinct poles with nonzero couplings; ``blocks`` yields each chunk of
-    rows with its evaluator of the sums."""
+    """Origins, offsets, slopes f' and error bounds of the n + 1 roots for n
+    sorted, distinct poles with nonzero couplings; ``blocks`` yields each
+    chunk of rows with its evaluator of the sums."""
     n = poles.size
     bound = float(np.sqrt(couplings @ couplings))
     origin = np.empty(n + 1, dtype=int)
-    tau, slope = np.empty(n + 1), np.empty(n + 1)
+    tau, slope, error = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     for r0, r1, secular in blocks:
-        origin[r0:r1], tau[r0:r1], slope[r0:r1] = _solve_chunk(poles, alpha, bound, r0, r1, secular)
-    return origin, tau, slope
+        rows = slice(r0, r1)
+        origin[rows], tau[rows], slope[rows], error[rows] = _solve_chunk(
+            poles, alpha, bound, r0, r1, secular)
+    return origin, tau, slope, error
 
 
 class ArrowheadEigen:
@@ -457,13 +506,15 @@ class ArrowheadEigen:
         if self._closed:
             transfer, coupling = chain
             chain = (kept + 1, transfer / unit, (coupling / unit) ** 2, self.size)
-            self._origin, tau, _ = _secular_roots(
+            self._origin, tau, _, _ = _secular_roots(
                 self._kept_poles, kept_couplings, alpha,
                 _chain_sums(self._kept_poles, kept_couplings, chain))
             self._tau, slope = _polish(alpha, chain, self._origin, tau)
         elif n:
-            self._origin, self._tau, slope = _secular_roots(
+            self._origin, self._tau, slope, error = _secular_roots(
                 self._kept_poles, kept_couplings, alpha, _pole_sums(self._kept_poles, kept_couplings))
+            slope = _slopes_of_recomputed(self._kept_poles, kept_couplings, self._origin,
+                                          self._tau, slope, error)
         else:  # the photon alone
             self._origin, self._tau, slope = np.zeros(1, dtype=int), np.array([alpha]), np.ones(1)
         bright_weights = 1.0 / slope
@@ -499,7 +550,8 @@ class ArrowheadEigen:
         # would absorb that difference and miss A v = lam v by 1e-12 of ||A||
         # at N = 2000, so the vectors come from the pole sums' roots.
         if self._closed:
-            origin, tau, _ = _secular_roots(poles, couplings, self._alpha, _pole_sums(poles, couplings))
+            origin, tau, _, _ = _secular_roots(poles, couplings, self._alpha,
+                                               _pole_sums(poles, couplings))
         z_hat = _recomputed_couplings(poles, couplings, origin, tau) if poles.size else couplings
         out = np.zeros((dim, dim))
         position = self._position

@@ -13,9 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from functools import partial
-from itertools import repeat
-from typing import Callable, Iterable, NamedTuple
+from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .params import (
     load_params, superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant, _one_mode, collective_coupling_noninteracting, rabi_splitting,
-    superradiant_coupling, two_mode_doublet, variant_center,
+    ModelVariant, collective_coupling_noninteracting, rabi_splitting, superradiant_coupling,
+    superradiant_doublets, variant_center,
 )
 from .spectra import DEFAULT_GRID_POINTS, SpectrumTrace, default_grid, peak_find, sweep
 
@@ -241,18 +240,11 @@ _WEIGHTS = (
 def _polariton(spec: RunSpec) -> Dataset:
     """Doublets over a symmetric detuning sweep of the cavity frequency."""
     params = spec.params
-    num_sites, theta = params.num_sites, params.theta_rad
     deltas = np.linspace(-spec.grid_span_hz, spec.grid_span_hz, spec.grid_points)
     exciton_hz = superradiant_energy(params)
-    # Each doublet's six values go into preallocated columns as it is made.
-    names = ("upper_shift_hz", "lower_shift_hz", *_WEIGHTS)
-    values = np.empty((len(names), deltas.size))
-    # Python floats: a numpy scalar divided by zero warns instead of raising.
-    for i, c in enumerate((exciton_hz + 2.0 * deltas).tolist()):
-        d = two_mode_doublet(c, exciton_hz, _one_mode(params, _TWO_MODE, c, num_sites, theta)[0])
-        values[:, i] = (d.upper_hz, d.lower_hz, d.exciton_weight_upper, d.photon_weight_upper,
-                        d.exciton_weight_lower, d.photon_weight_lower)
+    values = superradiant_doublets(params, exciton_hz + 2.0 * deltas)
     values[:2] -= exciton_hz
+    names = ("upper_shift_hz", "lower_shift_hz", *_WEIGHTS)
     return Dataset({"delta_hz": deltas, **dict(zip(names, values))})
 
 
@@ -274,28 +266,26 @@ def _spectrum(spec: RunSpec) -> Dataset:
 
 
 def _rabi_curves(spec: RunSpec, axis: dict[str, np.ndarray], cavity_hz: float | None,
-                 curves: dict[str, tuple[ModelVariant, Iterable, Iterable]]) -> Dataset:
+                 curves: dict[str, tuple[ModelVariant, np.ndarray | int, np.ndarray | float]]
+                 ) -> Dataset:
     """Rabi splittings along the axis column: each curve is a variant with
-    its site counts and angles, the axis's values and one value repeated."""
+    its site counts and angles, one of them the axis's values."""
     columns = dict(axis)
     for name, (variant, sites, thetas) in curves.items():
-        # Straight into an array: a per-point list of floats would double the peak memory.
-        splittings = map(partial(rabi_splitting, spec.params, variant), sites, thetas, repeat(cavity_hz))
-        columns[name] = np.fromiter(splittings, float)
+        columns[name] = rabi_splitting(spec.params, variant, sites, thetas, cavity_hz)
     return Dataset(columns)
 
 
 def _rabi_vs_n(spec: RunSpec) -> Dataset:
-    counts = _log_site_counts(spec.params.num_sites)
-    sites, theta = counts.tolist(), repeat(spec.params.theta_rad)
+    counts, theta = _log_site_counts(spec.params.num_sites), spec.params.theta_rad
     return _rabi_curves(spec, {"N": counts}, None, {
-        "omega0_int_hz": (_TWO_MODE, sites, theta),
-        "omega0_nonint_hz": (_NONINTERACTING, sites, theta),
+        "omega0_int_hz": (_TWO_MODE, counts, theta),
+        "omega0_nonint_hz": (_NONINTERACTING, counts, theta),
     })
 
 
 def _rabi_vs_theta(spec: RunSpec) -> Dataset:
-    thetas, num_sites = np.linspace(0.0, math.pi / 2.0, spec.grid_points), repeat(spec.params.num_sites)
+    thetas, num_sites = np.linspace(0.0, math.pi / 2.0, spec.grid_points), spec.params.num_sites
     return _rabi_curves(spec, {"theta_rad": thetas}, spec.params.atom_frequency_hz, {
         "omega_int_hz": (_TWO_MODE, num_sites, thetas),
         "omega_nonint_hz": (_NONINTERACTING, num_sites, thetas),
@@ -304,12 +294,11 @@ def _rabi_vs_theta(spec: RunSpec) -> Dataset:
 
 def _rabi_vs_n_at_angles(spec: RunSpec) -> Dataset:
     counts = _log_site_counts(spec.params.num_sites)
-    sites = counts.tolist()
     return _rabi_curves(spec, {"N": counts}, spec.params.atom_frequency_hz, {
-        "omega_int_theta0_hz": (_TWO_MODE, sites, repeat(0.0)),
-        "omega_int_magic_hz": (_TWO_MODE, sites, repeat(MAGIC_ANGLE_RAD)),
-        "omega_int_theta90_hz": (_TWO_MODE, sites, repeat(math.pi / 2.0)),
-        "omega_nonint_hz": (_NONINTERACTING, sites, repeat(0.0)),
+        "omega_int_theta0_hz": (_TWO_MODE, counts, 0.0),
+        "omega_int_magic_hz": (_TWO_MODE, counts, MAGIC_ANGLE_RAD),
+        "omega_int_theta90_hz": (_TWO_MODE, counts, math.pi / 2.0),
+        "omega_nonint_hz": (_NONINTERACTING, counts, 0.0),
     })
 
 
@@ -342,7 +331,7 @@ _DATASETS: dict[str, tuple[Callable[[RunSpec], Dataset], tuple[str, ...] | None,
 # tracemalloc peaks at 1e5-1e6 rows, rounded up, apart from the writer's
 # blocks, about 1 MB whatever the rows.  A builder not listed takes 61 atom
 # numbers at most.  The exact envelope adds its own per-site bytes.
-_ROW_BYTES = {_exciton_modes: (64.0, 0.0), _polariton: (0.0, 100.0), _spectrum: (0.0, 56.0),
+_ROW_BYTES = {_exciton_modes: (64.0, 0.0), _polariton: (0.0, 80.0), _spectrum: (0.0, 56.0),
               _rabi_vs_theta: (0.0, 32.0)}
 _ENVELOPE_SITE_BYTES = 64.0
 
@@ -404,7 +393,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and kept."""
     parser = argparse.ArgumentParser(
         prog="lattice-polariton",
         description="Collective excitons of a finite atomic chain in a cavity:\n"
@@ -427,6 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid-span-hz", type=float, help="sweep half-span in Hz")
     parser.add_argument("--envelope", choices=("exact", "flat"), default="flat",
                         help="beam envelope for the multimode model (default: flat)")
+    # parse_intermixed_args lays out the usage on every call unless one is
+    # set, and sets this one: the usage without its "usage: " prefix.
+    parser.usage = parser.format_usage()[len("usage: "):]
     return parser
 
 

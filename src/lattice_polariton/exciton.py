@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .blocks import libm, quotient
 from .params import (
     EPSILON_0, PLANCK_H, SystemParams, cavity_frequency, mode_volume, site_positions,
     transfer_parameter,
@@ -47,10 +48,12 @@ def site_coupling(params: SystemParams) -> float:
     return _site_coupling_at(params, cavity_frequency(params))
 
 
-def _site_coupling_at(params: SystemParams, cavity_hz: float) -> float:
-    """site_coupling with the cavity at ``cavity_hz``."""
+def _site_coupling_at(params: SystemParams, cavity_hz):
+    """site_coupling with the cavity at ``cavity_hz``, a number or an array
+    of them."""
     volume = mode_volume(params)
-    return math.sqrt(cavity_hz * params.dipole_Cm**2 / (2.0 * EPSILON_0 * volume * PLANCK_H))
+    return libm(math.sqrt, quotient(cavity_hz * params.dipole_Cm**2,
+                                    2.0 * EPSILON_0 * volume * PLANCK_H))
 
 
 def _odd_cotangents(num_sites: int) -> np.ndarray:
@@ -58,7 +61,7 @@ def _odd_cotangents(num_sites: int) -> np.ndarray:
     the odd k <= N; from math.tan, as for k = 1 alone, since np.tan differs
     from libm in the last bit for a few modes in a thousand."""
     angles = np.pi * np.arange(1, num_sites + 1, 2) / (2.0 * (num_sites + 1))
-    return 1.0 / np.fromiter(map(math.tan, memoryview(angles)), float, angles.size)
+    return 1.0 / libm(math.tan, angles)
 
 
 def mode_coupling_array(params: SystemParams) -> np.ndarray:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .blocks import libm, quotient
+
 # CODATA 2018 values.
 PLANCK_H = 6.62607015e-34      # J s
 EPSILON_0 = 8.8541878128e-12   # F/m
@@ -143,13 +145,13 @@ def transfer_parameter(params: SystemParams) -> float:
     return _transfer_at(params, params.theta_rad)
 
 
-def _transfer_at(params: SystemParams, theta_rad: float) -> float:
-    """transfer_parameter at dipole angle ``theta_rad``."""
-    geometry = 1.0 - 3.0 * math.cos(theta_rad) ** 2
-    return (
-        params.dipole_Cm**2
-        * geometry
-        / (4.0 * math.pi * EPSILON_0 * params.lattice_constant_m**3 * PLANCK_H)
+def _transfer_at(params: SystemParams, theta_rad):
+    """transfer_parameter at dipole angle ``theta_rad``, a number or an
+    array of them."""
+    geometry = 1.0 - 3.0 * libm(pow, libm(math.cos, theta_rad), 2)
+    return quotient(
+        params.dipole_Cm**2 * geometry,
+        4.0 * math.pi * EPSILON_0 * params.lattice_constant_m**3 * PLANCK_H,
     )
 
 
@@ -173,9 +175,10 @@ def superradiant_shift(params: SystemParams) -> float:
     return _superradiant_shift_at(transfer_parameter(params), params.num_sites)
 
 
-def _superradiant_shift_at(transfer_hz: float, num_sites: int) -> float:
-    """superradiant_shift of an N-site chain with transfer rate J."""
-    return 2.0 * transfer_hz * math.cos(math.pi / (num_sites + 1))
+def _superradiant_shift_at(transfer_hz, num_sites):
+    """superradiant_shift of an N-site chain with transfer rate J; either
+    may be an array."""
+    return 2.0 * transfer_hz * libm(math.cos, math.pi / (num_sites + 1))
 
 
 def superradiant_energy(params: SystemParams) -> float:

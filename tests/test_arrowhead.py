@@ -374,7 +374,7 @@ class TestBlockEvaluator:
         # whole-row sums are themselves off by up to 13.5 eps (phi - psi) at
         # N = 10^4, where the block sums are off by 4.2 eps.
         poles, couplings, alpha = envelope_arrowhead(num_sites, waist_m, theta_deg)
-        origin, tau, _ = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
+        origin, tau, _, _ = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
         rng = np.random.default_rng(num_sites)
         inner = np.arange(1, poles.size)
         gaps_origin, gaps_tau = origin.copy(), tau.copy()
@@ -393,7 +393,7 @@ class TestBlockEvaluator:
         # In a small problem every block's near set is the whole row, and its
         # evaluator is the pole sums over the same rows, bit for bit.
         poles, couplings, alpha = envelope_arrowhead(100)
-        origin, tau, _ = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
+        origin, tau, _, _ = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
         for r0, r1, secular in _pole_sums(poles, couplings):
             assert secular.far is None and secular.near.size == poles.size
             buffers = [np.empty((r1 - r0, poles.size)) for _ in range(2)]
@@ -441,7 +441,7 @@ class TestBlockEvaluator:
         result = multimode_diagonalize(params, include_envelope=True)
         assert abs(result.photon_weights.sum() - 1.0) <= 1e-13
         poles, couplings, alpha = envelope_arrowhead(num_sites, theta_deg=theta_deg)
-        origin, tau, slope = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
+        origin, tau, slope, _ = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
         bright = np.sort(result.photon_weights[result.photon_weights > 0.0])
         np.testing.assert_array_equal(bright, np.sort(1.0 / slope))
         assert np.abs(1.0 / slope - reference_weights(poles, couplings, alpha, origin, tau)).max() <= 1e-13
@@ -549,6 +549,14 @@ def arrowheads(draw):
 # point onto the wrong side of the root between them, and the eigenvectors
 # missed A v = lam v by 0.05 of the scale.
 @example((np.array([1.0, 1.000000000000001]), np.array([0.875, 1.0]), 0.0))
+# A pole with coupling 1e-14 where the other pole's photon line crosses it:
+# two roots 7e-15 apart, whose offsets are known to about 1e-2 of
+# themselves.  1 / f' with the given coupling then missed the eigenvectors'
+# photon weights by 1e-3; they come from z_hat, so the weights must too.
+@example((np.array([1.0, 0, 1.0, 0, 0, 0]), np.array([0, 0, 1e-14, 0, 0, 1.0]), 0.0))
+# One pole on the corner: the outer roots sit on the Weyl bound d - |z|, whose
+# rounding once put them just outside their brackets, off by 4e-4 of |z|.
+@example((np.array([1.0]), np.array([1e-14]), 1.0))
 # A subnormal matrix: the residual is one subnormal step, and 1e-13 of the
 # norm rounds to 0 (the floor of assert_eigen_equation).
 @example((np.array([5e-320]), np.array([5e-320]), 0.0))
@@ -599,6 +607,15 @@ def clustered_arrowheads(draw):
     couplings[kind == 1] = 1e-14
     corner = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1e3, 1e3])))
     return poles, couplings, corner
+
+
+def test_recomputed_couplings_of_some_poles_are_those_of_all():
+    poles, couplings, alpha = envelope_arrowhead(300)
+    origin, tau, _, _ = _secular_roots(poles, couplings, alpha, _pole_sums(poles, couplings))
+    every = _recomputed_couplings(poles, couplings, origin, tau)
+    rows = np.array([0, 1, 75, poles.size - 1])
+    np.testing.assert_array_equal(_recomputed_couplings(poles, couplings, origin, tau, rows),
+                                  every[rows])
 
 
 def test_chain_of_close_poles_merges_within_tolerance():

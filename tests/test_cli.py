@@ -1,5 +1,6 @@
 import csv
 import io
+import hashlib
 import json
 import math
 import os
@@ -137,9 +138,9 @@ class TestExitCodes:
         "argv, message",
         [
             ("polariton --grid-points 100000000",
-             "polariton at N = 1000 and 100000000 grid points needs about 10 GB"),
+             "polariton at N = 1000 and 100000000 grid points needs about 8 GB"),
             ("figure 4b --grid-points 100000000",
-             "figure 4b at N = 1000 and 100000000 grid points needs about 10 GB"),
+             "figure 4b at N = 1000 and 100000000 grid points needs about 8 GB"),
             ("dispersion --num-sites 100000000", "dispersion at N = 100000000 needs about 6.4 GB"),
             ("couplings --num-sites 100000000", "couplings at N = 100000000 needs about 6.4 GB"),
             ("spectrum --grid-points 100000000",
@@ -245,6 +246,37 @@ class TestExitCodes:
         assert err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, config, message", [
+        # The grid's lowest cavity is below 0 Hz: the first point is named.
+        (["polariton", "--grid-span-hz", "1e15"], {},
+         "cavity_frequency_hz must be a positive number, got -1600000135638581.0"),
+        (["rabi-vs-n"], {"dipole_Cm": 3e-24, "cavity_frequency_hz": 4e14},
+         "cavity_frequency_hz must be a positive number, got -2.4375064827030416e+17"),
+        # The site coupling's denominator underflows to 0 at every point; it
+        # fails at the first, before the line at N = 2 turns negative.
+        (["rabi-vs-n"], {"dipole_Cm": 3e-24, "cavity_frequency_hz": 4e14, "mode_volume_m3": 1e-300},
+         "a derived quantity is out of floating-point range (float division by zero)"),
+        # The squared coupling underflows, and the doublet divides by its root.
+        (["figure", "4b"], {"dipole_Cm": 1e-161, "mode_volume_m3": 3e56},
+         "a derived quantity is out of floating-point range (float division by zero)"),
+        (["polariton"], {"lattice_constant_m": 1e100, "dipole_Cm": 5.6e124},
+         "a derived quantity is out of floating-point range (upper_shift_hz is not finite)"),
+    ], ids=["grid-below-zero", "line-below-zero", "invariant-first", "root-underflow",
+            "overflow"])
+    def test_sweep_refusals_name_the_loops_first_failure(self, argv, config, message, tmp_path,
+                                                         capsys):
+        # The messages a per-point loop over Python floats gives; numpy's
+        # warnings would be errors here.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_any_non_finite_cell_is_refused(self, bad, monkeypatch, tmp_path, capsys):
         # The check runs on every dataset, for a NaN as for an inf.
@@ -265,6 +297,25 @@ class TestParser:
         listing = capsys.readouterr().out.split("\ncommands:\n", 1)[1].splitlines()
         assert set(cli._COMMANDS) == {*COMMANDS, "figure"}
         assert [line.split(None, 1) for line in listing] == [list(c) for c in cli._COMMANDS.items()]
+
+    @pytest.mark.parametrize("argv, stream, sha256", [
+        (["--help"], "out", "957f7a8fdaaba5733e44570967a3e06db845cf3bc2959a3bb2e58fb20d6691f1"),
+        (["polariton", "5"], "err",
+         "d9a1194bed82d545b75b0abe44e139826af4928ac5565c028cf85ecaa6e3b08d"),
+        (["bogus"], "err", "e011076841f52f274a6819f453eca7485b58860e112c84c18a1c085b8e064d1e"),
+    ], ids=["help", "error-after-parsing", "error-while-parsing"])
+    def test_help_and_usage_errors_keep_their_bytes(self, argv, stream, sha256, monkeypatch,
+                                                     capsys):
+        # The parser is built once and keeps its usage line; these are the
+        # bytes of a parser built per call, at 80 columns.
+        monkeypatch.setenv("COLUMNS", "80")
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(argv)
+            text = getattr(capsys.readouterr(), stream)
+            assert hashlib.sha256(text.encode()).hexdigest() == sha256, text
+        cli.build_parser.cache_clear()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_figure_id_after_another_command_exits_2(self, command, tmp_path, monkeypatch, capsys):
