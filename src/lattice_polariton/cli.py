@@ -58,152 +58,152 @@ class Dataset(NamedTuple):
     trace: SpectrumTrace | None = None
 
 
-# printf conversion per numpy dtype kind of a number: floats carry 12
-# significant digits, integers are written as they are.  It converts only
-# the cells whose bytes the block kernels below cannot prove.
-_CELL_FORMATS = {"f": "%.11e", "i": "%d"}
-# Bytes of row text laid out at a time, in buffers reused from block to block.
+# Bytes of row text laid out at a time, in one buffer reused from block to block.
 _BLOCK_BYTES = 1 << 18
-# Digit pairs "00" to "99" read as uint16; 10**k correctly rounded for k in
-# [-297, 308]; the largest odd m with m * 5**j < 2**53; and the exponent
-# 308 - k (sign and three digits) read as uint32, for the scale _POW10[k].
-_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
-_POW10 = np.array([float(f"1e{k}") for k in range(-297, 309)])
-_ODD_LIMITS = np.array([(2**53 - 1) // 5**j for j in range(23)])
-_EXPONENTS = np.frombuffer("".join(f"{e:+04d}" for e in range(308, -298, -1)).encode(), np.uint32)
-# A field starts with its separator, and keeps its digit pairs at even
-# offsets: a float's sign, d.ddddddddddd, e and exponent; an integer's sign,
-# two bytes that only "-9223372036854775808" needs, and 18 digits.
-_FLOAT_FIELD = b",-0.00000000000e+000"
-_INT_FIELD = b",-\0\0" + b"0" * 18
+# Four digits "0000" to "9999" read as uint32, and a float's first four as
+# "d.ddd" and three NULs read as uint64, where 10**4 reads "1.000".
+_DIGITS = (48 + np.indices((10,) * 4).reshape(4, -1).T).astype(np.uint8, order="C")
+_GROUPS = _DIGITS.view(np.uint32).ravel()
+_LEADS = np.zeros((10**4 + 1, 8), np.uint8)
+_LEADS[:-1, [0, 2, 3, 4]], _LEADS[:, 1] = _DIGITS, ord(".")
+_LEADS[-1] = _LEADS[1000]
+_LEADS = _LEADS.view(np.uint64).ravel()
+# 10**k correctly rounded for k in [-297, 308], then 0; and three NULs, e
+# and the exponent 308 - k (a hundreds of 0 as NUL) read as uint64.
+_POW10 = np.array([float(f"1e{k}") for k in range(-297, 309)] + [0.0])
+_EXPONENTS = np.frombuffer("".join(f"\0\0\0e{e:+04d}".replace("+0", "+\0").replace("-0", "-\0")
+                                   for e in range(308, -299, -1)).encode(), np.uint64)
+# Per binade (a double's 11 exponent bits): the k of its least double's
+# decimal exponent e, and 10**(e + 1), from which its doubles have exponent
+# e + 1 (inf below 1e-297).  Zero, subnormals, inf and NaN take e = 0.
+_BINADE_E = np.floor((np.arange(2048) - 1023) * math.log10(2.0)).astype(np.intp)
+_BINADE_E[[0, -1]] = 0
+_BINADE_K = np.minimum(308 - _BINADE_E, _POW10.size - 1)
+_BINADE_TENS = np.where(_BINADE_E >= -298, _POW10[np.maximum(_BINADE_E + 298, 0)], math.inf)
+# The value from which each of an integer field's 20 digit slots shows: the
+# first two never do, the ones always.
+_PLACES = np.array([2**63 - 1] * 2 + [10**p for p in range(17, 0, -1)] + [0])
 
 
-def _float_fields(x, field, keep):
-    """Lay out '%.11e' of the floats x (rows x columns) in ``field`` (rows x
-    columns x 20 bytes), and return where its digits are not proven: the
-    13th digit near a tie, or a value not finite, subnormal or beyond the
-    10**k table.  Zeros take the same path as any other cell."""
-    with np.errstate(all="ignore"):  # log10(0) and non-finite cells
+def _float_fields(x, runs):
+    """Lay out '%.11e' of the floats x (rows x columns) in the fields of
+    ``runs``, and return where their digits are not proven: the 13th digit
+    near a tie, or a value not finite, subnormal or below 1e-297.  A run is
+    (first column, end column, its fields: rows x columns x 19 bytes of
+    sign, d.ddddddddddd, e and a signed three-digit exponent)."""
+    with np.errstate(all="ignore"):  # non-finite cells
         a = np.abs(x)
-        e = np.nan_to_num(np.floor(np.log10(a)), nan=0.0, posinf=0.0, neginf=0.0)
-        k = np.clip(308 - e.astype(np.intp), 0, _POW10.size - 1)  # _POW10[k] = 10**(11 - e)
-        s = a * _POW10[k]
-        k += (s > 0) & (s < 1e11)  # log10 rounded across a power of ten
-        k -= s >= 1e12
-        np.clip(k, 0, _POW10.size - 1, out=k)
-        s = a * _POW10[k]  # the 12 digits before the point
+        binade = a.view(np.int64) >> 52
+        k = _BINADE_K.take(binade) - (a >= _BINADE_TENS.take(binade))  # _POW10[k] = 10**(11 - e)
+        s = a * _POW10.take(k)  # the 12 digits before the point; a zero takes this path too
+        digits = np.rint(s)
         fits = (s >= 1e11) & (s < 1e12)
         # The power and the product each round by at most 2**-53 relative, so
         # s errs by under 2 ulp of s, at most 2.45e-4 as s < 1e12 < 2**40, and
-        # s - floor(s) is exact.  A fraction more than 3e-4 from 1/2 leaves the
+        # rint(s) - s is exact.  A fraction more than 3e-4 from 1/2 leaves the
         # exact product on the same side of the tie, so rint(s) rounds as '%'.
-        near = np.abs(s - np.floor(s) - 0.5) <= 3e-4
+        near = np.abs(digits - s) >= 0.5 - 3e-4
     proven = fits & ~near | (a == 0)
     # rint breaks a tie to even, as '%' does, so a near-tie is proven when s
     # is exact: 10**j is (0 <= j <= 22), and a's odd mantissa times 5**j fits
     # in 53 bits.
-    ties = np.flatnonzero(fits & near & (k >= 297) & (k <= 319))
+    ties = np.flatnonzero(fits & near)
+    ties = ties[(k.flat[ties] >= 297) & (k.flat[ties] <= 319)]
     mantissa = (np.frexp(a.flat[ties])[0] * 2.0**53).astype(np.int64)
-    proven.flat[ties] = mantissa // (mantissa & -mantissa) <= _ODD_LIMITS[k.flat[ties] - 297]
-    digits = np.rint(np.where(proven, s, 0.0)).astype(np.int64)
-    carry = digits == 10**12
-    digits[carry] = 10**11
-    high = digits // 10**11
-    field[..., 2] = ord("0") + high
-    pairs = field.view(np.uint16)
-    for i, scale in enumerate((10**9, 10**7, 10**5, 10**3, 10)):
-        low = digits // scale
-        pairs[..., 2 + i] = _PAIRS[low - 100 * high]
-        high = low
-    field[..., 14] = ord("0") + digits - 10 * high
-    k -= carry
-    field.view(np.uint32)[..., 4] = _EXPONENTS[k]
-    keep[..., 1] = np.signbit(x)
-    keep[..., 17] = field[..., 17] != ord("0")
+    proven.flat[ties] = mantissa // (mantissa & -mantissa) <= (2**53 - 1) // 5 ** (k.flat[ties] - 297)
+    low = np.where(proven, digits, 0.0).astype(np.int64)
+    k -= low == 10**12  # rounded up to 10**12: "1.000..." with the next exponent
+    lead, mid = low // 10**8, low // 10**4
+    low -= mid * 10**4
+    mid -= lead * 10**4
+    sign = np.signbit(x) * np.uint8(ord("-"))
+    for c0, c1, field in runs:  # each write after the one it overlaps
+        field[..., 0] = sign[:, c0:c1]
+        field[..., 1:9].view(np.uint64)[..., 0] = _LEADS.take(lead[:, c0:c1])
+        field[..., 11:19].view(np.uint64)[..., 0] = _EXPONENTS.take(k[:, c0:c1])
+        field[..., 6:10].view(np.uint32)[..., 0] = _GROUPS.take(mid[:, c0:c1])
+        field[..., 10:14].view(np.uint32)[..., 0] = _GROUPS.take(low[:, c0:c1])
     return ~proven
 
 
-def _int_fields(v, field, keep):
-    """Lay out '%d' of the int64 cells v (rows x columns) in ``field`` (rows x
-    columns x 22 bytes), and return where |v| reaches 10**18."""
-    a = np.abs(v)  # -2**63 stays negative
-    unproven = (a >= 10**18) | (a < 0)
+def _int_fields(v, runs):
+    """Lay out '%d' of the int64 cells v (rows x columns) in the fields of ``runs``
+    (each a sign and 20 digit slots), and return where |v| reaches 10**18."""
+    a = np.abs(v)
+    unproven = a.view(np.uint64) >= 10**18  # -2**63 stays negative: 2**63 unsigned
     a[unproven] = 0
-    pairs = field.view(np.uint16)
-    top, high = max(int(a.max()), 1), 0
-    for i, scale in enumerate(10 ** (16 - 2 * i) for i in range(9)):
-        if scale <= top:  # the pairs above are "00", hidden as leading zeros
-            low = a // scale
-            pairs[..., 2 + i] = _PAIRS[low - 100 * high]
-            high = low
-    shown = np.searchsorted(10 ** np.arange(1, 18), a, side="right")  # digits - 1
-    keep[..., 4:] = np.arange(18) >= 17 - shown[..., None]
-    keep[..., 1] = v < 0
+    groups = (len(str(a.max())) + 3) // 4  # of four digits, from the ones up
+    shown = a[..., None] >= _PLACES[20 - 4 * groups :]
+    quads = [a // 10**p - a // 10 ** min(p + 4, 18) * 10**4 for p in range(0, 4 * groups, 4)]  # a < 10**18
+    sign = (v < 0) * np.uint8(ord("-"))
+    for c0, c1, field in runs:
+        field[..., 0] = sign[:, c0:c1]
+        field[..., 1 : 21 - 4 * groups] = 0
+        for end, quad in zip(range(21, 0, -4), quads):
+            field[..., end - 4 : end].view(np.uint32)[..., 0] = _GROUPS.take(quad[:, c0:c1])
+        field[..., 21 - 4 * groups :] *= shown[:, c0:c1]
     return unproven
 
 
-def _write_csv(
-    path: Path, columns: dict[str, np.ndarray], comments: tuple[str, ...] = ()
-) -> None:
+# Per numpy dtype kind of a number: its kernel, the bytes of its field after
+# the separator, the dtype the kernel reads, and the printf conversion of the
+# cells it cannot prove (floats carry 12 significant digits).
+_KERNELS = {"f": (_float_fields, 19, float, "%.11e"), "i": (_int_fields, 21, np.int64, "%d")}
+
+
+def _write_csv(path: Path, columns: dict[str, np.ndarray], comments: tuple[str, ...] = ()) -> None:
     """Write equal-length named columns as one CSV dataset.
 
     Comment lines end in "\\n"; the header and data rows end in "\\r\\n", as
     csv.writer's do.  A column holds floats, signed integers or labels as
     byte strings, written as their bytes, unquoted: a label must not hold a
     comma, a double quote, a line break or a NUL.  A block of rows is laid
-    out in fixed-width fields, each with a mask of its bytes to keep: one
-    kernel call fills every float column's fields, one every integer
-    column's, and a label's bytes are copied.  They are joined in column
-    order, and the kept bytes written.
+    out in one reused buffer of fixed-width fields, each a separator (laid
+    once per call) and bytes whose NULs are not written.  One kernel call
+    fills every float column's fields, one every integer column's, a
+    label's bytes are copied, and the cells the kernels cannot prove are
+    formatted with '%' and placed in one scatter per kernel.
     """
     cells = list(columns.values())
     kinds = [c.dtype.kind for c in cells]
     for name, kind in zip(columns, kinds):
         if kind not in "fiS":
             raise ValueError(f"column {name} has dtype kind {kind!r}: write floats, ints or bytes")
-    floats, ints, strs = ([j for j, k in enumerate(kinds) if k == kind] for kind in "fiS")
-    texts = [{"f": _FLOAT_FIELD, "i": _INT_FIELD}.get(k, b"," + bytes(c.itemsize))
-             for k, c in zip(kinds, cells)]
-    starts = np.cumsum([0] + [len(t) for t in texts]).tolist()
+    widths = [_KERNELS[k][1] if k in _KERNELS else c.itemsize for k, c in zip(kinds, cells)]
+    starts = np.cumsum([0] + [w + 1 for w in widths])
+    # A row's fixed bytes: the first field has no separator.
+    static = np.frombuffer(b"\0" + b"".join(b"," + bytes(w) for w in widths)[1:] + b"\r\n", np.uint8)
     rows = len(cells[0])
-    step = max(1, min(rows, _BLOCK_BYTES // (starts[-1] + 2)))
-
-    def fields(text, count):  # (2 x step x count x width): bytes, and 1 where one is kept
-        text = np.frombuffer(text, np.uint8)
-        return np.tile(np.stack([text, text != 0])[:, None, None], (1, step, count, 1))
-
-    floatf, intf = fields(_FLOAT_FIELD, len(floats)), fields(_INT_FIELD, len(ints))
-    strf = {j: fields(texts[j], 1)[:, :, 0] for j in strs}
-    parts = {**{j: floatf[:, :, i] for i, j in enumerate(floats)}, **strf}
-    parts.update({j: intf[:, :, i] for i, j in enumerate(ints)})
-    parts = [parts[j] for j in range(len(cells))] + [fields(b"\r\n", 1)[:, :, 0]]
-    row = np.empty((2, step, starts[-1] + 2), np.uint8)
+    row = np.repeat(static[None], max(1, min(rows, _BLOCK_BYTES // static.size)), axis=0)
+    kernels = []
+    for kind, (kernel, width, dtype, fmt) in _KERNELS.items():
+        cols = np.array([j for j, k in enumerate(kinds) if k == kind], int)
+        if cols.size:
+            # Runs of adjacent columns, whose fields are one (rows x columns x width) view.
+            cuts = [0, *(c for c in range(1, cols.size) if cols[c] > cols[c - 1] + 1), cols.size]
+            runs = [(c0, c1, starts[cols[c0]], starts[cols[c1 - 1] + 1]) for c0, c1 in zip(cuts, cuts[1:])]
+            kernels.append((kernel, cols, runs, np.empty((len(row), cols.size), dtype), width, fmt))
+    labels = [j for j, k in enumerate(kinds) if k == "S"]
     with open(path, "w", newline="") as handle:
-        for line in comments:
-            handle.write(f"# {line}\n")
-        handle.write(",".join(columns) + "\r\n")
+        handle.write("".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\r\n")
         handle.flush()
-        for r0 in range(0, rows, step):
-            n = min(step, rows - r0)
-            unproven = np.zeros((n, len(cells)), bool)
-            if floats:
-                x = np.stack([cells[j][r0 : r0 + n] for j in floats], axis=1, dtype=float)
-                unproven[:, floats] = _float_fields(x, floatf[0, :n], floatf[1, :n])
-            if ints:
-                v = np.stack([cells[j][r0 : r0 + n] for j in ints], axis=1, dtype=np.int64)
-                unproven[:, ints] = _int_fields(v, intf[0, :n], intf[1, :n])
-            for j, field in strf.items():
+        for r0 in range(0, rows, len(row)):
+            block = row[: rows - r0]  # a kernel rewrites each byte of its fields but the separator
+            n = len(block)
+            for kernel, cols, runs, values, width, fmt in kernels:
+                for c, j in enumerate(cols):
+                    values[:n, c] = cells[j][r0 : r0 + n]
+                fields = [(c0, c1, block[:, b0:b1].reshape(n, c1 - c0, -1)[..., 1:]) for c0, c1, b0, b1 in runs]
+                unproven = kernel(values[:n], fields)
+                if unproven.any():
+                    i, c = np.divmod(np.flatnonzero(unproven), cols.size)
+                    text = b"".join((fmt % v).encode().ljust(width, b"\0") for v in values[i, c].tolist())
+                    spans = starts[cols[c], None] + np.arange(1, width + 1)
+                    block[i[:, None], spans] = np.frombuffer(text, np.uint8).reshape(-1, width)
+            for j in labels:
                 text = np.ascontiguousarray(cells[j][r0 : r0 + n]).view(np.uint8).reshape(n, -1)
-                field[0, :n, 1:] = text
-                field[1, :n, 1:] = text != 0
-            np.concatenate([part[:, :n] for part in parts], axis=2, out=row[:, :n])
-            row[1, :n, 0] = 0  # the first field's separator
-            for i, j in zip(*np.nonzero(unproven)):
-                text = (_CELL_FORMATS[kinds[j]] % cells[j][r0 + i]).encode()
-                start, end = starts[j] + 1, starts[j + 1]
-                row[0, i, start : start + len(text)] = np.frombuffer(text, np.uint8)
-                row[1, i, start:end] = np.arange(end - start) < len(text)
-            handle.buffer.write(row[0, :n][row[1, :n].view(bool)])
+                block[:, starts[j] + 1 : starts[j + 1]] = text
+            handle.buffer.write(block[block != 0])
 
 
 def _width(fwhm_hz: float, spec: str, missing: str) -> str:

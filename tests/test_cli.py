@@ -8,8 +8,11 @@ import string
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -813,6 +816,9 @@ FLOATS = st.one_of(
 INTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 # Strings the CSV quoting rules leave alone, as the dataset labels are.
 STRS = st.text(alphabet=string.ascii_letters + string.digits + " _-.:", min_size=1, max_size=12)
+# Doubles drawn as raw bit patterns, so that every binade turns up as often
+# as any other, with subnormals, +-0, +-inf and NaN payloads among them.
+BITS = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 @st.composite
@@ -826,6 +832,20 @@ def tables(draw):
     columns = {n: np.array(v, dtype=dtype[kind]) for n, v, kind in zip(names, values, kinds)}
     comments = draw(st.lists(STRS, max_size=3))
     return names, values, columns, tuple(comments)
+
+
+@st.composite
+def bit_tables(draw):
+    """Float columns of raw bit patterns among int64 and label columns, in
+    drawn order."""
+    rows = draw(st.integers(min_value=1, max_value=40))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "str"]), min_size=1, max_size=6))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        cells = draw(st.lists({"float": BITS, "int": INTS, "str": STRS}[kind], min_size=rows, max_size=rows))
+        column = np.array(cells, {"float": np.uint64, "int": np.int64, "str": np.bytes_}[kind])
+        columns[f"c{i}_{kind}"] = column.view(np.float64) if kind == "float" else column
+    return columns
 
 
 class TestWriteCsv:
@@ -949,3 +969,53 @@ class TestWriteCsv:
         dataset = cli._DATASETS[spec.dataset][0](spec)
         rows = zip(*[c.tolist() for c in dataset.columns.values()])
         assert path.read_bytes() == reference_csv(list(dataset.columns), rows, dataset.comments)
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(columns=bit_tables(), block_bytes=st.integers(min_value=1, max_value=400))
+    def test_raw_bit_patterns_in_small_blocks(self, columns, block_bytes, tmp_path, monkeypatch):
+        # Blocks of one to a few rows, so that most tables span several.
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        self.assert_matches_oracle(columns, tmp_path)
+
+    def test_every_power_of_two_and_its_neighbours(self, tmp_path):
+        # 2**e for every e a double has, subnormals included: the decimal
+        # exponent is estimated per binade, so each binade's least double,
+        # the greatest of the binade below and the next are pinned.
+        x = np.ldexp(1.0, np.arange(-1074, 1024))
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0)])
+        self.assert_matches_oracle({"x": x, "k": np.arange(x.size), "neg": -x}, tmp_path)
+
+    def test_the_kernel_proves_every_binade(self):
+        # Fallback to '%' hides a wrong decimal exponent from the bytes, so
+        # the float kernel itself must prove each power of two and its
+        # neighbours from 1e-297 up, unless the exact scaled value
+        # t = x * 10**(11 - e) lies near a tie or at either end of [1e11, 1e12).
+        x = np.ldexp(1.0, np.arange(-986, 1024))
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0)])
+        x = x[x >= 1e-297]
+        unproven = cli._float_fields(x[:, None], [(0, 1, np.zeros((x.size, 1, 19), np.uint8))])
+        for value, failed in zip(x.tolist(), unproven[:, 0].tolist()):
+            t = Fraction(value) * Fraction(10) ** (11 - Decimal(value).adjusted())
+            clear = abs(t - math.floor(t) - Fraction(1, 2)) > Fraction(4, 10**4)
+            if clear and 10**11 + 1 <= t <= 10**12 - 1:
+                assert not failed, value
+
+    def test_memory_stays_flat_whatever_the_rows(self, tmp_path):
+        """The writer's traced peak beyond its input columns, on mode tables
+        of 10**4 and 10**5 rows: a whole-table mask or a list of fallback
+        cells would grow with the rows."""
+        peaks = []
+        for num_sites in (10**4, 10**5):
+            argv = ["dispersion", "--num-sites", str(num_sites), "--out", str(tmp_path / "t.csv")]
+            spec = cli._build_spec(cli.build_parser().parse_args(argv))
+            columns = cli._DATASETS[spec.dataset][0](spec).columns
+            tracemalloc.start()
+            try:
+                _write_csv(spec.out_path, columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2e6, peaks  # the README's "about 1 MB whatever the rows"
+        assert peaks[1] - peaks[0] < 45_000, peaks  # half a byte per added row

@@ -10,12 +10,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_polariton import SystemParams
+from lattice_polariton import SystemParams, load_params, transfer_parameter
 from lattice_polariton.cli import _DATASETS, FIGURE_IDS, main
+from lattice_polariton.exciton import site_coupling
 from lattice_polariton.params import MAGIC_ANGLE_RAD
 
 # Every command and figure preset, and the spectrum's other models.
@@ -111,3 +113,48 @@ REFERENCE = {"num_sites": 100_000, "theta_rad": 0.0, "dipole_Cm": 5e-29, "beam_w
 @example(argv=["spectrum"], config={"dipole_Cm": 1e-21, "theta_rad": MAGIC_ANGLE_RAD})
 def test_every_run_writes_sensible_output_or_exits_1(argv, config):
     check_run(argv, config)
+
+
+def assert_written(cell, exact):
+    """A '%.11e' cell is the 12-digit rounding of a double within 8 ulp of
+    the exact value: at most half a unit of its 12th significant digit and
+    8 ulp from it.  The doubles behind the mode tables take five to seven
+    roundings (measured: at most 3.2 ulp off), so a fixed slack of 0.0001
+    unit, 0.45 to 4.5 ulp by the leading digit, would fail by chance."""
+    if exact == 0:
+        assert cell == "0.00000000000e+00", cell
+        return
+    unit = mpmath.mpf(10) ** (int(cell.split("e")[1]) - 11)
+    assert abs(mpmath.mpf(cell) - exact) <= unit / 2 + 8 * math.ulp(float(cell)), (cell, exact)
+
+
+@settings(max_examples=25, deadline=None)
+@given(num_sites=st.integers(1, 3000),
+       theta_deg=st.one_of(st.sampled_from([0.0, math.degrees(MAGIC_ANGLE_RAD), 90.0]),
+                           st.floats(-720.0, 720.0)))
+@example(num_sites=3000, theta_deg=0.0)
+@example(num_sites=2999, theta_deg=90.0)
+@example(num_sites=1726, theta_deg=5.794387063247598)
+def test_mode_table_cells_against_mpmath(num_sites, theta_deg):
+    """Every energy shift and coupling a dispersion run writes, against
+    40-digit mpmath from the package's own J and site coupling g: 2 J
+    sin(pi (N+1-2k) / (2(N+1))) and, for odd k, g sqrt(2/(N+1)) cot(x_k),
+    0 for even k.  x_k is the double that pi k / (2(N+1)) rounds to: near k
+    = N the cotangent magnifies that rounding, by up to 2000 ulp at N =
+    3000, which the 12 digits show (a known loss, not the writer's)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "modes.csv"
+        argv = ["dispersion", "--num-sites", str(num_sites), f"--theta-deg={theta_deg!r}"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header[:3] == ["k", "energy_shift_hz", "coupling_hz"]
+    params = load_params(num_sites=num_sites, theta_rad=math.radians(theta_deg))
+    with mpmath.workdps(40):
+        two_j = 2 * mpmath.mpf(transfer_parameter(params))
+        scale = mpmath.mpf(site_coupling(params)) * mpmath.sqrt(mpmath.mpf(2) / (num_sites + 1))
+        for k, (cell_k, shift, coupling, *_) in enumerate(rows, start=1):
+            assert int(cell_k) == k
+            assert_written(shift, two_j * mpmath.sinpi(mpmath.mpf(num_sites + 1 - 2 * k) / (2 * (num_sites + 1))))
+            angle = mpmath.mpf(math.pi * k / (2.0 * (num_sites + 1)))
+            assert_written(coupling, scale * mpmath.cot(angle) if k % 2 else 0)
