@@ -21,30 +21,32 @@ The solver follows the standard accurate recipe for this problem:
   exact eigenvalue with a unit eigenvector; a run of poles that spans at
   most the same tolerance is reflected (as in LAPACK dlaed2) so that one
   member carries its whole coupling and the others deflate like zero ones.
-- Find all roots at once, vectorized over roots and chunked so that every
-  temporary has a fixed size.  Each root is stored as its offset from the
+- Find the roots in one iteration loop per chunk of CHUNK_ROWS roots, one
+  chunk at the usual sizes.  Each root is stored as its offset from the
   nearer neighbouring pole (its origin), so the distances lam - d_j keep
-  full relative accuracy.  Interior roots step to the root of a two-pole
-  rational model matching f and f' (R.-C. Li's "middle way", the method of
-  LAPACK dlaed4; LAPACK Working Note 89, 1993); the two outer roots use a
-  one-pole model that keeps the linear term exact.  Every step is
-  safeguarded by bisection inside a closed bracket and stops at the
+  full relative accuracy; the other neighbour's offset from the origin is
+  taken with its rounding error.  Interior roots step to the root of a
+  two-pole rational model matching f and f' (R.-C. Li's "middle way", the
+  method of LAPACK dlaed4; LAPACK Working Note 89, 1993); the two outer
+  roots use a one-pole model that keeps the linear term exact.  Every step
+  is safeguarded by bisection inside a closed bracket and stops at the
   rounding level of f or of the offset.
-- Evaluate the sums in f one of two ways.  In general each block of
-  BLOCK_ROWS interior roots sums the poles within one block width of its
-  interval exactly and takes the others from Chebyshev interpolants built
-  once per block (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
-  Livne and Brandt, SIAM J. Matrix Anal. Appl. 24, 2002); the two outer
-  roots, and every root of a problem whose poles are all near, are summed
-  over every pole.  For the flat chain (the ``chain`` argument) the sum is
-  the chain's resolvent, whose closed form
-  (``resolvent.chain_sum_near_pole``) costs O(1) per root; it gives only
-  the total, so the model keeps the origin pole's own term exact and gives
-  the rest of f' to the other pole (a fixed-weight step).  Either way the
-  photon weights are 1 / f'(lam) at the roots; in the general solve, f'
-  takes z_hat (below) for the few poles where it differs from the given
-  coupling by more than PHOTON_MISMATCH, so that weights and eigenvectors
-  agree.
+- Evaluate the sums in f only for blocks with a root still open, so each
+  root is evaluated as often as if its block were iterated alone.  In
+  general a block of BLOCK_ROWS interior roots sums the poles within one
+  block width of its interval exactly, on scratch shared by all blocks, and
+  takes the others from Chebyshev interpolants tabulated for all blocks at
+  once (Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Livne and
+  Brandt, ibid. 24, 2002); the two outer roots, and every root of a problem
+  whose poles are all near, are summed over every pole.  For the flat chain
+  (the ``chain`` argument) the interior sums are the chain's resolvent,
+  whose closed form (``resolvent.chain_sum_near_pole``) costs O(1) per root;
+  it gives only the total, so the model keeps the origin pole's own term
+  exact and gives the rest of f' to the other pole (a fixed-weight step).
+  Either way the photon weights are 1 / f'(lam) at the roots; in the general
+  solve, f' takes z_hat (below) for the few poles where it differs from the
+  given coupling by more than PHOTON_MISMATCH, so that weights and
+  eigenvectors agree.
 - Recompute the couplings from the computed roots (Gu and Eisenstat), so
   that the eigenvectors v ~ [z_hat / (lam - d); 1] are orthogonal to
   working precision (Jakovcevic Stor, Slapnicar and Barlow, Linear Algebra
@@ -65,7 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import DENSE_BUDGET_BYTES, row_blocks
+from .blocks import CHUNK_ELEMENTS, DENSE_BUDGET_BYTES, row_blocks
 from .resolvent import chain_sum_near_pole
 
 EPS = sys.float_info.epsilon
@@ -78,7 +80,7 @@ PHOTON_MISMATCH = 5e-13
 # (second kind, on [0, 1]) with their barycentric weights for its far field.
 BLOCK_ROWS = 64
 FAR_NODES = 24
-FAR_CHUNK = 512  # far poles per pass of the table build
+CHUNK_ROWS = CHUNK_ELEMENTS // 8  # roots per iteration loop, some 230 bytes of state each
 _NODES = (1.0 + np.cos(np.pi * np.arange(FAR_NODES) / (FAR_NODES - 1))) / 2.0
 _NODE_WEIGHTS = np.where(np.arange(FAR_NODES) % 2, -1.0, 1.0)
 _NODE_WEIGHTS[[0, -1]] /= 2.0
@@ -93,153 +95,171 @@ def _model_root(c, a, b):
         )
 
 
-class _PoleSums:
-    """The secular sums of one chunk of roots r0..r1-1: summed over the
-    near poles lo..hi-1 (every pole by default) in two reused
-    (rows x (hi - lo)) buffers, plus the ``far`` field of the others.  Root
-    i lies between poles i-1 and i, so for row i the poles j < i are below
-    the current point and the poles j >= i above."""
+class _Sums:
+    """The secular sums of the roots ``rows``, block by block (``_layout``).
 
-    def __init__(self, poles, couplings, r0, r1, buffers, near=None, far=None):
-        lo, hi = near or (0, couplings.size)
-        self.poles, self.near, self.couplings, self.far = poles, poles[lo:hi], couplings[lo:hi], far
-        self.r0, self.mix_end = r0 - lo, min(r1, hi) - lo
-        rows = np.arange(r0, r1)[:, None]
-        self.below_mix = (np.arange(r0, min(r1, hi))[None, :] < rows).astype(float)
-        self.offsets, self.buffer = buffers
-
-    def at(self, origin):
-        """Measure each row's point from its pole ``origin``."""
-        np.subtract(self.near[None, :], self.poles[origin][:, None], out=self.offsets)
-        if self.far is not None:
-            self.start = self.poles[origin] - self.far.ref
-
-    def __call__(self, tau):
-        """psi, phi (sums of z_j^2 / (d_j - lam) over the poles below and
-        above each row's point lam = d_origin + tau), their derivatives, and
-        the size of the terms, phi - psi."""
-        y = np.subtract(self.offsets, tau[:, None], out=self.buffer)
-        z = self.couplings
-        np.divide(z, y, out=y)
-        r0, end = self.r0, self.mix_end
-        below, mix, above = y[:, :r0], y[:, r0:end], y[:, end:]
-        mix_below = mix * self.below_mix
-        mix_above = mix - mix_below
-        psi = below @ z[:r0] + mix_below @ z[r0:end]
-        phi = above @ z[end:] + mix_above @ z[r0:end]
-        dpsi = _sum_squares(below) + _sum_squares(mix_below)
-        dphi = _sum_squares(above) + _sum_squares(mix_above)
-        if self.far is not None:
-            far_psi, far_phi, far_dpsi, far_dphi = self.far(self.start + tau)
-            psi, phi, dpsi, dphi = psi + far_psi, phi + far_phi, dpsi + far_dpsi, dphi + far_dphi
-        return psi, phi, dpsi, dphi, phi - psi
-
-
-def _sum_squares(block):
-    return np.einsum("ij,ij->i", block, block)
-
-
-class _FarField:
-    """psi, phi and their derivatives over the poles outside lo..hi-1, at
-    points ref + t for t in [0, width]: Chebyshev interpolants through
-    FAR_NODES points, in barycentric form.  Every such pole lies more than
-    ``width`` from the interval, so the interpolants converge like
-    (3 + sqrt 8)^-FAR_NODES; nodes and poles are offsets from ``ref``, a
-    pole of the block, which keeps each term's relative accuracy."""
-
-    def __init__(self, poles, couplings, lo, hi, ref, width):
-        self.ref, self.nodes = ref, width * _NODES
-        self.table = np.zeros((FAR_NODES, 4))  # psi, phi, dpsi, dphi at each node
-        for side, (c0, c1) in enumerate(((0, lo), (hi, poles.size))):
-            for p0 in range(c0, c1, FAR_CHUNK):
-                p1 = min(c1, p0 + FAR_CHUNK)
-                z = couplings[p0:p1]
-                y = z / ((poles[p0:p1] - ref) - self.nodes[:, None])
-                # Pairwise sums along rows: a dot product's running sum would
-                # err by 20 eps of these same-sign sums at N = 10^4.
-                self.table[:, side] += np.sum(y * z, axis=1)
-                self.table[:, side + 2] += np.sum(y * y, axis=1)
-
-    def __call__(self, t):
-        diff = t[:, None] - self.nodes
-        exact = diff == 0.0
-        weights = _NODE_WEIGHTS / np.where(exact, 1.0, diff)
-        hit = exact.any(axis=1)
-        weights[hit] = exact[hit]
-        return (weights @ self.table / weights.sum(axis=1)[:, None]).T
-
-
-def _outer(poles, couplings, row):
-    """Root ``row``, 0 or n, beyond an end of the band: summed over every
-    pole."""
-    buffers = [np.empty((1, poles.size), poles.dtype) for _ in range(2)]
-    return row, row + 1, _PoleSums(poles, couplings, row, row + 1, buffers)
-
-
-def _pole_sums(poles, couplings):
-    """The two outer roots summed over every pole, and the interior roots
-    BLOCK_ROWS at a time: exact over the poles within one block width, in
-    value, of the block's interval [d_{r0-1}, d_{r1-1}], and from a far
-    field built once for the others.  Its tables cost O(N) per block, the
-    near sums O(1) per root."""
-    n = poles.size
-    yield _outer(poles, couplings, 0)
-    for b0 in range(1, n, BLOCK_ROWS):
-        b1 = min(b0 + BLOCK_ROWS, n)
-        ref, top = poles[b0 - 1], poles[b1 - 1]
-        lo, hi = np.searchsorted(poles, (2.0 * ref - top, 2.0 * top - ref))
-        far = None if lo == 0 and hi == n else _FarField(poles, couplings, lo, hi, ref, top - ref)
-        for r0, r1, buffers in row_blocks(b1 - b0, hi - lo, buffers=2):
-            yield b0 + r0, b0 + r1, _PoleSums(poles, couplings, b0 + r0, b0 + r1, buffers,
-                                              (lo, hi), far)
-    yield _outer(poles, couplings, n)
-
-
-class _ChainSums:
-    """The secular sums of one chunk of interior roots for the poles of a
-    flat chain, from its resolvent in closed form: O(1) per row.
-
-    The closed form gives the totals only.  The split keeps the origin
-    pole's own term on its side and puts the rest on the other, so the
-    two-pole step fixes the origin's weight and fits the other pole's
-    (a fixed-weight step, also quadratically convergent).
+    Root i lies between poles i-1 and i, so the terms z_j^2 / (d_j - lam) of
+    the poles below its point lam are negative and the others positive: the
+    sign splits each sum into psi and phi, and each row is summed on its own,
+    whatever rows share its block or chunk.
     """
 
-    def __init__(self, couplings, chain, r0, r1):
-        self.couplings = couplings
-        self.modes, self.transfer, self.coupling_sq, self.num_sites = chain
-        self.rows = np.arange(r0, r1)
+    def __init__(self, poles, couplings, rows, layout, chain=None):
+        first, lo, hi, table, self.refs, self.nodes, self.tables = layout
+        units = slice(np.searchsorted(first, rows.start, "right") - 1, np.searchsorted(first, rows.stop))
+        self.edges = np.append(np.maximum(first[units], rows.start), rows.stop) - rows.start
+        self.sizes = np.diff(self.edges)
+        self.units = list(zip(self.edges[:-1], self.edges[1:], lo[units], hi[units]))
+        table = np.repeat(table[units], self.sizes)
+        self.far = np.flatnonzero(table >= 0)
+        self.far_table, self.pole_rows = table[self.far], np.repeat(hi[units] > lo[units], self.sizes)
+        self.poles, self.size, self.chain, self.r0 = poles, np.abs(couplings), chain, rows.start
+        self.scratch = np.empty(2 * max((b - a) * (h - l) for a, b, l, h in self.units), poles.dtype)
+        self.sums = np.empty((5, self.sizes.sum()), poles.dtype)
 
     def at(self, origin):
-        self.k = self.modes[origin]
-        self.weight = np.square(self.couplings[origin])
-        self.lower = origin < self.rows
+        """Measure each row's point from its pole ``origin``, and its other
+        neighbour's offset with the rounding error (TwoSum) that weighs near it."""
+        self.start, i = self.poles[origin], np.arange(self.r0, self.r0 + origin.size)
+        self.other = np.where(origin < i, np.minimum(i, self.poles.size - 1), np.maximum(i - 1, 0))
+        offset = self.poles[self.other] - self.start
+        back = offset - self.poles[self.other]
+        self.rounding = (self.poles[self.other] - (offset - back)) - (self.start + back)
+        self.far_start = self.start[self.far] - self.refs[self.far_table]
+        if self.chain is not None:
+            self.k, self.weight = self.chain[0][origin], np.square(self.size[origin])
+            self.lower = origin < np.arange(self.r0, self.r0 + origin.size)
 
-    def __call__(self, tau):
-        value, slope, terms = chain_sum_near_pole(self.k, tau, self.transfer, self.num_sites)
-        total = -self.coupling_sq * value  # sum_j z_j^2 / (d_j - lam)
-        own = self.weight / -tau  # the origin's term
+    def __call__(self, tau, done=None):
+        """psi, phi (sums of z_j^2 / (d_j - lam) over the poles below and
+        above each row's point lam = d_origin + tau), their derivatives, and
+        the size of the terms, as the rows of one reused array; the rows of
+        blocks that are all ``done`` keep their values."""
+        sums = self.sums
+        busy = np.ones(len(self.units), bool) if done is None else ~np.logical_and.reduceat(done, self.edges[:-1])
+        for u in np.flatnonzero(busy):
+            a, b, lo, hi = self.units[u]
+            (self._near if hi > lo else self._closed)(a, b, lo, hi, tau)
+        pick = np.flatnonzero(np.repeat(busy, self.sizes)[self.far])
+        # Pieces whose gathered (rows x FAR_NODES x 5) tables take half of CHUNK_ELEMENTS.
+        for p0, p1, _ in row_blocks(pick.size, 10 * FAR_NODES):
+            p, rows = pick[p0:p1], self.far[pick[p0:p1]]
+            sums[:4, rows] += _far_field(self.tables, self.nodes, self.far_table[p],
+                                         self.far_start[p] + tau[rows])
+        np.subtract(sums[1], sums[0], out=sums[4], where=self.pole_rows)
+        return sums
+
+    def _near(self, a, b, lo, hi, tau):
+        terms = self.scratch[:2 * (b - a) * (hi - lo)].reshape(2, b - a, 1, hi - lo)
+        below, above = terms[:, :, 0]
+        np.subtract(self.poles[lo:hi], self.start[a:b, None], out=above)
+        above -= tau[a:b, None]
+        above[np.arange(b - a), self.other[a:b] - lo] += self.rounding[a:b]
+        np.divide(self.size[lo:hi], above, out=above)  # |z_j| / (d_j - lam)
+        np.minimum(above, 0.0, out=below)
+        above -= below
+        # One dot product per row and side, whatever rows share the block.
+        self.sums[:2, a:b] = np.matmul(terms, self.size[lo:hi, None])[..., 0, 0]
+        self.sums[2:4, a:b] = np.matmul(terms, terms.transpose(0, 1, 3, 2))[..., 0, 0]
+
+    def _closed(self, a, b, lo, hi, tau):
+        """The flat chain's sums from its resolvent, O(1) per row.  It gives
+        the totals only: the origin pole's own term stays on its side, and the
+        rest goes to the other, so the two-pole step fixes the origin's weight
+        and fits the other pole's (a fixed-weight step, also quadratic)."""
+        _, transfer, coupling_sq, num_sites = self.chain
+        rows, tau = slice(a, b), tau[a:b]
+        value, slope, terms = chain_sum_near_pole(self.k[rows], tau, transfer, num_sites)
+        total = -coupling_sq * value  # sum_j z_j^2 / (d_j - lam)
+        own = self.weight[rows] / -tau  # the origin's term
         own_slope = own / -tau
         # The rest of f' - 1, which can round below 0 next to the origin.
-        rest = np.maximum(-self.coupling_sq * slope - own_slope, 0.0)
-        psi = np.where(self.lower, own, total - own)
-        dpsi = np.where(self.lower, own_slope, rest)
-        dphi = np.where(self.lower, rest, own_slope)
+        rest = np.maximum(-coupling_sq * slope - own_slope, 0.0)
+        lower = self.lower[rows]
+        psi = np.where(lower, own, total - own)
         # The closed form errs by up to about 4 eps times its size, half of
         # the 8 eps the stopping test allows a pole sum's size.
-        return psi, total - psi, dpsi, dphi, self.coupling_sq * terms / 2.0
+        self.sums[:, rows] = (psi, total - psi, np.where(lower, own_slope, rest),
+                              np.where(lower, rest, own_slope), coupling_sq * terms / 2.0)
 
 
-def _chain_sums(poles, couplings, chain):
-    """The closed form for the interior roots, in chunks of CHUNK_ELEMENTS
-    rows with no (rows x n) buffer; the two outer roots, which may lie next
-    to a band edge where the closed form cancels, are summed over the poles
-    at O(N) each."""
+def _far_field(tables, nodes, table, t):
+    """psi, phi, dpsi and dphi (rows of the result) over the far poles of each
+    point's block, at offsets t in [0, width] from the block's reference
+    pole: Chebyshev interpolants through its FAR_NODES ``nodes``, in
+    barycentric form.  Every far pole lies more than ``width`` from the
+    interval, so the interpolants converge like (3 + sqrt 8)^-FAR_NODES."""
+    diff = t[:, None] - nodes[table]
+    if not diff.all():  # a point on a node takes that node's values
+        hit = (diff == 0.0).any(axis=1)
+        diff[hit] = np.where(diff[hit] == 0.0, 1.0, np.inf)
+    # Each row's weighted values, and in the last column the weights' sum.
+    sums = np.matmul((_NODE_WEIGHTS / diff)[:, None, :], tables[table])[:, 0]
+    return (sums[:, :4] / sums[:, 4:]).T
+
+
+def _far_tables(poles, couplings, lo, hi, ref, width):
+    """psi, phi, dpsi, dphi and 1 over the poles outside lo..hi-1 of each
+    block, at its FAR_NODES points ref + width * _NODES: (blocks, FAR_NODES,
+    5).  Terms are offsets from ``ref``, a pole of the block, which keeps
+    their relative accuracy, summed pairwise along the poles: a running sum
+    would err by 20 eps of these same-sign sums at N = 10^4.  The (block,
+    node) rows go through CHUNK_ELEMENTS terms at a time."""
+    n, size = poles.size, np.abs(couplings)
+    nodes = (width[:, None] * _NODES).ravel()
+    block = np.arange(nodes.size) // FAR_NODES
+    tables = np.ones((nodes.size, 5))
+    for r0, r1, (terms,) in row_blocks(nodes.size, 2 * n, buffers=1):
+        x, squares = terms.reshape(2, r1 - r0, n)
+        for b in range(block[r0], block[r1 - 1] + 1):
+            g0, g1 = max(b * FAR_NODES, r0), min((b + 1) * FAR_NODES, r1)
+            np.subtract(poles - ref[b], nodes[g0:g1, None], out=x[g0 - r0:g1 - r0])
+            x[g0 - r0:g1 - r0, lo[b]:hi[b]] = np.inf  # the near poles add nothing
+        np.divide(size, x, out=x)
+        np.multiply(x, x, out=squares)
+        x *= size
+        # Each row's terms below lo and from lo on, then the same for its squares.
+        cuts = n * np.arange(2 * (r1 - r0))[:, None] + lo[np.tile(block[r0:r1], 2), None] * [0, 1]
+        sums = np.add.reduceat(terms.ravel(), cuts.ravel()).reshape(2, -1, 2)
+        tables[r0:r1, :4] = sums.transpose(1, 0, 2).reshape(-1, 4)
+    return tables.reshape(-1, FAR_NODES, 5)
+
+
+def _layout(poles, couplings, chain=None):
+    """The blocks of roots, as arrays of their first roots, near poles lo..hi-1
+    and far tables (-1 for none), then the tables' reference poles, nodes and
+    values.  The roots 0 and n, beyond the band, are blocks of their own over
+    every pole.  With ``chain`` the interior roots are one block with no near
+    poles, the closed form.  Otherwise a block of BLOCK_ROWS interior roots
+    sums exactly the poles within one block width, in value, of its interval
+    [d_{b0-1}, d_{b1-1}], split so that (rows x near poles) fits
+    CHUNK_ELEMENTS, and takes the others from a table built once for it: O(N)
+    a block, and the near sums O(1) a root."""
     n = poles.size
-    yield _outer(poles, couplings, 0)
-    for r0, r1, _ in row_blocks(n - 1, 1):
-        yield r0 + 1, r1 + 1, _ChainSums(couplings, chain, r0 + 1, r1 + 1)
-    yield _outer(poles, couplings, n)
+    inner = np.arange(1, min(n, 2))
+    lo = hi = np.zeros_like(inner)
+    table, refs, nodes, tables = lo - 1, np.empty(0), np.empty((0, FAR_NODES)), None
+    if chain is None:
+        b0 = np.arange(1, n, BLOCK_ROWS)
+        ref, top = poles[b0 - 1], poles[np.minimum(b0 + BLOCK_ROWS, n) - 1]
+        lo, hi = np.searchsorted(poles, (2.0 * ref - top, 2.0 * top - ref))
+        far = (lo > 0) | (hi < n)
+        refs, width = ref[far], (top - ref)[far]
+        nodes, tables = width[:, None] * _NODES, _far_tables(poles, couplings, lo[far], hi[far], refs, width)
+        step = np.maximum(1, CHUNK_ELEMENTS // (hi - lo))
+        inner = np.array([r for a, s in zip(b0, step) for r in range(a, min(a + BLOCK_ROWS, n), s)], int)
+        block = np.searchsorted(b0, inner, "right") - 1
+        lo, hi, table = lo[block], hi[block], np.where(far, np.cumsum(far) - 1, -1)[block]
+    ends = lambda values, below, above: np.concatenate([[below], values, [above]])
+    return ends(inner, 0, n), ends(lo, 0, 0), ends(hi, n, n), ends(table, -1, -1), refs, nodes, tables
+
+
+def _chunks(poles, couplings, chain=None):
+    """The roots CHUNK_ROWS at a time, each chunk with its evaluator."""
+    layout = _layout(poles, couplings, chain)
+    for r0 in range(0, poles.size + 1, CHUNK_ROWS):
+        rows = slice(r0, min(r0 + CHUNK_ROWS, poles.size + 1))
+        yield rows, _Sums(poles, couplings, rows, layout, chain)
 
 
 def _polish(alpha, chain, origin, tau):
@@ -253,7 +273,7 @@ def _polish(alpha, chain, origin, tau):
     one step with sums 2000 times finer (where the platform's long double
     has 64 bits) lands on the chain's root to working precision, and the
     weights of all roots sum to 1 within a few eps.  The sums are those of
-    the iteration (``_chain_sums``), evaluated on long-double copies.
+    the iteration (``_layout`` with ``chain``), on long-double copies.
     """
     modes, transfer, coupling_sq, num_sites = chain
     wide = np.longdouble
@@ -262,8 +282,7 @@ def _polish(alpha, chain, origin, tau):
     lines = 2.0 * transfer * np.sin(pi * (m - 2 * modes) / (2.0 * m))
     couplings = np.sqrt(coupling_sq * 2.0 / m) / np.tan(pi * modes / (2.0 * m))
     tau, slope = tau.copy(), np.empty(tau.size)
-    for r0, r1, secular in _chain_sums(lines, couplings, (modes, transfer, coupling_sq, num_sites)):
-        rows = slice(r0, r1)
+    for rows, secular in _chunks(lines, couplings, (modes, transfer, coupling_sq, num_sites)):
         secular.at(origin[rows])
         start = tau[rows].astype(wide)
         psi, phi, dpsi, dphi, _ = secular(start)
@@ -283,8 +302,7 @@ def _solve_chunk(poles, alpha, bound, r0, r1, secular):
     i = np.arange(r0, r1)
     first, last = i == 0, i == n
     interior = ~(first | last)
-    lower = np.maximum(i - 1, 0)
-    upper = np.minimum(i, n - 1)
+    lower, upper = np.maximum(i - 1, 0), np.minimum(i, n - 1)
     gap = poles[upper] - poles[lower]
     # Brackets and start points as offsets from each root's lower pole
     # (from pole 0 for the root below the band): interior roots start at
@@ -315,18 +333,16 @@ def _solve_chunk(poles, alpha, bound, r0, r1, secular):
     base = poles[origin] - alpha
 
     # Offsets of the two poles around each root from its origin.
-    lower_off = poles[lower] - poles[origin]
-    upper_off = poles[upper] - poles[origin]
-    # The linear term's slope is given to the pole that is not the origin.
-    slope_lo = np.where(switch, 1.0, 0.0)
-    slope_hi = 1.0 - slope_lo
+    lower_off, upper_off = poles[lower] - poles[origin], poles[upper] - poles[origin]
+    del i, interior, lower, upper, gap, moved
     end_first, end_last = poles[0] - alpha, poles[-1] - alpha
     done = f == 0.0
     for _ in range(MAX_ITERATIONS):
         # Interior roots: two-pole model through f and f'.
         d_lo = lower_off - tau
         d_hi = upper_off - tau
-        c = f - d_lo * (dpsi + slope_lo) - d_hi * (dphi + slope_hi)
+        # The linear term's slope is given to the pole that is not the origin.
+        c = f - d_lo * (dpsi + switch) - d_hi * (dphi + ~switch)
         a = (d_lo + d_hi) * f - d_lo * d_hi * (1.0 + dpsi + dphi)
         b = d_lo * d_hi * f
         step = tau + _model_root(c, a, b)
@@ -345,7 +361,8 @@ def _solve_chunk(poles, alpha, bound, r0, r1, secular):
         if done.all():
             break
         tau = np.where(done, tau, step)
-        psi, phi, dpsi, dphi, size = secular(tau)
+        del d_lo, d_hi, c, a, b, step, s, p, root, u, ok  # before the sums' own temporaries
+        psi, phi, dpsi, dphi, size = secular(tau, done)
         f = base + tau + psi + phi
         hi = np.where(f > 0.0, tau, hi)
         lo = np.where(f < 0.0, tau, lo)
@@ -415,19 +432,14 @@ def _slopes_of_recomputed(poles, couplings, origin, tau, slope, error):
     return slope
 
 
-def _secular_roots(poles, couplings, alpha, blocks):
+def _secular_roots(poles, couplings, alpha, chain=None):
     """Origins, offsets, slopes f' and error bounds of the n + 1 roots for n
-    sorted, distinct poles with nonzero couplings; ``blocks`` yields each
-    chunk of rows with its evaluator of the sums."""
-    n = poles.size
+    sorted, distinct poles with nonzero couplings, one iteration per chunk
+    of roots; ``chain`` takes the interior roots' sums from its closed form."""
     bound = float(np.sqrt(couplings @ couplings))
-    origin = np.empty(n + 1, dtype=int)
-    tau, slope, error = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    for r0, r1, secular in blocks:
-        rows = slice(r0, r1)
-        origin[rows], tau[rows], slope[rows], error[rows] = _solve_chunk(
-            poles, alpha, bound, r0, r1, secular)
-    return origin, tau, slope, error
+    chunks = [_solve_chunk(poles, alpha, bound, rows.start, rows.stop, secular)
+              for rows, secular in _chunks(poles, couplings, chain)]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 class ArrowheadEigen:
@@ -478,7 +490,7 @@ class ArrowheadEigen:
         # the top, so the members that keep their couplings stay over tol apart.
         first = np.nonzero(starts)[0]
         last = np.append(first[1:], values.size) - 1
-        for a, top in zip(first, last):
+        for a, top in zip(first[last > first], last[last > first]):  # runs of two or more
             while values[top] - values[a] > tol:
                 top = a + int(np.searchsorted(values[a:top], values[top] - tol))
                 starts[top] = True
@@ -501,18 +513,17 @@ class ArrowheadEigen:
         n = kept.size
         self._kept, self._kept_poles, self._kept_couplings = kept, poles[kept], kept_couplings
         self._alpha = alpha
+        del poles, border, coupled, values, starts, first, last, ends  # only the kept ones are solved
         # The closed form is the sum over every odd mode of the chain.
         self._closed = n > 0 and chain is not None and not self._runs and n == (self.size + 1) // 2
         if self._closed:
             transfer, coupling = chain
             chain = (kept + 1, transfer / unit, (coupling / unit) ** 2, self.size)
-            self._origin, tau, _, _ = _secular_roots(
-                self._kept_poles, kept_couplings, alpha,
-                _chain_sums(self._kept_poles, kept_couplings, chain))
+            self._origin, tau, _, _ = _secular_roots(self._kept_poles, kept_couplings, alpha, chain)
             self._tau, slope = _polish(alpha, chain, self._origin, tau)
         elif n:
             self._origin, self._tau, slope, error = _secular_roots(
-                self._kept_poles, kept_couplings, alpha, _pole_sums(self._kept_poles, kept_couplings))
+                self._kept_poles, kept_couplings, alpha)
             slope = _slopes_of_recomputed(self._kept_poles, kept_couplings, self._origin,
                                           self._tau, slope, error)
         else:  # the photon alone
@@ -550,8 +561,7 @@ class ArrowheadEigen:
         # would absorb that difference and miss A v = lam v by 1e-12 of ||A||
         # at N = 2000, so the vectors come from the pole sums' roots.
         if self._closed:
-            origin, tau, _, _ = _secular_roots(poles, couplings, self._alpha,
-                                               _pole_sums(poles, couplings))
+            origin, tau, _, _ = _secular_roots(poles, couplings, self._alpha)
         z_hat = _recomputed_couplings(poles, couplings, origin, tau) if poles.size else couplings
         out = np.zeros((dim, dim))
         position = self._position
@@ -560,7 +570,7 @@ class ArrowheadEigen:
             photon = np.ones(r1 - r0)
             if poles.size:  # [z_hat_j / (lam - d_j); 1], normalized
                 amps = z_hat / ((poles[origin[r0:r1], None] - poles) + tau[r0:r1, None])
-                photon = np.sqrt(1.0 / (1.0 + _sum_squares(amps)))
+                photon = np.sqrt(1.0 / (1.0 + np.einsum("ij,ij->i", amps, amps)))
                 out[np.ix_(self._kept, cols)] = (amps * photon[:, None]).T
             out[-1, cols] = photon
         out[self._deflated, position[tau.size:]] = 1.0

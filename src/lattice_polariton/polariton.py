@@ -393,10 +393,10 @@ def multimode_diagonalize(
     photon weight.  With flat couplings the secular function is the chain's
     resolvent in closed form, so the frequencies and photon weights cost
     O(N) time and memory; with ``include_envelope`` the couplings carry the
-    Gaussian beam profile, and each block of roots sums its near poles
-    exactly and the far ones from Chebyshev tables, whose build is the only
-    O(N^2) term.  The solver is the result; its eigenvector rows are
-    k = 1..N, then the photon.
+    Gaussian beam profile, the roots iterate together, 8,192 at a time, and
+    each block of 64 sums its near poles exactly and the far ones from
+    Chebyshev tables, whose build is the only O(N^2) term.  The solver is
+    the result; its eigenvector rows are k = 1..N, then the photon.
     """
     # Imported here: the command line never diagonalizes, so it skips it.
     from .arrowhead import ArrowheadEigen

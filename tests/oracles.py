@@ -8,7 +8,10 @@ tests can check the closed forms against them.  ``resonance_loop`` is the cavity
 complex pass per resonance, the form the package used before its blocked
 and closed-form self-energy kernel.  ``polariton_loop`` and ``rabi_loop``
 build the polariton and Rabi datasets one grid point at a time in Python
-floats, the form the package used before its single-mode array kernel.  scipy, which the tridiagonal
+floats, the form the package used before its single-mode array kernel.  ``PoleSums``,
+``FarField`` and ``block_sums`` are the general arrowhead solve's former driver, one iteration per
+block of BLOCK_ROWS roots and per outer root, and ``roots_by_block`` runs it; ``whole_row_sums`` is
+the evaluator before that, every root summed over every pole.  scipy, which the tridiagonal
 eigensolver needs, is a test dependency only.
 """
 
@@ -25,6 +28,8 @@ from scipy.linalg import eigh_tridiagonal
 from lattice_polariton import (
     DampingSet, ModelVariant, SystemParams, mode_volume, transfer_parameter,
 )
+from lattice_polariton.arrowhead import _NODE_WEIGHTS, _NODES, BLOCK_ROWS, FAR_NODES, _solve_chunk
+from lattice_polariton.blocks import row_blocks
 from lattice_polariton.params import (
     EPSILON_0, PLANCK_H, _check_angle, _check_num_sites, _check_positive,
 )
@@ -225,3 +230,112 @@ def rabi_loop(params, variant, sites, thetas, cavity_hz=None) -> np.ndarray:
     """rabi_point along iterables of site counts and angles."""
     splittings = map(partial(rabi_point, params, variant), sites, thetas, repeat(cavity_hz))
     return np.fromiter(splittings, float)
+
+
+class PoleSums:
+    """The secular sums of one chunk of roots r0..r1-1: summed over the
+    near poles lo..hi-1 (every pole by default) in two reused
+    (rows x (hi - lo)) buffers, plus the ``far`` field of the others.  Root
+    i lies between poles i-1 and i, so for row i the poles j < i are below
+    the current point and the poles j >= i above.  Every row is evaluated,
+    whichever are done."""
+
+    def __init__(self, poles, couplings, r0, r1, buffers, near=None, far=None):
+        lo, hi = near or (0, couplings.size)
+        self.poles, self.near, self.couplings, self.far = poles, poles[lo:hi], couplings[lo:hi], far
+        self.r0, self.mix_end = r0 - lo, min(r1, hi) - lo
+        rows = np.arange(r0, r1)[:, None]
+        self.below_mix = (np.arange(r0, min(r1, hi))[None, :] < rows).astype(float)
+        self.offsets, self.buffer = buffers
+
+    def at(self, origin):
+        np.subtract(self.near[None, :], self.poles[origin][:, None], out=self.offsets)
+        if self.far is not None:
+            self.start = self.poles[origin] - self.far.ref
+
+    def __call__(self, tau, done=None):
+        y = np.subtract(self.offsets, tau[:, None], out=self.buffer)
+        z = self.couplings
+        np.divide(z, y, out=y)
+        r0, end = self.r0, self.mix_end
+        below, mix, above = y[:, :r0], y[:, r0:end], y[:, end:]
+        mix_below = mix * self.below_mix
+        mix_above = mix - mix_below
+        psi = below @ z[:r0] + mix_below @ z[r0:end]
+        phi = above @ z[end:] + mix_above @ z[r0:end]
+        squares = lambda block: np.einsum("ij,ij->i", block, block)
+        dpsi = squares(below) + squares(mix_below)
+        dphi = squares(above) + squares(mix_above)
+        if self.far is not None:
+            far_psi, far_phi, far_dpsi, far_dphi = self.far(self.start + tau)
+            psi, phi, dpsi, dphi = psi + far_psi, phi + far_phi, dpsi + far_dpsi, dphi + far_dphi
+        return psi, phi, dpsi, dphi, phi - psi
+
+
+class FarField:
+    """psi, phi and their derivatives over the poles outside lo..hi-1, at
+    points ref + t for t in [0, width]: Chebyshev interpolants through
+    FAR_NODES points, built from pairwise sums over 512 poles at a time."""
+
+    def __init__(self, poles, couplings, lo, hi, ref, width):
+        self.ref, self.nodes = ref, width * _NODES
+        self.table = np.zeros((FAR_NODES, 4))  # psi, phi, dpsi, dphi at each node
+        for side, (c0, c1) in enumerate(((0, lo), (hi, poles.size))):
+            for p0 in range(c0, c1, 512):
+                p1 = min(c1, p0 + 512)
+                z = couplings[p0:p1]
+                y = z / ((poles[p0:p1] - ref) - self.nodes[:, None])
+                self.table[:, side] += np.sum(y * z, axis=1)
+                self.table[:, side + 2] += np.sum(y * y, axis=1)
+
+    def __call__(self, t):
+        diff = t[:, None] - self.nodes
+        exact = diff == 0.0
+        weights = _NODE_WEIGHTS / np.where(exact, 1.0, diff)
+        hit = exact.any(axis=1)
+        weights[hit] = exact[hit]
+        return (weights @ self.table / weights.sum(axis=1)[:, None]).T
+
+
+def _outer(poles, couplings, row):
+    buffers = [np.empty((1, poles.size), poles.dtype) for _ in range(2)]
+    return slice(row, row + 1), PoleSums(poles, couplings, row, row + 1, buffers)
+
+
+def block_sums(poles, couplings):
+    """The two outer roots summed over every pole, and the interior roots
+    BLOCK_ROWS at a time: exact over the poles within one block width, in
+    value, of the block's interval, split in row_blocks, and from a far
+    field built once per block for the others."""
+    n = poles.size
+    yield _outer(poles, couplings, 0)
+    for b0 in range(1, n, BLOCK_ROWS):
+        b1 = min(b0 + BLOCK_ROWS, n)
+        ref, top = poles[b0 - 1], poles[b1 - 1]
+        lo, hi = np.searchsorted(poles, (2.0 * ref - top, 2.0 * top - ref))
+        far = None if lo == 0 and hi == n else FarField(poles, couplings, lo, hi, ref, top - ref)
+        for r0, r1, buffers in row_blocks(b1 - b0, hi - lo, buffers=2):
+            yield slice(b0 + r0, b0 + r1), PoleSums(poles, couplings, b0 + r0, b0 + r1, buffers,
+                                                    (lo, hi), far)
+    yield _outer(poles, couplings, n)
+
+
+def whole_row_sums(poles, couplings):
+    """Every row summed over every pole, in the poles' dtype."""
+    n = poles.size
+    for r0, r1, _ in row_blocks(n + 1, n):
+        buffers = [np.empty((r1 - r0, n), poles.dtype) for _ in range(2)]
+        yield slice(r0, r1), PoleSums(poles, couplings, r0, r1, buffers)
+
+
+def roots_by_block(poles, couplings, alpha, blocks):
+    """Origins, offsets, slopes f' and error bounds of the n + 1 roots, one
+    iteration per chunk of rows that ``blocks`` yields with its evaluator."""
+    n = poles.size
+    bound = float(np.sqrt(couplings @ couplings))
+    origin = np.empty(n + 1, dtype=int)
+    tau, slope, error = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    for rows, secular in blocks:
+        origin[rows], tau[rows], slope[rows], error[rows] = _solve_chunk(
+            poles, alpha, bound, rows.start, rows.stop, secular)
+    return origin, tau, slope, error
