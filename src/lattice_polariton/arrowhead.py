@@ -40,9 +40,10 @@ The solver follows the standard accurate recipe for this problem:
   Brandt, ibid. 24, 2002); the two outer roots, and every root of a problem
   whose poles are all near, are summed over every pole.  For the flat chain
   (the ``chain`` argument) the interior sums are the chain's resolvent,
-  whose closed form (``resolvent.chain_sum_near_pole``) costs O(1) per root;
-  it gives only the total, so the model keeps the origin pole's own term
-  exact and gives the rest of f' to the other pole (a fixed-weight step).
+  whose closed form (``resolvent.chain_sum_near_pole``, on angles taken once
+  per set of origins) costs O(1) per root; it gives only the total, so the
+  model keeps the origin pole's own term exact and gives the rest of f' to
+  the other pole (a fixed-weight step).
   Either way the photon weights are 1 / f'(lam) at the roots; in the general
   solve, f' takes z_hat (below) for the few poles where it differs from the
   given coupling by more than PHOTON_MISMATCH, so that weights and
@@ -68,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import CHUNK_ELEMENTS, DENSE_BUDGET_BYTES, row_blocks
-from .resolvent import chain_sum_near_pole
+from .resolvent import chain_angles, chain_sum_near_pole
 
 EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 100
@@ -127,7 +128,8 @@ class _Sums:
         self.rounding = (self.poles[self.other] - (offset - back)) - (self.start + back)
         self.far_start = self.start[self.far] - self.refs[self.far_table]
         if self.chain is not None:
-            self.k, self.weight = self.chain[0][origin], np.square(self.size[origin])
+            k, self.weight = self.chain[0][origin], np.square(self.size[origin])
+            self.angles = chain_angles(k, self.chain[3], self.poles.dtype.type)
             self.lower = origin < np.arange(self.r0, self.r0 + origin.size)
 
     def __call__(self, tau, done=None):
@@ -169,7 +171,7 @@ class _Sums:
         and fits the other pole's (a fixed-weight step, also quadratic)."""
         _, transfer, coupling_sq, num_sites = self.chain
         rows, tau = slice(a, b), tau[a:b]
-        value, slope, terms = chain_sum_near_pole(self.k[rows], tau, transfer, num_sites)
+        value, slope, terms = chain_sum_near_pole([part[rows] for part in self.angles], tau, transfer, num_sites)
         total = -coupling_sq * value  # sum_j z_j^2 / (d_j - lam)
         own = self.weight[rows] / -tau  # the origin's term
         own_slope = own / -tau

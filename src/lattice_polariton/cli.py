@@ -28,7 +28,7 @@ from .polariton import (
     ModelVariant, collective_coupling_noninteracting, rabi_splitting, superradiant_coupling,
     superradiant_doublets, variant_center,
 )
-from .spectra import DEFAULT_GRID_POINTS, SpectrumTrace, default_grid, peak_find, sweep
+from .spectra import DEFAULT_GRID_POINTS, SpectrumTrace, _maxima, default_grid, sweep
 
 FIGURE_IDS = ("3a", "3b", "4a", "4b", "5", "6", "7a", "7b")
 
@@ -159,10 +159,10 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray], comments: tuple[str, 
     byte strings, written as their bytes, unquoted: a label must not hold a
     comma, a double quote, a line break or a NUL.  A block of rows is laid
     out in one reused buffer of fixed-width fields, each a separator (laid
-    once per call) and bytes whose NULs are not written.  One kernel call
-    fills every float column's fields, one every integer column's, a
-    label's bytes are copied, and the cells the kernels cannot prove are
-    formatted with '%' and placed in one scatter per kernel.
+    once per call) and bytes whose NULs one ``translate`` per block drops.
+    One kernel call fills every float column's fields, one every integer
+    column's, a label's bytes are copied, and the cells the kernels cannot
+    prove are formatted with '%' and placed in one scatter per kernel.
     """
     cells = list(columns.values())
     kinds = [c.dtype.kind for c in cells]
@@ -172,9 +172,10 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray], comments: tuple[str, 
     widths = [_KERNELS[k][1] if k in _KERNELS else c.itemsize for k, c in zip(kinds, cells)]
     starts = np.cumsum([0] + [w + 1 for w in widths])
     # A row's fixed bytes: the first field has no separator.
-    static = np.frombuffer(b"\0" + b"".join(b"," + bytes(w) for w in widths)[1:] + b"\r\n", np.uint8)
+    static = b"\0" + b"".join(b"," + bytes(w) for w in widths)[1:] + b"\r\n"
     rows = len(cells[0])
-    row = np.repeat(static[None], max(1, min(rows, _BLOCK_BYTES // static.size)), axis=0)
+    buffer = bytearray(static * max(1, min(rows, _BLOCK_BYTES // len(static))))
+    row = np.frombuffer(buffer, np.uint8).reshape(-1, len(static))
     kernels = []
     for kind, (kernel, width, dtype, fmt) in _KERNELS.items():
         cols = np.array([j for j, k in enumerate(kinds) if k == kind], int)
@@ -184,9 +185,8 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray], comments: tuple[str, 
             runs = [(c0, c1, starts[cols[c0]], starts[cols[c1 - 1] + 1]) for c0, c1 in zip(cuts, cuts[1:])]
             kernels.append((kernel, cols, runs, np.empty((len(row), cols.size), dtype), width, fmt))
     labels = [j for j, k in enumerate(kinds) if k == "S"]
-    with open(path, "w", newline="") as handle:
-        handle.write("".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\r\n")
-        handle.flush()
+    with open(path, "wb") as handle:
+        handle.write(("".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\r\n").encode())
         for r0 in range(0, rows, len(row)):
             block = row[: rows - r0]  # a kernel rewrites each byte of its fields but the separator
             n = len(block)
@@ -203,7 +203,7 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray], comments: tuple[str, 
             for j in labels:
                 text = np.ascontiguousarray(cells[j][r0 : r0 + n]).view(np.uint8).reshape(n, -1)
                 block[:, starts[j] + 1 : starts[j + 1]] = text
-            handle.buffer.write(block[block != 0])
+            handle.write(buffer[: block.nbytes].translate(None, b"\0"))
 
 
 def _width(fwhm_hz: float, spec: str, missing: str) -> str:
@@ -350,8 +350,8 @@ def _summary(params: SystemParams, variant: ModelVariant, trace: SpectrumTrace |
         for p in trace.peaks:
             lines.append(f"  {p.location_hz:.6e}  {p.height:.4e}  {_width(p.fwhm_hz, '.4e', 'n/a')}")
         lines.append("reflection dips (location_hz, depth):")
-        dips = peak_find(trace.frequencies_hz, -trace.reflection, ceiling=0.0)
-        lines += [f"  {dip.location_hz:.6e}  {-dip.height:.4e}" for dip in dips]
+        dips = _maxima(trace.frequencies_hz, -trace.reflection, ceiling=0.0)  # no widths printed
+        lines += [f"  {location:.6e}  {-height:.4e}" for _, location, height in dips]
     return lines
 
 

@@ -44,12 +44,22 @@ def chain_sum(x: np.ndarray, transfer_hz: float, num_sites: int) -> np.ndarray:
     return np.where(edge, edge_value, (num_sites - ratio) / gap)
 
 
+def chain_angles(k: np.ndarray, num_sites: int, dtype=np.float64) -> tuple[np.ndarray, ...]:
+    """sin(theta_k), cos(theta_k), the base angle of C and whether C is its
+    cotangent (2k <= N+1), for ``chain_sum_near_pole`` at odd modes k, in
+    ``dtype``; every angle is taken from the exact integers k and N+1-k."""
+    m, below = num_sites + 1, 2 * k <= num_sites + 1
+    pi = 4.0 * np.arctan(dtype(1.0))  # np.pi in float64; more in long double
+    sin_k, cos_k = np.sin(pi * np.minimum(k, m - k) / m), np.sin(pi * (m - 2 * k) / (2.0 * m))
+    return sin_k, cos_k, pi * np.where(below, k, k - m) / (2.0 * m), below
+
+
 def chain_sum_near_pole(
-    k: np.ndarray, tau: np.ndarray, transfer_hz: float, num_sites: int
+    angles: tuple[np.ndarray, ...], tau: np.ndarray, transfer_hz: float, num_sites: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S, its derivative S' and the size of its terms at the real points
-    x = d_k + tau, for odd modes k and points between the band's outermost
-    odd lines (J != 0).
+    x = d_k + tau, for odd modes k (their ``chain_angles``) and points
+    between the band's outermost odd lines (J != 0).
 
     Inside the band x = 2 J cos(theta) with theta = theta_k + delta.  For
     odd k, tan((N+1) theta / 2) = -cot((N+1) delta / 2), so with
@@ -61,22 +71,20 @@ def chain_sum_near_pole(
     delta comes from tau = -4 J sin(theta_k + delta/2) sin(delta/2), a
     quadratic in tan(delta/2) solved without cancellation, so the pole term
     keeps full relative accuracy however close x is to d_k: the textbook
-    form, 1 + e^-(N+1)s, cancels there.  Every angle is taken from the exact
-    integers k and N+1-k, like the lines themselves.  S is accurate to a
-    few eps times the size (N + 1 + |C/T|)(1 + C^2) / (4 |J|), and S' to a
-    few eps relative (its two terms never cancel by more than half).
+    form, 1 + e^-(N+1)s, cancels there.  S is accurate to a few eps times
+    the size (N + 1 + |C/T|)(1 + C^2) / (4 |J|), and S' to a few eps
+    relative (its two terms never cancel by more than half).
     """
+    sin_k, cos_k, base, below = angles
     m = num_sites + 1
-    pi = 4.0 * np.arctan(tau.dtype.type(1.0))  # np.pi in float64; more in long double
-    sin_k = np.sin(pi * np.minimum(k, m - k) / m)
-    cos_k = np.sin(pi * (m - 2 * k) / (2.0 * m))
     q = tau / (-4.0 * transfer_hz)
     # (cos_k - q) t^2 + sin_k t - q = 0 for t = tan(delta/2); its
     # discriminant is sin^2(theta), which stays away from 0 between lines.
     root = np.sqrt(np.maximum(sin_k * sin_k + 4.0 * q * (cos_k - q), 0.0))
     half = np.arctan(2.0 * q / (sin_k + root))
-    c = np.where(2 * k <= m, 1.0 / np.tan(pi * k / (2.0 * m) + half),
-                 np.tan(pi * (m - k) / (2.0 * m) - half))
+    # Above the middle base is -pi (N+1-k) / 2(N+1), and C = tan(-base - half).
+    c = np.tan(np.where(below, base + half, -base - half))
+    np.divide(1.0, c, out=c, where=below)
     t = np.tan(m * half)
     ratio = c / t
     scale = (1.0 + c * c) / (4.0 * transfer_hz)

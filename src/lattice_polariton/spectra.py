@@ -87,7 +87,7 @@ def _resonance_sum(
     real, imag = np.empty(offsets.size), np.empty(offsets.size)
     for r0, r1, (d, q) in row_blocks(offsets.size, lines.size, 2, _BLOCK_ELEMENTS):
         np.subtract(lines, offsets[r0:r1, None], out=d)
-        np.multiply(d, d, out=q)
+        np.square(d, out=q)
         q += half_width * half_width
         np.divide(1.0, q, out=q)
         np.matmul(q, weights, out=real[r0:r1])
@@ -293,6 +293,22 @@ def _half_crossing(
     return math.nan
 
 
+def _maxima(freq: np.ndarray, vals: np.ndarray, ceiling: float) -> list[tuple[int, float, float]]:
+    """Index, location and height of each local maximum of the float arrays,
+    by 3-point comparison with parabolic refinement that stops at
+    ``ceiling``, in order of location."""
+    if freq.size != vals.size:
+        raise ValueError("frequency and value arrays must have equal length")
+    if freq.size < 3:
+        return []
+    inner = vals[1:-1]
+    maxima = np.flatnonzero((inner > vals[:-2]) & (inner > vals[2:])) + 1
+    floor = vals.min()
+    found = [(i, *_parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2], floor, ceiling))
+             for i in maxima.tolist()]
+    return sorted(found, key=lambda m: m[1])
+
+
 def peak_find(frequencies_hz: np.ndarray, values: np.ndarray, ceiling: float = math.inf) -> list[Peak]:
     """Local maxima by 3-point comparison with parabolic refinement, which
     stops at ``ceiling``, the trace's bound (1 for a transmission).
@@ -303,19 +319,7 @@ def peak_find(frequencies_hz: np.ndarray, values: np.ndarray, ceiling: float = m
     """
     freq = np.asarray(frequencies_hz, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if freq.size != vals.size:
-        raise ValueError("frequency and value arrays must have equal length")
-    if freq.size < 3:
-        return []
-    inner = vals[1:-1]
-    maxima = np.flatnonzero((inner > vals[:-2]) & (inner > vals[2:])) + 1
-    floor = vals.min()
-    peaks = []
-    for i in maxima.tolist():
-        location, height = _parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2], floor, ceiling)
-        half = height / 2.0
-        left = _half_crossing(freq, vals, i, half, -1)
-        right = _half_crossing(freq, vals, i, half, +1)
-        peaks.append(Peak(location_hz=location, height=height, fwhm_hz=right - left))
-    peaks.sort(key=lambda p: p.location_hz)
-    return peaks
+    return [Peak(location_hz=location, height=height,
+                 fwhm_hz=_half_crossing(freq, vals, i, height / 2.0, +1)
+                 - _half_crossing(freq, vals, i, height / 2.0, -1))
+            for i, location, height in _maxima(freq, vals, ceiling)]

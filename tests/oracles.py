@@ -11,8 +11,9 @@ build the polariton and Rabi datasets one grid point at a time in Python
 floats, the form the package used before its single-mode array kernel.  ``PoleSums``,
 ``FarField`` and ``block_sums`` are the general arrowhead solve's former driver, one iteration per
 block of BLOCK_ROWS roots and per outer root, and ``roots_by_block`` runs it; ``whole_row_sums`` is
-the evaluator before that, every root summed over every pole.  scipy, which the tridiagonal
-eigensolver needs, is a test dependency only.
+the evaluator before that, every root summed over every pole.  ``chain_sum_near_pole`` is the flat
+chain's closed form as it was before its per-mode angles were taken once per set of roots.  scipy,
+which the tridiagonal eigensolver needs, is a test dependency only.
 """
 
 from __future__ import annotations
@@ -339,3 +340,24 @@ def roots_by_block(poles, couplings, alpha, blocks):
         origin[rows], tau[rows], slope[rows], error[rows] = _solve_chunk(
             poles, alpha, bound, rows.start, rows.stop, secular)
     return origin, tau, slope, error
+
+
+def chain_sum_near_pole(k, tau, transfer_hz, num_sites):
+    """S, S' and the size of its terms at x = d_k + tau for odd modes k, every
+    angle computed on each call and both tangent branches taken on every row."""
+    m = num_sites + 1
+    pi = 4.0 * np.arctan(tau.dtype.type(1.0))
+    sin_k = np.sin(pi * np.minimum(k, m - k) / m)
+    cos_k = np.sin(pi * (m - 2 * k) / (2.0 * m))
+    q = tau / (-4.0 * transfer_hz)
+    root = np.sqrt(np.maximum(sin_k * sin_k + 4.0 * q * (cos_k - q), 0.0))
+    half = np.arctan(2.0 * q / (sin_k + root))
+    c = np.where(2 * k <= m, 1.0 / np.tan(pi * k / (2.0 * m) + half),
+                 np.tan(pi * (m - k) / (2.0 * m) - half))
+    t = np.tan(m * half)
+    ratio = c / t
+    scale = (1.0 + c * c) / (4.0 * transfer_hz)
+    value = -scale * (m + ratio)
+    slope = -scale * scale / 2.0 * ((1.0 + 3.0 * c * c) / (c * t) + m * (1.0 + 3.0 * t * t) / (t * t))
+    size = np.abs(scale) * (m + np.abs(ratio))
+    return value, slope, size

@@ -43,6 +43,8 @@ from lattice_polariton.arrowhead import (
 )
 from lattice_polariton.blocks import row_blocks
 from lattice_polariton.exciton import exciton_shifts
+from lattice_polariton.resolvent import chain_angles, chain_sum_near_pole
+import oracles
 from oracles import PoleSums, block_sums, roots_by_block, whole_row_sums
 
 
@@ -269,6 +271,38 @@ class TestFlatChainClosedForm:
         assert result.frequencies_hz.size == num_sites + 1
         assert np.count_nonzero(result.photon_weights) == num_sites // 2 + 1
         assert abs(result.photon_weights.sum() - 1.0) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num_sites=st.integers(min_value=3, max_value=10**6),
+    transfer=st.sampled_from([-1.0, 1.0]).flatmap(
+        lambda sign: st.floats(min_value=1e2, max_value=1e10).map(lambda j: sign * j)),
+    points=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                              st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+                              st.booleans()), min_size=1, max_size=12),
+    wide=st.booleans(),
+)
+def test_cached_angles_are_the_former_closed_form_bit_for_bit(num_sites, transfer, points, wide):
+    # Odd modes k anywhere in the band, at offsets tau a fraction of the way
+    # to either neighbouring odd line, in double and in long double.
+    dtype = np.longdouble if wide else np.float64
+    m, odd = num_sites + 1, (num_sites + 1) // 2
+    where, fraction, up = (np.array(column) for column in zip(*points))
+    i = np.minimum((where * odd).astype(int), odd - 1)
+    j = np.where((up & (i + 1 < odd)) | (i == 0), i + 1, i - 1)
+    pi = 4.0 * np.arctan(dtype(1.0))
+    line = lambda index: 2.0 * dtype(transfer) * np.sin(pi * (m - 2 * (2 * index + 1)) / (2.0 * m))
+    k, tau = 2 * i + 1, fraction.astype(dtype) * (line(j) - line(i))
+    with np.errstate(all="ignore"):  # the bits are compared, warnings or not
+        new = chain_sum_near_pole(chain_angles(k, num_sites, dtype), tau, dtype(transfer), num_sites)
+        old = oracles.chain_sum_near_pole(k, tau, dtype(transfer), num_sites)
+    for fast, slow in zip(new, old):
+        # Equal values of one sign: the same bits, as a long double's padding
+        # bytes are not part of its value.
+        assert fast.dtype == slow.dtype == dtype
+        np.testing.assert_array_equal(fast, slow)
+        np.testing.assert_array_equal(np.signbit(fast), np.signbit(slow))
 
 
 def test_closed_form_weights_match_mpmath():

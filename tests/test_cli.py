@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import lattice_polariton
 from lattice_polariton import (
-    InvalidParameterError, ModelVariant, SystemParams, cavity_frequency, cli, exciton,
-    load_params, superradiant_coupling, superradiant_doublet, superradiant_energy,
+    DampingSet, InvalidParameterError, ModelVariant, SystemParams, cavity_frequency, cli, exciton,
+    load_params, spectra, superradiant_coupling, superradiant_doublet, superradiant_energy,
     transfer_parameter,
 )
 from lattice_polariton.cli import _BLOCK_BYTES, FIGURE_IDS, _write_csv, main
@@ -479,6 +479,42 @@ class TestDefaultSpectrumGrid:
         rc = main(["spectrum", "--num-sites", "5000", "--grid-span-hz", "1.5e8", "--out", str(out)])
         assert rc == 1
         assert "does not cover" in capsys.readouterr().err
+
+
+def dip_traces():
+    """Spectra whose reflection has several dips (the multimode chain, with
+    Gamma_a = 0 and 1e5 Hz) or two (the two-mode doublet), the first two
+    cut so that a dip lies next to each end of the grid, and a dip onto
+    R = 0 whose parabola passes 0, where the ceiling keeps its sample."""
+    traces = []
+    for theta_deg, gamma_atom_hz in ((30.0, 0.0), (0.0, 1e5), (30.0, 1e7)):
+        params = SystemParams(num_sites=200, theta_rad=math.radians(theta_deg), gamma_atom_hz=gamma_atom_hz)
+        for variant in (ModelVariant.FULL_MULTIMODE, ModelVariant.TWO_MODE_SUPERRADIANT):
+            traces.append((params, variant, spectra.sweep(params, DampingSet.from_params(params), variant)))
+    for params, variant, trace in traces[:2]:
+        dips = [i for i, _, _ in spectra._maxima(trace.frequencies_hz, -trace.reflection, 0.0)]
+        cut = slice(min(dips) - 1, max(dips) + 2)
+        traces.append((params, variant, replace(
+            trace, frequencies_hz=trace.frequencies_hz[cut], transmission=trace.transmission[cut],
+            reflection=trace.reflection[cut])))
+    params, variant, trace = traces[-1]
+    reflection = np.array([0.5, 0.1, 0.001, 0.0, 0.002, 0.3, 1.0])
+    traces.append((params, variant, replace(
+        trace, frequencies_hz=4e14 + np.arange(7.0), transmission=1.0 - reflection, reflection=reflection)))
+    return traces
+
+
+@pytest.mark.parametrize("params, variant, trace", dip_traces())
+def test_summary_dips_are_peak_finds_bit_for_bit(params, variant, trace):
+    # The summary takes its dips from the maxima of -R without their
+    # half-height searches; each location and depth must be peak_find's.
+    found = spectra.peak_find(trace.frequencies_hz, -trace.reflection, ceiling=0.0)
+    dips = spectra._maxima(trace.frequencies_hz, -trace.reflection, 0.0)
+    assert [(p.location_hz.hex(), p.height.hex()) for p in found] == [
+        (location.hex(), height.hex()) for _, location, height in dips]
+    lines = cli._summary(params, variant, trace)
+    printed = lines[lines.index("reflection dips (location_hz, depth):") + 1:]
+    assert printed == [f"  {p.location_hz:.6e}  {-p.height:.4e}" for p in found]
 
 
 class TestCommands:
