@@ -370,9 +370,12 @@ def run(spec: RunSpec) -> int:
     dataset = build(spec)
     columns = dataset.columns if names is None else {n: dataset.columns[n] for n in names}
     for name, column in columns.items():
-        # min and max carry any NaN or inf, with no N-element temporary.
+        # min and max carry any NaN or inf, with no N-element temporary; the
+        # first bad row is sought only once one is known to exist.
         if column.dtype.kind == "f" and not np.isfinite([column.min(), column.max()]).all():
-            raise ArithmeticError(f"{name} is not finite")
+            axis, values = next(iter(columns.items()))
+            row = np.flatnonzero(~np.isfinite(column))[0]
+            raise ArithmeticError(f"{name} is not finite at {axis} = {values[row].item()!r}")
     _write_csv(spec.out_path, columns, dataset.comments)
     for line in _summary(spec.params, spec.variant, dataset.trace):
         print(line)

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import libm, quotient
-
 # CODATA 2018 values.
 PLANCK_H = 6.62607015e-34      # J s
 EPSILON_0 = 8.8541878128e-12   # F/m
@@ -142,17 +140,16 @@ def transfer_parameter(params: SystemParams) -> float:
     mu^2 (1 - 3 cos^2 theta) / (4 pi eps0 a^3 h): negative for a dipole
     along the chain, positive beyond the magic angle.
     """
-    return _transfer_at(params, params.theta_rad)
+    with np.errstate(all="ignore"):  # inf or NaN where a^3 underflows to 0
+        return float(_transfer_at(params, params.theta_rad))
 
 
 def _transfer_at(params: SystemParams, theta_rad):
     """transfer_parameter at dipole angle ``theta_rad``, a number or an
     array of them."""
-    geometry = 1.0 - 3.0 * libm(pow, libm(math.cos, theta_rad), 2)
-    return quotient(
-        params.dipole_Cm**2 * geometry,
-        4.0 * math.pi * EPSILON_0 * params.lattice_constant_m**3 * PLANCK_H,
-    )
+    cos = np.cos(theta_rad)
+    return (params.dipole_Cm**2 * (1.0 - 3.0 * (cos * cos))
+            / (4.0 * math.pi * EPSILON_0 * params.lattice_constant_m**3 * PLANCK_H))
 
 
 def chain_length(params: SystemParams) -> float:
@@ -172,13 +169,13 @@ def site_positions(params: SystemParams) -> np.ndarray:
 def superradiant_shift(params: SystemParams) -> float:
     """Offset in Hz of the lowest (nodeless, k = 1) exciton mode from the
     atomic line: 2 J cos(pi / (N+1))."""
-    return _superradiant_shift_at(transfer_parameter(params), params.num_sites)
+    return float(_superradiant_shift_at(transfer_parameter(params), params.num_sites))
 
 
 def _superradiant_shift_at(transfer_hz, num_sites):
     """superradiant_shift of an N-site chain with transfer rate J; either
     may be an array."""
-    return 2.0 * transfer_hz * libm(math.cos, math.pi / (num_sites + 1))
+    return 2.0 * transfer_hz * np.cos(np.pi / (num_sites + 1))
 
 
 def superradiant_energy(params: SystemParams) -> float:

@@ -13,20 +13,21 @@ frequencies, site counts or angles, and the kernel computes what the sweep
 holds fixed once per block of 4,096 points: the mode volume, J at a fixed
 angle, the k = 1 shift and its cotangent at a fixed N.  The polariton
 doublets (``superradiant_doublets``) and the Rabi splittings
-(``rabi_splitting`` of an array) build on it, and each point of a sweep is
-bitwise the number a loop over Python floats gives: +, -, *, / and sqrt
-run in numpy, which rounds them as Python does, while cos, tan, hypot and
-x**2 go through Python's own functions (``blocks.libm``), since numpy's
-differ from them in the last bit.  Where Python's arithmetic would raise
-(a square that overflows, a division by a zero that underflowed), the
-sweep raises the same error at the same first point (``_Points``), and
-numpy's warnings are kept off.
+(``rabi_splitting``) build on it.  The kernel runs on numpy's ufuncs (cos,
+tan, hypot, sqrt and x * x), with one code for numbers and arrays.  Its
+accuracy contract is bounded agreement with a loop over Python floats:
+each value is within 8 ulp of that loop's, an ulp taken at the size of the
+frequencies the value is made from (tests/oracles.py, ``KERNEL_ULPS``).  A
+sweep checks its N, theta and cavity as SystemParams does, and raises
+SystemParams's error at the first point that fails.  Any other failure (a
+square that overflows, a coupling or a root that underflows, a zero
+denominator) leaves inf or NaN at its point, without a warning, and the
+command line refuses such a dataset with exit 1.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy import ndarray
 
-from .blocks import libm, row_blocks
+from .blocks import row_blocks
 from .exciton import (
     _site_coupling_at, envelope_mode_couplings, exciton_shifts, mode_coupling_array,
     site_coupling,
@@ -80,69 +81,19 @@ class PolaritonDoublet:
 
     @property
     def exciton_weight_upper(self) -> float:
-        return self.exciton_amp_upper**2
+        return self.exciton_amp_upper * self.exciton_amp_upper
 
     @property
     def photon_weight_upper(self) -> float:
-        return self.photon_amp_upper**2
+        return self.photon_amp_upper * self.photon_amp_upper
 
     @property
     def exciton_weight_lower(self) -> float:
-        return self.exciton_amp_lower**2
+        return self.exciton_amp_lower * self.exciton_amp_lower
 
     @property
     def photon_weight_lower(self) -> float:
-        return self.photon_amp_lower**2
-
-
-class _Points:
-    """The points of a sweep up to its first failure, as a loop over the
-    points finds it.  A step that fails at some points cuts the sweep before
-    the first of them and keeps that point's error; the steps after it run
-    on the points left, and a failure at an earlier point replaces the kept
-    one.  A failure at the first point is raised at once, since nothing can
-    fail before it; any other is raised by ``done``.  A step that fails at
-    every point (one of the sweep's invariants) thus raises as Python floats
-    raise it, at the first point."""
-
-    def __init__(self, size: int):
-        self.size, self._refusal = size, None
-
-    def check(self, check, values, fails) -> None:
-        """Run a check that raises on a bad number, such as SystemParams's:
-        on ``values`` when it is a number, else on the first point of the
-        array where ``fails(values)`` holds."""
-        if not isinstance(values, ndarray):
-            return check(values)
-        bad = np.flatnonzero(fails(values[: self.size]))
-        if bad.size:
-            self.size = int(bad[0])
-            self._refusal = partial(check, values[self.size].item())
-            if self.size == 0:
-                self._refusal()
-
-    def keep(self, *values):
-        """The values at the points left: arrays cut, numbers as they are."""
-        return [v[: self.size] if isinstance(v, ndarray) else v for v in values]
-
-    def done(self) -> None:
-        if self._refusal is not None:
-            self._refusal()
-
-
-class _Numbers:
-    """The one point of a call on numbers: each check raises at once."""
-
-    @staticmethod
-    def check(check, value, fails) -> None:
-        check(value)
-
-    @staticmethod
-    def keep(*values):
-        return values
-
-
-_NUMBERS = _Numbers()
+        return self.photon_amp_lower * self.photon_amp_lower
 
 
 # Points of a sweep computed at a time: the kernel's temporaries, some
@@ -150,41 +101,50 @@ _NUMBERS = _Numbers()
 _BLOCK_POINTS = 4096
 
 
-def _blockwise(kernel, *args, rows: tuple[int, ...] = ()) -> np.ndarray:
-    """kernel(points, *args) over the points of the array arguments, a
-    block at a time, into one array of shape rows + (points,).  numpy is
-    kept quiet, as Python floats are: the kernel raises where they raise."""
-    size = np.broadcast_shapes(*(a.shape for a in args if isinstance(a, ndarray)))[0]
-    out = np.empty((*rows, size))
+def _sweep(kernel, *args, rows: tuple[int, ...] = ()):
+    """kernel(*args) over the points of the array arguments, a block at a
+    time, into one array of shape rows + (points,); with no array argument,
+    the one point as a float.  The number arguments enter as numpy's, and
+    numpy is kept quiet: a step that overflows, underflows or divides by
+    zero leaves inf or NaN at its point instead of raising."""
+    args = [np.asarray(a)[()] if isinstance(a, (int, float)) else a for a in args]
+    shapes = [a.shape for a in args if isinstance(a, ndarray)]
     with np.errstate(all="ignore"):
+        if not shapes:
+            return kernel(*args).item()
+        size = np.broadcast_shapes(*shapes)[0]
+        out = np.empty((*rows, size))
         for r0, r1, _ in row_blocks(size, 1, elements=_BLOCK_POINTS):
-            points = _Points(r1 - r0)
-            block = kernel(points, *(a[r0:r1] if isinstance(a, ndarray) else a for a in args))
-            points.done()
-            out[..., r0:r1] = block
+            out[..., r0:r1] = kernel(*(a[r0:r1] if isinstance(a, ndarray) else a for a in args))
     return out
 
 
+def _refuse(*checks) -> None:
+    """Raise SystemParams's error at the first point that fails one of
+    ``checks``, as a loop over the points would: there the first check that
+    fails raises.  Each is (check, bad, values): ``values`` a number or an
+    array of a sweep's points, and bad(values) where check would raise."""
+    first = None
+    for check, bad, values in checks:
+        if isinstance(values, ndarray):
+            failing = np.flatnonzero(bad(values))
+            if failing.size and (first is None or failing[0] < first[0]):
+                first = failing[0], check, values[failing[0]].item()
+        elif first is None or first[0] > 0:  # a number fails at every point
+            check(values.item() if isinstance(values, np.generic) else values)
+    if first is not None:
+        first[1](first[2])
+
+
 # Where a sweep's points fail SystemParams's checks.
-def _bad_counts(n: np.ndarray) -> np.ndarray:
-    return (n.dtype.kind not in "biu") | (n < 1) | (n > MAX_NUM_SITES)
+_COUNTS = (_check_num_sites,
+           lambda n: (n.dtype.kind not in "biu") | (n < 1) | (n > MAX_NUM_SITES))
+_ANGLES = (_check_angle, lambda theta: ~np.isfinite(theta))
+_CAVITIES = (partial(_check_positive, "cavity_frequency_hz"),
+             lambda nu: ~(np.isfinite(nu) & (nu > 0.0)))
 
 
-def _bad_angles(theta: np.ndarray) -> np.ndarray:
-    return ~np.isfinite(theta)
-
-
-def _bad_frequencies(nu: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(nu) & (nu > 0.0))
-
-
-_check_cavity = partial(_check_positive, "cavity_frequency_hz")
-
-
-def _one_mode(
-    params: SystemParams, variant: ModelVariant, cavity_hz, num_sites, theta_rad,
-    points: _Points | _Numbers = _NUMBERS,
-):
+def _one_mode(params: SystemParams, variant: ModelVariant, cavity_hz, num_sites, theta_rad):
     """Coupling in Hz, and line offset in Hz from the atomic line, of a
     one-mode variant's exciton: the superradiant k = 1 mode, coupled with
     sqrt(2/(N+1)) cot(pi / (2(N+1))) times the single-site coupling, or the
@@ -193,34 +153,33 @@ def _one_mode(
     the parameters' own, and are checked as SystemParams checks them.
 
     This is the single-mode kernel.  Each of the cavity, N and theta is a
-    number, or an array of a sweep's points (then ``points`` tracks the
-    sweep's first failure); what a sweep holds fixed is computed once: the
-    mode volume, J at a fixed angle, the k = 1 shift and its cotangent at a
-    fixed N.  Arrays take exactly the float operations of numbers: +, -, *,
-    / and sqrt in numpy, which rounds them as Python does, and cos, tan,
-    hypot and x**2 through Python's own functions (``blocks.libm``)."""
-    points.check(_check_num_sites, num_sites, _bad_counts)
-    points.check(_check_angle, theta_rad, _bad_angles)
-    cavity_hz, num_sites, theta_rad = points.keep(cavity_hz, num_sites, theta_rad)
-    shift = _superradiant_shift_at(_transfer_at(params, theta_rad), num_sites)
+    number, or an array of a sweep's points, and one code serves both; what
+    a sweep holds fixed is computed once: the mode volume, J at a fixed
+    angle, the k = 1 shift and its cotangent at a fixed N.  The
+    noninteracting mode needs neither J nor the shift."""
+    shift = 0.0
+    if variant is not ModelVariant.NONINTERACTING_COLLECTIVE:
+        shift = _superradiant_shift_at(_transfer_at(params, theta_rad), num_sites)
     if cavity_hz is None:
         cavity_hz = params.atom_frequency_hz + shift
-    points.check(_check_cavity, cavity_hz, _bad_frequencies)
-    cavity_hz, num_sites, shift = points.keep(cavity_hz, num_sites, shift)
+    _refuse((*_COUNTS, num_sites), (*_ANGLES, theta_rad), (*_CAVITIES, cavity_hz))
     site = _site_coupling_at(params, cavity_hz)
     if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
-        cotangent = 1.0 / libm(math.tan, math.pi / (2.0 * (num_sites + 1)))
-        return site * libm(math.sqrt, 2.0 / (num_sites + 1)) * cotangent, shift
+        cotangent = 1.0 / np.tan(np.pi / (2.0 * (num_sites + 1)))
+        return site * np.sqrt(2.0 / (num_sites + 1)) * cotangent, shift
     if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-        return site * libm(math.sqrt, num_sites), 0.0
+        return site * np.sqrt(num_sites), shift
     raise ValueError(f"no single mode in model variant {variant!r}: use two-mode or noninteracting")
 
 
 def _own_mode(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
-    """_one_mode at the parameters' own cavity, N and angle."""
-    return _one_mode(
-        params, variant, params.cavity_frequency_hz, params.num_sites, params.theta_rad
-    )
+    """_one_mode at the parameters' own cavity, N and angle, in floats.
+    The cavity is a Python float here, so a site coupling whose divisor
+    underflows to 0 raises ZeroDivisionError, as site_coupling does."""
+    with np.errstate(all="ignore"):
+        coupling, shift = _one_mode(params, variant, cavity_frequency(params), params.num_sites,
+                                    params.theta_rad)
+    return float(coupling), float(shift)
 
 
 def superradiant_coupling(params: SystemParams) -> float:
@@ -240,23 +199,12 @@ def collective_coupling_noninteracting(params: SystemParams) -> float:
 def _half_splitting(cavity_hz, exciton_hz, coupling_hz):
     """Half-splitting sqrt(detuning^2 + coupling^2) of one exciton mode
     against the cavity, with the detuning (E_c - E_ex)/2."""
-    return libm(math.hypot, (cavity_hz - exciton_hz) / 2.0, coupling_hz)
+    return np.hypot((cavity_hz - exciton_hz) / 2.0, coupling_hz)
 
 
-def _check_coupling(coupling_hz: float) -> None:
-    if coupling_hz < 0:
-        raise ValueError(f"coupling_hz must be >= 0, got {coupling_hz}")
-
-
-def _doublets(points: _Points, cavity_hz, exciton_hz, coupling_hz) -> np.ndarray:
+def _doublets(cavity_hz, exciton_hz, coupling_hz) -> np.ndarray:
     """Rows detuning, half-splitting, upper and lower branch, and the four
     amplitudes of two_mode_doublet, for arrays of a sweep's points."""
-    points.check(_check_coupling, coupling_hz, lambda g: g < 0)
-    # coupling**2 overflows, and Python raises, from 2**512 on: below it the
-    # exact square is an ulp under the largest float.
-    points.check(partial(pow, exp=2), coupling_hz,
-                 lambda g: np.isfinite(g) & (np.abs(g) >= 2.0**512))
-    cavity_hz, exciton_hz, coupling_hz = points.keep(cavity_hz, exciton_hz, coupling_hz)
     detuning = (cavity_hz - exciton_hz) / 2.0
     half_split = _half_splitting(cavity_hz, exciton_hz, coupling_hz)
     mean = (cavity_hz + exciton_hz) / 2.0
@@ -265,20 +213,16 @@ def _doublets(points: _Points, cavity_hz, exciton_hz, coupling_hz) -> np.ndarray
     # keeping the weight normalization good to ~1e-15.
     ahead = detuning >= 0.0
     larger = np.where(ahead, half_split + detuning, half_split - detuning)
-    smaller = libm(pow, coupling_hz, 2) / larger
+    smaller = coupling_hz * coupling_hz / larger
     plus, minus = np.where(ahead, larger, smaller), np.where(ahead, smaller, larger)
-    pure = coupling_hz == 0.0
-    # Where the coupling is not 0, Python divides it by these roots, and
-    # raises at one that underflowed to 0.
     roots = np.sqrt(2.0 * half_split * np.array([minus, plus]))
-    points.check(lambda g: g / 0.0, coupling_hz, lambda g: (g != 0.0) & (roots == 0.0).any(axis=0))
     amps = np.array([np.sqrt(minus / (2.0 * half_split)), -np.sqrt(plus / (2.0 * half_split)),
                      *(coupling_hz / roots)])
     # amps: exciton and photon of the upper branch, then of the lower one.
     # Pure states where the general formulas hit 0/0; with zero detuning
     # too, the upper branch is the exciton by convention.
     pure_amps = np.where(detuning > 0, [[0.0], [-1.0], [1.0], [0.0]], [[1.0], [0.0], [0.0], [1.0]])
-    amps = np.where(pure, pure_amps, amps)[[0, 2, 1, 3]]
+    amps = np.where(coupling_hz == 0.0, pure_amps, amps)[[0, 2, 1, 3]]
     return np.array([detuning, half_split, mean + half_split, mean - half_split, *amps])
 
 
@@ -290,8 +234,10 @@ def two_mode_doublet(cavity_hz: float, exciton_hz: float, coupling_hz: float) ->
     branches are pure exciton/photon states, and in the fully degenerate
     case the (upper=exciton, lower=photon) convention is applied.
     """
-    rows = _blockwise(_doublets, np.array([cavity_hz]), exciton_hz, np.array([coupling_hz]),
-                      rows=(8,))
+    if coupling_hz < 0:
+        raise ValueError(f"coupling_hz must be >= 0, got {coupling_hz}")
+    rows = _sweep(_doublets, np.array([cavity_hz]), exciton_hz, np.array([coupling_hz]),
+                  rows=(8,))
     return PolaritonDoublet(*rows[:, 0].tolist())
 
 
@@ -302,21 +248,21 @@ def superradiant_doublet(params: SystemParams) -> PolaritonDoublet:
     return two_mode_doublet(cavity_frequency(params), params.atom_frequency_hz + shift, coupling)
 
 
-def _detuning_rows(points: _Points, params: SystemParams, cavity_hz: np.ndarray):
+def _detuning_rows(params: SystemParams, cavity_hz: np.ndarray):
     coupling, shift = _one_mode(params, ModelVariant.TWO_MODE_SUPERRADIANT, cavity_hz,
-                                params.num_sites, params.theta_rad, points)
-    cavity_hz, = points.keep(cavity_hz)
-    rows = _doublets(points, cavity_hz, params.atom_frequency_hz + shift, coupling)
-    return np.concatenate([rows[2:4], libm(pow, rows[4:], 2)])
+                                params.num_sites, params.theta_rad)
+    rows = _doublets(cavity_hz, params.atom_frequency_hz + shift, coupling)
+    return np.concatenate([rows[2:4], rows[4:] * rows[4:]])
 
 
 def superradiant_doublets(params: SystemParams, cavity_hz: np.ndarray) -> np.ndarray:
     """Doublets of the superradiant exciton against each cavity frequency
     of an array: rows of the upper and the lower branch in Hz, then the
     exciton and photon weights of the upper branch and of the lower one.
-    Each point is bitwise that of superradiant_doublet with that cavity, and
-    a sweep that cannot be made raises that of its first failing point."""
-    return _blockwise(_detuning_rows, params, cavity_hz, rows=(6,))
+    Each point is that of superradiant_doublet with that cavity, within the
+    kernel's accuracy bound; a cavity at or below 0 Hz raises at the first,
+    and a point that cannot be made is inf or NaN."""
+    return _sweep(_detuning_rows, params, cavity_hz, rows=(6,))
 
 
 def variant_modes(
@@ -349,14 +295,11 @@ def variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, 
     return (cavity_frequency(params) + exciton_hz) / 2.0, 2.0 * coupling_hz
 
 
-def _rabi(points, params, variant, num_sites, theta_rad, cavity_hz):
-    atom_hz = params.atom_frequency_hz
-    if cavity_hz is None and variant is ModelVariant.NONINTERACTING_COLLECTIVE:
-        cavity_hz = atom_hz
-    coupling, shift = _one_mode(params, variant, cavity_hz, num_sites, theta_rad, points)
-    exciton_hz = atom_hz + shift
-    cavity_hz, = points.keep(exciton_hz if cavity_hz is None else cavity_hz)
-    return 2.0 * _half_splitting(cavity_hz, exciton_hz, coupling)
+def _rabi(params, variant, num_sites, theta_rad, cavity_hz):
+    coupling, shift = _one_mode(params, variant, cavity_hz, num_sites, theta_rad)
+    exciton_hz = params.atom_frequency_hz + shift
+    return 2.0 * _half_splitting(exciton_hz if cavity_hz is None else cavity_hz, exciton_hz,
+                                 coupling)
 
 
 def rabi_splitting(
@@ -371,11 +314,13 @@ def rabi_splitting(
     exciton, and the generalized splitting depends on the angle.
 
     N, theta or the cavity may be an array of a sweep's points: then the
-    splittings are an array, each bitwise that of its point, and a sweep
-    that cannot be made raises that of its first failing point."""
-    if any(isinstance(a, ndarray) for a in (num_sites, theta_rad, cavity_hz)):
-        return _blockwise(_rabi, params, variant, num_sites, theta_rad, cavity_hz)
-    return _rabi(_NUMBERS, params, variant, num_sites, theta_rad, cavity_hz)
+    splittings are an array, each that of its point within the kernel's
+    accuracy bound.  An N, theta or cavity that SystemParams refuses raises
+    its error at the first such point; a point that cannot be made is inf
+    or NaN."""
+    if cavity_hz is None and variant is ModelVariant.NONINTERACTING_COLLECTIVE:
+        cavity_hz = params.atom_frequency_hz
+    return _sweep(_rabi, params, variant, num_sites, theta_rad, cavity_hz)
 
 
 def multimode_diagonalize(

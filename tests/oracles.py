@@ -8,7 +8,8 @@ tests can check the closed forms against them.  ``resonance_loop`` is the cavity
 complex pass per resonance, the form the package used before its blocked
 and closed-form self-energy kernel.  ``polariton_loop`` and ``rabi_loop``
 build the polariton and Rabi datasets one grid point at a time in Python
-floats, the form the package used before its single-mode array kernel.  ``PoleSums``,
+floats, the form the package used before its single-mode array kernel, and
+``ulps`` measures how far the kernel's numbers are from theirs.  ``PoleSums``,
 ``FarField`` and ``block_sums`` are the general arrowhead solve's former driver, one iteration per
 block of BLOCK_ROWS roots and per outer root, and ``roots_by_block`` runs it; ``whole_row_sums`` is
 the evaluator before that, every root summed over every pole.  ``chain_sum_near_pole`` is the flat
@@ -225,6 +226,28 @@ def polariton_loop(params: SystemParams, cavities_hz: np.ndarray) -> np.ndarray:
         _, _, upper, lower, *amps = doublet_point(c, exciton_hz, coupling)
         values[:, i] = (upper, lower, *(a**2 for a in amps))
     return values
+
+
+# How far the one-mode kernel's numbers may be from those of the per-point
+# loops, in ``ulps``: numpy's cos, tan, hypot and x * x against Python's
+# math and x**2, each faithful.  Measured on x86-64 (numpy 2.4, AVX-512):
+# 0 on branch energies, at most 2 on splittings, 3 on lines, mode
+# couplings and weights.  Against 40-digit mpmath the weights, a square of
+# a square root of a quotient of rounded terms, were at most 5 ulp off in
+# 80,000, with the counts falling 5- to 15-fold per ulp from 2 ulp on;
+# the margin keeps a run of a few hundred draws from failing by chance.
+KERNEL_ULPS = 8
+
+
+def ulps(got, want, scale=0.0) -> np.ndarray:
+    """|got - want| in units in the last place of the larger of |want| and
+    ``scale``, the size of the terms want is made from where they cancel:
+    0 where the two are equal or both NaN, inf where only one is finite."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    with np.errstate(all="ignore"):
+        distance = np.abs(got - want) / np.spacing(np.maximum(np.abs(want), scale))
+    return np.where((got == want) | np.isnan(got) & np.isnan(want), 0.0,
+                    np.where(np.isnan(distance), np.inf, distance))
 
 
 def rabi_loop(params, variant, sites, thetas, cavity_hz=None) -> np.ndarray:

@@ -213,6 +213,8 @@ class TestExitCodes:
     def test_non_finite_column_exits_1_before_writing(self, command, column, tmp_path, capsys):
         # The couplings, and so the splittings, overflow to inf while the
         # transfer rate stays finite (about -2.7e-7 Hz); no CSV may hold them.
+        # The first row is named by the axis column.
+        axis = {"omega_int_hz": "theta_rad = 0.0", "omega_int_theta0_hz": "N = 1"}[column]
         path = tmp_path / "p.json"
         path.write_text(json.dumps(
             {"lattice_constant_m": 1e100, "dipole_Cm": 1e125, "mode_volume_m3": 1e-50}))
@@ -220,8 +222,8 @@ class TestExitCodes:
         rc = main([*command, "--config", str(path), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(
-            f"error: a derived quantity is out of floating-point range ({column} is not finite)")
+        assert err == (f"error: a derived quantity is out of floating-point range ({column} is not "
+                       f"finite at {axis})\n")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -255,20 +257,24 @@ class TestExitCodes:
          "cavity_frequency_hz must be a positive number, got -1600000135638581.0"),
         (["rabi-vs-n"], {"dipole_Cm": 3e-24, "cavity_frequency_hz": 4e14},
          "cavity_frequency_hz must be a positive number, got -2.4375064827030416e+17"),
-        # The site coupling's denominator underflows to 0 at every point; it
-        # fails at the first, before the line at N = 2 turns negative.
+        # The site coupling's denominator underflows to 0 at every point,
+        # which leaves inf there; the line at N = 2 is below 0 Hz, a refusal.
         (["rabi-vs-n"], {"dipole_Cm": 3e-24, "cavity_frequency_hz": 4e14, "mode_volume_m3": 1e-300},
-         "a derived quantity is out of floating-point range (float division by zero)"),
-        # The squared coupling underflows, and the doublet divides by its root.
+         "cavity_frequency_hz must be a positive number, got -2.4375064827030416e+17"),
+        # The squared coupling underflows, and the doublet divides by its
+        # root: the upper branch's photon weight is inf from 2 MHz on.
         (["figure", "4b"], {"dipole_Cm": 1e-161, "mode_volume_m3": 3e56},
-         "a derived quantity is out of floating-point range (float division by zero)"),
+         "a derived quantity is out of floating-point range "
+         "(photon_weight_upper is not finite at delta_hz = 2000000.0)"),
         (["polariton"], {"lattice_constant_m": 1e100, "dipole_Cm": 5.6e124},
-         "a derived quantity is out of floating-point range (upper_shift_hz is not finite)"),
+         "a derived quantity is out of floating-point range "
+         "(upper_shift_hz is not finite at delta_hz = -100000000.0)"),
     ], ids=["grid-below-zero", "line-below-zero", "invariant-first", "root-underflow",
             "overflow"])
-    def test_sweep_refusals_name_the_loops_first_failure(self, argv, config, message, tmp_path,
-                                                         capsys):
-        # The messages a per-point loop over Python floats gives; numpy's
+    def test_sweep_refusals_name_their_first_failure(self, argv, config, message, tmp_path,
+                                                     capsys):
+        # A refusal of SystemParams's names the first point it refuses; a
+        # point the arithmetic cannot make is named by its row.  numpy's
         # warnings would be errors here.
         path = tmp_path / "p.json"
         path.write_text(json.dumps(config))
@@ -282,13 +288,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_any_non_finite_cell_is_refused(self, bad, monkeypatch, tmp_path, capsys):
-        # The check runs on every dataset, for a NaN as for an inf.
-        values = np.array([1.0, bad, 2.0])
-        table = dict(cli._DATASETS, dispersion=(lambda spec: cli.Dataset({"x": values}), None, {}))
+        # The check runs on every dataset, for a NaN as for an inf, and names
+        # the first bad row by the first column.
+        columns = {"k": np.array([1, 2, 3, 4]), "x": np.array([1.0, bad, 2.0, bad])}
+        table = dict(cli._DATASETS, dispersion=(lambda spec: cli.Dataset(columns), None, {}))
         monkeypatch.setattr(cli, "_DATASETS", table)
         out = tmp_path / "o.csv"
         assert main(["dispersion", "--out", str(out)]) == 1
-        assert "(x is not finite)" in capsys.readouterr().err
+        assert "(x is not finite at k = 2)\n" in capsys.readouterr().err
         assert not out.exists()
 
 

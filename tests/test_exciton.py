@@ -24,7 +24,7 @@ from lattice_polariton import (
 )
 from oracles import (
     SiteHamiltonian, coupling_sum, coupling_sum_rule, diagonalize_site_hamiltonian,
-    sine_mode_vector,
+    KERNEL_ULPS, sine_mode_vector, ulps,
 )
 
 REF = SystemParams()
@@ -161,8 +161,13 @@ def per_mode_couplings(params):
 @pytest.mark.parametrize("num_sites", [1, 2, 7, 1000, 198_238])
 @pytest.mark.parametrize("theta_rad", [0.0, 1.2])
 def test_mode_couplings_equal_the_per_mode_loop(num_sites, theta_rad):
+    """Equal within the kernel's bound: np.tan and math.tan are each within
+    0.54 ulp of the tangent, and the reciprocal and the scale round each
+    once more.  Even modes are exactly 0 in both."""
     params = SystemParams(num_sites=num_sites, theta_rad=theta_rad)
-    assert np.array_equal(mode_coupling_array(params), per_mode_couplings(params))
+    got, want = mode_coupling_array(params), per_mode_couplings(params)
+    assert (ulps(got, want) <= KERNEL_ULPS).all()
+    assert (got[1::2] == 0.0).all() and (want[1::2] == 0.0).all()
 
 
 def dense_envelope_couplings(params):
