@@ -17,8 +17,8 @@ from .params import (
     site_positions, superradiant_energy, transfer_parameter, validate,
 )
 from .polariton import (
-    ModelVariant, PolaritonDoublet, collective_coupling_noninteracting, multimode_diagonalize,
-    rabi_splitting, superradiant_coupling, superradiant_doublet, two_mode_doublet, variant_center,
+    ModelVariant, collective_coupling_noninteracting, multimode_diagonalize, rabi_splitting,
+    superradiant_coupling, superradiant_doublets, variant_center,
 )
 from .spectra import (
     NoOutputChannelError, Peak, SpectrumTrace, cavity_response, default_grid, peak_find, sweep,

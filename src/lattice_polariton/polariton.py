@@ -11,8 +11,8 @@ The two one-mode variants share one kernel, ``_one_mode``, for a single
 point and for a sweep alike.  A sweep passes an array of cavity
 frequencies, site counts or angles, and the kernel computes what the sweep
 holds fixed once per block of 4,096 points: the mode volume, J at a fixed
-angle, the k = 1 shift and its cotangent at a fixed N.  The polariton
-doublets (``superradiant_doublets``) and the Rabi splittings
+angle, the k = 1 shift and its cotangent at a fixed N.  The doublets
+(``superradiant_doublets``, for arrays of cavities) and the Rabi splittings
 (``rabi_splitting``) build on it.  The kernel runs on numpy's ufuncs (cos,
 tan, hypot, sqrt and x * x), with one code for numbers and arrays.  Its
 accuracy contract is bounded agreement with a loop over Python floats:
@@ -28,7 +28,6 @@ command line refuses such a dataset with exit 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -55,45 +54,6 @@ class ModelVariant(str, enum.Enum):
     TWO_MODE_SUPERRADIANT = "two-mode"
     FULL_MULTIMODE = "multimode"
     NONINTERACTING_COLLECTIVE = "noninteracting"
-
-
-@dataclass(frozen=True)
-class PolaritonDoublet:
-    """Two-mode diagonalization result.
-
-    Amplitudes are real; the coupling phase is absorbed into the photon
-    amplitude.  (exciton_amp, photon_amp) per branch form the orthonormal
-    eigenvectors of the 2x2 coupling matrix.
-    """
-
-    detuning_hz: float        # (E_c - E_ex) / 2h, signed
-    half_splitting_hz: float  # sqrt(detuning^2 + coupling^2), >= 0
-    upper_hz: float
-    lower_hz: float
-    exciton_amp_upper: float
-    photon_amp_upper: float
-    exciton_amp_lower: float
-    photon_amp_lower: float
-
-    @property
-    def splitting_hz(self) -> float:
-        return self.upper_hz - self.lower_hz
-
-    @property
-    def exciton_weight_upper(self) -> float:
-        return self.exciton_amp_upper * self.exciton_amp_upper
-
-    @property
-    def photon_weight_upper(self) -> float:
-        return self.photon_amp_upper * self.photon_amp_upper
-
-    @property
-    def exciton_weight_lower(self) -> float:
-        return self.exciton_amp_lower * self.exciton_amp_lower
-
-    @property
-    def photon_weight_lower(self) -> float:
-        return self.photon_amp_lower * self.photon_amp_lower
 
 
 # Points of a sweep computed at a time: the kernel's temporaries, some
@@ -172,14 +132,14 @@ def _one_mode(params: SystemParams, variant: ModelVariant, cavity_hz, num_sites,
     raise ValueError(f"no single mode in model variant {variant!r}: use two-mode or noninteracting")
 
 
-def _own_mode(params: SystemParams, variant: ModelVariant) -> tuple[float, float]:
-    """_one_mode at the parameters' own cavity, N and angle, in floats.
-    The cavity is a Python float here, so a site coupling whose divisor
+def _own_mode(params: SystemParams, variant: ModelVariant) -> tuple[float, float, float]:
+    """_one_mode at the parameters' own cavity, N and angle, in floats,
+    and that cavity: a Python float, so a site coupling whose divisor
     underflows to 0 raises ZeroDivisionError, as site_coupling does."""
     with np.errstate(all="ignore"):
-        coupling, shift = _one_mode(params, variant, cavity_frequency(params), params.num_sites,
-                                    params.theta_rad)
-    return float(coupling), float(shift)
+        cavity_hz = cavity_frequency(params)
+        coupling, shift = _one_mode(params, variant, cavity_hz, params.num_sites, params.theta_rad)
+    return float(coupling), float(shift), cavity_hz
 
 
 def superradiant_coupling(params: SystemParams) -> float:
@@ -203,8 +163,9 @@ def _half_splitting(cavity_hz, exciton_hz, coupling_hz):
 
 
 def _doublets(cavity_hz, exciton_hz, coupling_hz) -> np.ndarray:
-    """Rows detuning, half-splitting, upper and lower branch, and the four
-    amplitudes of two_mode_doublet, for arrays of a sweep's points."""
+    """Doublets of one exciton mode against the cavity at arrays of points:
+    rows detuning, half-splitting, upper and lower branch, then the exciton
+    and photon amplitudes of each branch (the 2x2 problem's eigenvectors)."""
     detuning = (cavity_hz - exciton_hz) / 2.0
     half_split = _half_splitting(cavity_hz, exciton_hz, coupling_hz)
     mean = (cavity_hz + exciton_hz) / 2.0
@@ -226,28 +187,6 @@ def _doublets(cavity_hz, exciton_hz, coupling_hz) -> np.ndarray:
     return np.array([detuning, half_split, mean + half_split, mean - half_split, *amps])
 
 
-def two_mode_doublet(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> PolaritonDoublet:
-    """Diagonalize one exciton mode against the cavity mode.
-
-    Branch energies are (E_c + E_ex)/2 +- sqrt(detuning^2 + coupling^2).
-    The zero-coupling limits are handled explicitly: at finite detuning the
-    branches are pure exciton/photon states, and in the fully degenerate
-    case the (upper=exciton, lower=photon) convention is applied.
-    """
-    if coupling_hz < 0:
-        raise ValueError(f"coupling_hz must be >= 0, got {coupling_hz}")
-    rows = _sweep(_doublets, np.array([cavity_hz]), exciton_hz, np.array([coupling_hz]),
-                  rows=(8,))
-    return PolaritonDoublet(*rows[:, 0].tolist())
-
-
-def superradiant_doublet(params: SystemParams) -> PolaritonDoublet:
-    """Doublet of the cavity mode and the superradiant exciton at the
-    parameters' cavity frequency."""
-    coupling, shift = _own_mode(params, ModelVariant.TWO_MODE_SUPERRADIANT)
-    return two_mode_doublet(cavity_frequency(params), params.atom_frequency_hz + shift, coupling)
-
-
 def _detuning_rows(params: SystemParams, cavity_hz: np.ndarray):
     coupling, shift = _one_mode(params, ModelVariant.TWO_MODE_SUPERRADIANT, cavity_hz,
                                 params.num_sites, params.theta_rad)
@@ -256,12 +195,11 @@ def _detuning_rows(params: SystemParams, cavity_hz: np.ndarray):
 
 
 def superradiant_doublets(params: SystemParams, cavity_hz: np.ndarray) -> np.ndarray:
-    """Doublets of the superradiant exciton against each cavity frequency
-    of an array: rows of the upper and the lower branch in Hz, then the
-    exciton and photon weights of the upper branch and of the lower one.
-    Each point is that of superradiant_doublet with that cavity, within the
-    kernel's accuracy bound; a cavity at or below 0 Hz raises at the first,
-    and a point that cannot be made is inf or NaN."""
+    """Doublets of the superradiant exciton against an array of cavities (one
+    cavity is an array of one): rows of the upper and lower branch in Hz, then
+    the exciton and photon weights of each, each point within the kernel's
+    accuracy bound of its cavity alone.  A cavity at or below 0 Hz raises at
+    the first; a point that cannot be made is inf or NaN."""
     return _sweep(_detuning_rows, params, cavity_hz, rows=(6,))
 
 
@@ -277,7 +215,7 @@ def variant_modes(
     the cavity; each coupling is taken at the parameters' cavity.
     """
     if variant is not ModelVariant.FULL_MULTIMODE:
-        coupling, shift = _own_mode(params, variant)
+        coupling, shift, _ = _own_mode(params, variant)
         return np.array([coupling]), np.array([shift])
     couplings = envelope_mode_couplings(params) if envelope_exact else mode_coupling_array(params)
     keep = couplings != 0.0
@@ -290,9 +228,9 @@ def variant_center(params: SystemParams, variant: ModelVariant) -> tuple[float, 
     The multimode model is placed and sized by its superradiant mode."""
     if variant is ModelVariant.FULL_MULTIMODE:
         variant = ModelVariant.TWO_MODE_SUPERRADIANT
-    coupling_hz, shift_hz = _own_mode(params, variant)
+    coupling_hz, shift_hz, cavity_hz = _own_mode(params, variant)
     exciton_hz = params.atom_frequency_hz + shift_hz
-    return (cavity_frequency(params) + exciton_hz) / 2.0, 2.0 * coupling_hz
+    return (cavity_hz + exciton_hz) / 2.0, 2.0 * coupling_hz
 
 
 def _rabi(params, variant, num_sites, theta_rad, cavity_hz):

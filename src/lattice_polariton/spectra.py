@@ -33,7 +33,7 @@ from .exciton import site_coupling
 from .params import (
     DampingSet, SystemParams, cavity_frequency, superradiant_energy, transfer_parameter,
 )
-from .polariton import ModelVariant, variant_center, variant_modes
+from .polariton import _BLOCK_POINTS, ModelVariant, variant_center, variant_modes
 from .resolvent import chain_sum
 
 # Default sweep: 2001 points over at least +-150 MHz around the cavity/exciton
@@ -192,9 +192,12 @@ def _transfer(
         coupling_sq = site_coupling(params) ** 2
         transfer, num_sites = transfer_parameter(params), params.num_sites
 
-        def self_energy(x, h):  # i g_site^2 S
-            chain = chain_sum(x + 1j * h, transfer, num_sites)
-            return -coupling_sq * chain.imag, coupling_sq * chain.real
+        def self_energy(x, h):  # i g_site^2 S, in blocks: its complex temporaries stay small
+            parts = np.empty((2, x.size))
+            for r0, r1, _ in row_blocks(x.size, 1, elements=_BLOCK_POINTS):
+                chain = chain_sum(x[r0:r1] + 1j * h, transfer, num_sites)
+                parts[:, r0:r1] = -coupling_sq * chain.imag, coupling_sq * chain.real
+            return parts
     else:
         couplings, lines = variant_modes(params, variant, envelope_exact)
 
@@ -213,18 +216,21 @@ def sweep(
 ) -> SpectrumTrace:
     """Evaluate the spectrum over a frequency grid and locate peaks.
 
-    The grid must be strictly increasing, above 0 Hz, and must comfortably
-    cover the polariton doublet around the cavity/exciton midpoint.
+    The grid must be strictly increasing, finite and above 0 Hz, and must
+    comfortably cover the polariton doublet around the cavity/exciton midpoint.
     """
     center, omega0 = variant_center(params, variant)
     if grid is None:
         grid = default_grid(params, variant)
     else:
         grid = np.asarray(grid, dtype=float)
-    if grid.size < 3 or np.any(np.diff(grid) <= 0):
+    # A comparison is False at a NaN, and quiet at an inf, where a difference is not.
+    if grid.size < 3 or not np.all(grid[1:] > grid[:-1]):
         raise ValueError("frequency grid must be strictly increasing with >= 3 points")
     if grid[0] <= 0.0:
         raise ValueError(f"frequency grid starts at {grid[0]:.6e} Hz: every frequency must be > 0")
+    if grid[-1] == math.inf:
+        raise ValueError("frequency grid ends at inf Hz: every frequency must be finite")
     reach = _DOUBLET_REACH * omega0
     if grid[0] > center - reach or grid[-1] < center + reach:
         raise ValueError(

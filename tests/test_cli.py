@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 import lattice_polariton
 from lattice_polariton import (
     DampingSet, InvalidParameterError, ModelVariant, SystemParams, cavity_frequency, cli, exciton,
-    load_params, spectra, superradiant_coupling, superradiant_doublet, superradiant_energy,
-    transfer_parameter,
+    load_params, spectra, superradiant_coupling, superradiant_energy, transfer_parameter,
 )
 from lattice_polariton.cli import _BLOCK_BYTES, FIGURE_IDS, _write_csv, main
 from lattice_polariton.params import MAX_NUM_SITES, superradiant_shift
+from oracles import own_doublet
 
 COMMANDS = ("dispersion", "couplings", "polariton", "spectrum", "rabi-vs-n", "rabi-vs-theta")
 
@@ -750,6 +750,41 @@ def test_sweeps_build_no_system_params_per_point(command, tmp_path, monkeypatch,
         assert counts[0] == counts[1], (flag, counts)
 
 
+# What the CSV writer's blocks add to a run's traced peak beyond the per-row
+# budgets: the README's "about 1 MB whatever the rows", measured at 1.1-1.2 MB,
+# with a margin.  rabi-vs-theta's own 37.6 bytes per point at 1e5 points,
+# above its budgeted 32, falls inside it.
+WRITER_ALLOWANCE_BYTES = 1.5e6
+
+
+@pytest.mark.parametrize("argv", [
+    "dispersion --num-sites 100000",
+    "polariton --grid-points 100000",
+    "spectrum --grid-points 100000",
+    "spectrum --model multimode --grid-points 100000",
+    "spectrum --model multimode --envelope exact --num-sites 100000",
+    "rabi-vs-n --num-sites 100000",
+    "rabi-vs-theta --grid-points 100000",
+    "figure 7b --num-sites 100000",
+])
+def test_memory_budget_bounds_the_traced_peak(argv, tmp_path, capsys):
+    """The per-site and per-point bytes that `run` refuses a dataset by are an
+    upper bound: each builder, the check of its columns and the writer,
+    traced at 1e5 rows, stay within them and the writer's allowance."""
+    spec = cli._build_spec(cli.build_parser().parse_args([*argv.split(), "--out",
+                                                          str(tmp_path / "o.csv")]))
+    site_bytes, point_bytes = cli._ROW_BYTES.get(cli._DATASETS[spec.dataset][0], (0.0, 0.0))
+    budget = ((site_bytes + cli._ENVELOPE_SITE_BYTES * spec.envelope_exact) * spec.params.num_sites
+              + point_bytes * (spec.grid_points or 0))
+    tracemalloc.start()
+    try:
+        assert cli.run(spec) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + WRITER_ALLOWANCE_BYTES, (peak, budget)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     num_sites=st.integers(1, 10**7),
@@ -761,8 +796,8 @@ def test_sweeps_build_no_system_params_per_point(command, tmp_path, monkeypatch,
 )
 def test_polariton_rows_match_per_point_doublets_bitwise(num_sites, theta, dipole, waist, span,
                                                          points):
-    """Each `polariton` row against superradiant_doublet on a SystemParams
-    with that row's cavity, the form the command had before its kernel; a
+    """Each `polariton` row against a doublet made alone on a SystemParams
+    with that row's cavity, as the command made them before its kernel; a
     cavity at or below 0 Hz is refused by both with the same message."""
     params = SystemParams(num_sites=num_sites, theta_rad=theta, dipole_Cm=dipole,
                           beam_waist_m=waist)
@@ -771,17 +806,17 @@ def test_polariton_rows_match_per_point_doublets_bitwise(num_sites, theta, dipol
     exciton_hz = superradiant_energy(params)
     cavities = (exciton_hz + 2.0 * np.linspace(-span, span, points)).tolist()
     try:
-        doublets = [superradiant_doublet(replace(params, cavity_frequency_hz=c)) for c in cavities]
+        doublets = [own_doublet(replace(params, cavity_frequency_hz=c)) for c in cavities]
     except InvalidParameterError as refused:
         with pytest.raises(InvalidParameterError) as also_refused:
             cli._polariton(spec)
         assert str(also_refused.value) == str(refused)
         return
     columns = cli._polariton(spec).columns
-    assert columns["upper_shift_hz"].tolist() == [d.upper_hz - exciton_hz for d in doublets]
-    assert columns["lower_shift_hz"].tolist() == [d.lower_hz - exciton_hz for d in doublets]
-    for name in cli._WEIGHTS:
-        assert columns[name].tolist() == [getattr(d, name) for d in doublets]
+    assert columns["upper_shift_hz"].tolist() == [d[0] - exciton_hz for d in doublets]
+    assert columns["lower_shift_hz"].tolist() == [d[1] - exciton_hz for d in doublets]
+    for i, name in enumerate(cli._WEIGHTS, 2):
+        assert columns[name].tolist() == [d[i] for d in doublets]
 
 
 def readme_library_example():

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -25,12 +24,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    KERNEL_ULPS, _shift_point, doublet_point, polariton_loop, rabi_loop, rabi_point, ulps,
+    KERNEL_ULPS, _shift_point, doublet_point, one_doublet, polariton_loop, rabi_loop, rabi_point,
+    ulps,
 )
 
 from lattice_polariton import (
     MAGIC_ANGLE_RAD, ModelVariant, SystemParams, rabi_splitting, superradiant_energy,
-    two_mode_doublet,
 )
 from lattice_polariton.params import (
     EPSILON_0, MAX_NUM_SITES, PLANCK_H, _superradiant_shift_at, _transfer_at,
@@ -226,19 +225,17 @@ def test_rabi_over_angles_matches_the_per_point_loop(params, variant, thetas, nu
 @example(cavity=4e14 + 1e8, exciton=4e14, coupling=1e-158)
 @example(cavity=4e14, exciton=4e14, coupling=1e-170)
 def test_two_mode_doublet_matches_the_scalar_form(cavity, exciton, coupling):
-    """The scalar API takes its numbers from the kernel, one point long.  The
-    detuning is exact; the half-splitting and the branches are within the
-    frequency bound of the inputs; the amplitudes are relative."""
-    def fields(*args):
-        return astuple(two_mode_doublet(*args))
-
+    """The doublet kernel on a sweep one point long, against the per-point
+    form, for a coupling of either sign.  The detuning is exact; the
+    half-splitting and the branches are within the frequency bound of the
+    inputs; the amplitudes are relative."""
     def close(i, got, want):
         scale = max(abs(cavity), abs(exciton), abs(coupling))
         return (ulps(got[0], want[0]) == 0
                 and (ulps(got[1:4], want[1:4], scale) <= KERNEL_ULPS).all()
                 and (ulps(got[4:], want[4:]) <= KERNEL_ULPS).all())
 
-    got = outcome(fields, cavity, exciton, coupling)
+    got = outcome(one_doublet, cavity, exciton, coupling)
     assert_agrees(one_point(got), [outcome(doublet_point, cavity, exciton, coupling)], close)
 
 

@@ -18,12 +18,10 @@ from lattice_polariton import (
     rabi_splitting,
     site_coupling,
     superradiant_coupling,
-    superradiant_doublet,
     superradiant_energy,
-    two_mode_doublet,
 )
 
-from oracles import KERNEL_ULPS, ulps
+from oracles import KERNEL_ULPS, one_doublet, own_doublet, ulps
 
 REF = SystemParams()
 LIMIT_RATIO = 2.0 * math.sqrt(2.0) / math.pi
@@ -66,33 +64,31 @@ class TestCouplings:
 
 
 class TestTwoModeDoublet:
+    """The doublet kernel at one point: rows detuning, half-splitting, upper
+    and lower branch, then the exciton and photon amplitudes of each."""
+
     def test_resonant_half_half(self):
-        d = two_mode_doublet(4e14, 4e14, 2.55e7)
-        assert d.splitting_hz == pytest.approx(5.1e7, rel=1e-12)
-        for w in (
-            d.exciton_weight_upper,
-            d.photon_weight_upper,
-            d.exciton_weight_lower,
-            d.photon_weight_lower,
-        ):
-            assert w == pytest.approx(0.5, abs=1e-12)
+        _, _, upper, lower, *amps = one_doublet(4e14, 4e14, 2.55e7)
+        assert upper - lower == pytest.approx(5.1e7, rel=1e-12)
+        for a in amps:
+            assert a * a == pytest.approx(0.5, abs=1e-12)
 
     def test_large_positive_detuning(self):
-        d = two_mode_doublet(4e14 + 2e10, 4e14, 2.55e7)
-        assert d.exciton_weight_lower > 0.999
-        assert d.photon_weight_upper > 0.999
+        _, _, _, _, _, y_up, x_low, _ = one_doublet(4e14 + 2e10, 4e14, 2.55e7)
+        assert x_low * x_low > 0.999
+        assert y_up * y_up > 0.999
 
     def test_large_negative_detuning(self):
-        d = two_mode_doublet(4e14 - 2e10, 4e14, 2.55e7)
-        assert d.exciton_weight_upper > 0.999
-        assert d.photon_weight_lower > 0.999
+        _, _, _, _, x_up, _, _, y_low = one_doublet(4e14 - 2e10, 4e14, 2.55e7)
+        assert x_up * x_up > 0.999
+        assert y_low * y_low > 0.999
 
     def test_splitting_geometry(self):
-        d = two_mode_doublet(4.0001e14, 4e14, 1.7e7)
+        detuning, half, upper, lower, *_ = one_doublet(4.0001e14, 4e14, 1.7e7)
         # branch energies sit on the 4e14 Hz carrier, so their difference is
         # ulp-limited there; compare at 1e-9
-        assert d.upper_hz - d.lower_hz == pytest.approx(2 * d.half_splitting_hz, rel=1e-9)
-        assert d.half_splitting_hz >= abs(d.detuning_hz)
+        assert upper - lower == pytest.approx(2 * half, rel=1e-9)
+        assert half >= abs(detuning)
 
     def test_normalization_and_completeness(self):
         rng = np.random.default_rng(11)
@@ -102,11 +98,11 @@ class TestTwoModeDoublet:
             for _ in range(500)
         ]
         for cavity, exciton, coupling in cases:
-            d = two_mode_doublet(cavity, exciton, coupling)
-            assert d.exciton_weight_upper + d.photon_weight_upper == pytest.approx(1.0, abs=1e-12)
-            assert d.exciton_weight_lower + d.photon_weight_lower == pytest.approx(1.0, abs=1e-12)
-            assert d.exciton_weight_upper + d.exciton_weight_lower == pytest.approx(1.0, abs=1e-12)
-            assert d.photon_weight_upper + d.photon_weight_lower == pytest.approx(1.0, abs=1e-12)
+            x_up, y_up, x_low, y_low = (a * a for a in one_doublet(cavity, exciton, coupling)[4:])
+            assert x_up + y_up == pytest.approx(1.0, abs=1e-12)
+            assert x_low + y_low == pytest.approx(1.0, abs=1e-12)
+            assert x_up + x_low == pytest.approx(1.0, abs=1e-12)
+            assert y_up + y_low == pytest.approx(1.0, abs=1e-12)
 
     def test_against_direct_2x2_diagonalization(self):
         rng = np.random.default_rng(7)
@@ -114,29 +110,24 @@ class TestTwoModeDoublet:
             cavity = 4e14 + rng.uniform(-1e8, 1e8)
             exciton = 4e14 + rng.uniform(-1e8, 1e8)
             coupling = rng.uniform(1e5, 5e7)
-            d = two_mode_doublet(cavity, exciton, coupling)
+            _, _, upper, lower, x_up, _, _, y_low = one_doublet(cavity, exciton, coupling)
             vals, vecs = np.linalg.eigh(np.array([[exciton, coupling], [coupling, cavity]]))
-            assert d.lower_hz == pytest.approx(vals[0], rel=1e-12)
-            assert d.upper_hz == pytest.approx(vals[1], rel=1e-12)
-            assert vecs[0, 1] ** 2 == pytest.approx(d.exciton_weight_upper, abs=1e-12)
-            assert vecs[1, 0] ** 2 == pytest.approx(d.photon_weight_lower, abs=1e-12)
+            assert lower == pytest.approx(vals[0], rel=1e-12)
+            assert upper == pytest.approx(vals[1], rel=1e-12)
+            assert vecs[0, 1] ** 2 == pytest.approx(x_up * x_up, abs=1e-12)
+            assert vecs[1, 0] ** 2 == pytest.approx(y_low * y_low, abs=1e-12)
 
     def test_zero_coupling_pure_states(self):
-        up = two_mode_doublet(4e14 + 1e8, 4e14, 0.0)
-        assert (up.exciton_weight_upper, up.photon_weight_upper) == (0.0, 1.0)
-        assert (up.exciton_weight_lower, up.photon_weight_lower) == (1.0, 0.0)
-        down = two_mode_doublet(4e14 - 1e8, 4e14, 0.0)
-        assert (down.exciton_weight_upper, down.photon_weight_upper) == (1.0, 0.0)
+        x_up, y_up, x_low, y_low = (a * a for a in one_doublet(4e14 + 1e8, 4e14, 0.0)[4:])
+        assert (x_up, y_up) == (0.0, 1.0)
+        assert (x_low, y_low) == (1.0, 0.0)
+        x_up, y_up = (a * a for a in one_doublet(4e14 - 1e8, 4e14, 0.0)[4:6])
+        assert (x_up, y_up) == (1.0, 0.0)
 
     def test_fully_degenerate_convention(self):
-        d = two_mode_doublet(4e14, 4e14, 0.0)
-        assert d.upper_hz == d.lower_hz == 4e14
-        assert (d.exciton_amp_upper, d.photon_amp_upper) == (1.0, 0.0)
-        assert (d.exciton_amp_lower, d.photon_amp_lower) == (0.0, 1.0)
-
-    def test_negative_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            two_mode_doublet(4e14, 4e14, -1.0)
+        _, _, upper, lower, *amps = one_doublet(4e14, 4e14, 0.0)
+        assert upper == lower == 4e14
+        assert amps == [1.0, 0.0, 0.0, 1.0]
 
 
 TWO, NON = ModelVariant.TWO_MODE_SUPERRADIANT, ModelVariant.NONINTERACTING_COLLECTIVE
@@ -293,11 +284,11 @@ class TestMultimode:
     def test_single_site_matches_doublet(self):
         p = SystemParams(num_sites=1)
         result = multimode_diagonalize(p)
-        doublet = superradiant_doublet(p)
-        assert result.frequencies_hz[0] == pytest.approx(doublet.lower_hz, rel=1e-12)
-        assert result.frequencies_hz[1] == pytest.approx(doublet.upper_hz, rel=1e-12)
-        assert result.photon_weights[0] == pytest.approx(doublet.photon_weight_lower, abs=1e-12)
-        assert result.exciton_weights[1, 0] == pytest.approx(doublet.exciton_weight_upper, abs=1e-12)
+        upper, lower, x_up, _, _, y_low = own_doublet(p)
+        assert result.frequencies_hz[0] == pytest.approx(lower, rel=1e-12)
+        assert result.frequencies_hz[1] == pytest.approx(upper, rel=1e-12)
+        assert result.photon_weights[0] == pytest.approx(y_low, abs=1e-12)
+        assert result.exciton_weights[1, 0] == pytest.approx(x_up, abs=1e-12)
 
     def test_orthonormal_eigenvectors(self):
         result = multimode_diagonalize(SystemParams(num_sites=120))
@@ -323,10 +314,10 @@ class TestMultimode:
         for n in (2, 5, 10, 20, 50):
             p = SystemParams(num_sites=n)
             result = multimode_diagonalize(p)
-            doublet = superradiant_doublet(p)
+            upper, lower, *_ = own_doublet(p)
             carried = result.frequencies_hz[result.photon_weights > 0.0]
-            assert carried[0] <= doublet.lower_hz
-            assert carried[-1] >= doublet.upper_hz
+            assert carried[0] <= lower
+            assert carried[-1] >= upper
 
     def test_truncation_deviation_report(self):
         # How far the photon-dominated doublet moves when every bright mode
@@ -335,10 +326,10 @@ class TestMultimode:
         for n, (low, high) in bounds.items():
             p = SystemParams(num_sites=n)
             result = multimode_diagonalize(p)
-            doublet = superradiant_doublet(p)
+            upper, lower, *_ = own_doublet(p)
             top2 = np.sort(np.argsort(result.photon_weights)[-2:])
             multi = result.frequencies_hz[top2[1]] - result.frequencies_hz[top2[0]]
-            ratio = multi / doublet.splitting_hz
+            ratio = multi / (upper - lower)
             print(f"N={n}: multimode/two-mode splitting ratio = {ratio:.4f}")
             assert low < ratio < high, (n, ratio)
 

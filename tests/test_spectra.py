@@ -204,9 +204,13 @@ class TestSweep:
         assert len(peak_find(4e14 + x, np.abs(t) ** 2)) == 1
 
     def test_grid_must_increase(self):
-        grid = default_grid(REF)[::-1]
-        with pytest.raises(ValueError):
-            sweep(REF, REF_DAMPING, ModelVariant.TWO_MODE_SUPERRADIANT, grid)
+        """Reversed, a NaN inside, a NaN or an inf last: refused before any
+        point is evaluated (a NaN passes a test of its differences <= 0)."""
+        grid = default_grid(REF)
+        for bad in (grid[::-1], np.insert(grid, 1000, math.nan), np.append(grid, math.nan),
+                    np.append(grid, math.inf)):
+            with pytest.raises(ValueError):
+                sweep(REF, REF_DAMPING, ModelVariant.TWO_MODE_SUPERRADIANT, bad)
 
     def test_grid_must_cover_doublet(self):
         omega0 = 2.0 * superradiant_coupling(REF)

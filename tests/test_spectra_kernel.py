@@ -18,11 +18,12 @@ import pytest
 
 from lattice_polariton import (
     DampingSet, ModelVariant, SystemParams, cavity_frequency, collective_coupling_noninteracting,
-    envelope_mode_couplings, site_coupling, superradiant_coupling, sweep, transfer_parameter,
+    default_grid, envelope_mode_couplings, site_coupling, superradiant_coupling, sweep,
+    transfer_parameter,
 )
 from lattice_polariton.cli import RunSpec, _exciton_modes, _spectrum
 from lattice_polariton.params import MAGIC_ANGLE_RAD
-from lattice_polariton.polariton import variant_modes
+from lattice_polariton.polariton import _BLOCK_POINTS, variant_modes
 from lattice_polariton.resolvent import chain_sum
 from lattice_polariton.spectra import _transfer
 from oracles import resonance_loop
@@ -262,6 +263,21 @@ def test_flat_sweep_builds_no_chain_sized_array():
         tracemalloc.stop()
     assert trace.frequencies_hz.size == 2001 and len(trace.peaks) == 2
     assert peak < 10e6
+
+
+def test_flat_sweep_blocks_change_no_bit():
+    """The flat closed form takes a grid a block of points at a time: on a
+    grid of three blocks, the points on either side of each block edge, and
+    a sample of the rest, are bit for bit what each gives alone."""
+    params = SystemParams()
+    damping = DampingSet.from_params(params)
+    variant = ModelVariant.FULL_MULTIMODE
+    grid = default_grid(params, variant, points=3 * _BLOCK_POINTS)
+    t_real, t_imag = _transfer(params, damping, variant, grid)
+    edges = [k * _BLOCK_POINTS + d for k in (1, 2) for d in (-1, 0)]
+    for i in [*edges, *range(0, grid.size, 97)]:
+        alone = _transfer(params, damping, variant, grid[i : i + 1])
+        assert (t_real[i], t_imag[i]) == (alone[0][0], alone[1][0]), i
 
 
 @pytest.mark.parametrize("theta", ANGLES, ids=ANGLE_IDS)
