@@ -56,8 +56,8 @@ The solver follows the standard accurate recipe for this problem:
 Frequencies and photon weights need O(N) memory, and O(N) time for the flat
 chain; in general the far-field tables cost FAR_NODES / BLOCK_ROWS pole
 sums per root, still O(N^2) but with a small constant.  z_hat costs O(N^2)
-time and the dense eigenvector matrix O(N^2) memory, so both are built on
-the first access of ``eigenvectors``.
+time, once for both dense accessors; each builds its own matrix on first
+access, a block of eigenvectors at a time, with O(N) memory besides.
 """
 
 from __future__ import annotations
@@ -548,43 +548,52 @@ class ArrowheadEigen:
         self._position[order] = np.arange(order.size)
 
     @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """(N+1, N+1) orthonormal eigenvectors, one column per eigenvalue."""
-        dim = self.size + 1
-        need = 8.0 * dim * dim
-        if need > DENSE_BUDGET_BYTES:
-            raise ValueError(
-                f"the dense eigenvectors of N = {self.size} modes need {need / 1e9:.3g} GB "
-                f"((N+1)^2 float64 values), over the {DENSE_BUDGET_BYTES / 1e9:.3g} GB limit")
-        poles, couplings = self._kept_poles, self._kept_couplings
-        origin, tau = self._origin, self._tau
-        # The closed form's roots are those of the chain's exact lines, which
-        # differ from the rounded diagonal by up to an ulp of the band; z_hat
-        # would absorb that difference and miss A v = lam v by 1e-12 of ||A||
-        # at N = 2000, so the vectors come from the pole sums' roots.
-        if self._closed:
-            origin, tau, _, _ = _secular_roots(poles, couplings, self._alpha)
-        z_hat = _recomputed_couplings(poles, couplings, origin, tau) if poles.size else couplings
-        out = np.zeros((dim, dim))
-        position = self._position
-        for r0, r1, _ in row_blocks(tau.size, poles.size):
-            cols = position[r0:r1]
-            photon = np.ones(r1 - r0)
-            if poles.size:  # [z_hat_j / (lam - d_j); 1], normalized
+    def _vector_roots(self):
+        """Origins, offsets and z_hat of the eigenvectors, for both dense accessors, on the pole sums'
+        roots: the closed form's exact lines would miss A v = lam v by 1e-12 of ||A|| at N = 2000."""
+        poles, couplings, alpha = self._kept_poles, self._kept_couplings, self._alpha
+        origin, tau = _secular_roots(poles, couplings, alpha)[:2] if self._closed else (self._origin, self._tau)
+        return origin, tau, _recomputed_couplings(poles, couplings, origin, tau) if poles.size else couplings
+
+    def _dense(self, rows, name, shape, write):
+        """The first ``rows`` rows of the eigenvectors through ``write``, a block of columns at a time:
+        the bright vectors on the kept rows and runs' deflated members, then the deflated ones."""
+        if (need := 8.0 * rows * (self.size + 1)) > DENSE_BUDGET_BYTES:
+            raise ValueError(f"the dense {name} of N = {self.size} modes need {need / 1e9:.3g} GB ({shape} "
+                             f"float64 values), over the {DENSE_BUDGET_BYTES / 1e9:.3g} GB limit")
+        out, (origin, tau, z_hat) = np.zeros((rows, self.size + 1)), self._vector_roots
+        poles, position, n = self._kept_poles, self._position, self._kept_poles.size
+        bright = np.concatenate([self._kept, *(m[:-1] for m, _ in self._runs)])
+        slot = np.empty(self.size, dtype=int)
+        slot[bright] = np.arange(bright.size)
+        # Runs' I - 2 w w^T: a bright vector is zero on deflated members, so w^T v is the last one's times w's.
+        members = np.concatenate([np.zeros(0, dtype=int), *(m for m, _ in self._runs)])
+        ws = np.concatenate([np.zeros(0), *(w for _, w in self._runs)])
+        last = np.cumsum(sizes := [m.size for m, _ in self._runs], dtype=int).repeat(sizes) - 1
+        spread, lead, w_lead = slot[members], slot[members[last]], ws[last]
+        for r0, r1, _ in row_blocks(tau.size, bright.size):
+            values, photon = np.empty((r1 - r0, bright.size)), np.ones(r1 - r0)
+            values[:, n:] = 0.0  # the runs' deflated members
+            if n:  # [z_hat_j / (lam - d_j); 1], normalized
                 amps = z_hat / ((poles[origin[r0:r1], None] - poles) + tau[r0:r1, None])
                 photon = np.sqrt(1.0 / (1.0 + np.einsum("ij,ij->i", amps, amps)))
-                out[np.ix_(self._kept, cols)] = (amps * photon[:, None]).T
-            out[-1, cols] = photon
+                np.multiply(amps, photon[:, None], out=values[:, :n])
+            values[:, spread] -= (values[:, lead] * w_lead) * (2.0 * ws)
+            out[bright[:, None], position[r0:r1]] = write(values.T)
+            out[self.size:, position[r0:r1]] = photon  # the photon row, if it is one of ``rows``
         out[self._deflated, position[tau.size:]] = 1.0
-        # Back from each run's rotated coordinates, a chunk of rows at a time.
-        for members, w in self._runs:
-            blocks = list(row_blocks(w.size, dim))
-            projection = sum(w[r0:r1] @ out[members[r0:r1]] for r0, r1, _ in blocks)
-            for r0, r1, _ in blocks:
-                out[members[r0:r1]] -= np.outer(2.0 * w[r0:r1], projection)
+        for m, w in self._runs:  # the run's deflated members: the reflector's columns e_i - 2 w w_i
+            for c0, c1, _ in row_blocks(m.size - 1, m.size):
+                values = np.eye(m.size, c1 - c0, -c0) - np.outer(2.0 * w, w[c0:c1])
+                out[m[:, None], position[tau.size + np.searchsorted(self._deflated, m[c0:c1])]] = write(values)
         return out
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """(N+1, N+1) orthonormal eigenvectors, one column per eigenvalue."""
+        return self._dense(self.size + 1, "eigenvectors", "(N+1)^2", np.asarray)
 
     @cached_property
     def exciton_weights(self) -> np.ndarray:
         """(N+1, N) squared diagonal components, row i <-> eigenvector i."""
-        return np.square(self.eigenvectors[:-1, :].T)
+        return self._dense(self.size, "exciton weights", "(N+1) x N", np.square).T

@@ -278,8 +278,9 @@ def multimode_diagonalize(
     O(N) time and memory; with ``include_envelope`` the couplings carry the
     Gaussian beam profile, the roots iterate together, 8,192 at a time, and
     each block of 64 sums its near poles exactly and the far ones from
-    Chebyshev tables, whose build is the only O(N^2) term.  The solver is
-    the result; its eigenvector rows are k = 1..N, then the photon.
+    Chebyshev tables, whose build is the only O(N^2) term.  The solver is the
+    result; its eigenvector rows are k = 1..N, then the photon, and its lazy
+    ``eigenvectors`` and ``exciton_weights`` each cost their own matrix only.
     """
     # Imported here: the command line never diagonalizes, so it skips it.
     from .arrowhead import ArrowheadEigen

@@ -14,7 +14,10 @@ and ``own_doublet`` read the kernel's doublet at a single point.  ``PoleSums``,
 ``FarField`` and ``block_sums`` are the general arrowhead solve's former driver, one iteration per
 block of BLOCK_ROWS roots and per outer root, and ``roots_by_block`` runs it; ``whole_row_sums`` is
 the evaluator before that, every root summed over every pole.  ``chain_sum_near_pole`` is the flat
-chain's closed form as it was before its per-mode angles were taken once per set of roots.  scipy,
+chain's closed form as it was before its per-mode angles were taken once per set of roots.
+``dense_eigenvectors`` and ``dense_exciton_weights`` are the arrowhead's dense accessors as they were
+before their blocked kernel: the whole (N+1)^2 matrix, then each merged run's reflection over every
+column, and the exciton weights squared from that matrix.  scipy,
 which the tridiagonal eigensolver needs, is a test dependency only.
 """
 
@@ -32,7 +35,9 @@ from lattice_polariton import (
     DampingSet, ModelVariant, SystemParams, cavity_frequency, mode_volume, superradiant_doublets,
     transfer_parameter,
 )
-from lattice_polariton.arrowhead import _NODE_WEIGHTS, _NODES, BLOCK_ROWS, FAR_NODES, _solve_chunk
+from lattice_polariton.arrowhead import (
+    _NODE_WEIGHTS, _NODES, BLOCK_ROWS, FAR_NODES, _recomputed_couplings, _secular_roots, _solve_chunk,
+)
 from lattice_polariton.blocks import row_blocks
 from lattice_polariton.params import (
     EPSILON_0, PLANCK_H, _check_angle, _check_num_sites, _check_positive,
@@ -400,3 +405,38 @@ def chain_sum_near_pole(k, tau, transfer_hz, num_sites):
     slope = -scale * scale / 2.0 * ((1.0 + 3.0 * c * c) / (c * t) + m * (1.0 + 3.0 * t * t) / (t * t))
     size = np.abs(scale) * (m + np.abs(ratio))
     return value, slope, size
+
+
+def dense_eigenvectors(solution):
+    """The (N+1)^2 eigenvectors of an ``ArrowheadEigen``, built whole: the
+    bright columns a block of roots at a time, the deflated poles' unit
+    vectors, then each merged run's reflector over every column."""
+    dim = solution.size + 1
+    poles, couplings = solution._kept_poles, solution._kept_couplings
+    origin, tau = solution._origin, solution._tau
+    if solution._closed:
+        origin, tau, _, _ = _secular_roots(poles, couplings, solution._alpha)
+    z_hat = _recomputed_couplings(poles, couplings, origin, tau) if poles.size else couplings
+    out = np.zeros((dim, dim))
+    position = solution._position
+    for r0, r1, _ in row_blocks(tau.size, poles.size):
+        cols = position[r0:r1]
+        photon = np.ones(r1 - r0)
+        if poles.size:  # [z_hat_j / (lam - d_j); 1], normalized
+            amps = z_hat / ((poles[origin[r0:r1], None] - poles) + tau[r0:r1, None])
+            photon = np.sqrt(1.0 / (1.0 + np.einsum("ij,ij->i", amps, amps)))
+            out[np.ix_(solution._kept, cols)] = (amps * photon[:, None]).T
+        out[-1, cols] = photon
+    out[solution._deflated, position[tau.size:]] = 1.0
+    # Back from each run's rotated coordinates, a chunk of rows at a time.
+    for members, w in solution._runs:
+        blocks = list(row_blocks(w.size, dim))
+        projection = sum(w[r0:r1] @ out[members[r0:r1]] for r0, r1, _ in blocks)
+        for r0, r1, _ in blocks:
+            out[members[r0:r1]] -= np.outer(2.0 * w[r0:r1], projection)
+    return out
+
+
+def dense_exciton_weights(solution):
+    """(N+1, N) squares of the exciton rows of ``dense_eigenvectors``."""
+    return np.square(dense_eigenvectors(solution)[:-1, :].T)

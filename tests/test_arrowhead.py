@@ -87,6 +87,15 @@ def assert_eigen_equation(matrix, solution):
     assert np.abs(residual).max() <= max(1e-13 * np.linalg.norm(matrix, 2), floor)
 
 
+def magic_problem(num_sites):
+    """The flat chain at the magic angle in offsets from the atomic line:
+    J -> 0, so every bright pole coincides and they merge into one run."""
+    params = SystemParams(num_sites=num_sites, theta_rad=MAGIC_ANGLE_RAD)
+    shift = params.atom_frequency_hz
+    return (exciton_energies(params) - shift, mode_coupling_array(params),
+            cavity_frequency(params) - shift)
+
+
 def oracle(params, envelope):
     """Dense multimode frequencies and photon weights of the matrix in
     offsets from the atomic line, which is added last, like the solver."""
@@ -160,17 +169,35 @@ class TestDarkModes:
     def test_magic_angle_leaves_one_bright_mode(self, num_sites):
         # J -> 0: every bright pole coincides, they merge into one collective
         # mode, and the rest are dark combinations at the bare line.
-        params = SystemParams(num_sites=num_sites, theta_rad=MAGIC_ANGLE_RAD)
         # multimode_diagonalize's solve, with its shift applied beforehand so
         # that the eigenvalues are offsets from the atomic line.
-        shift = params.atom_frequency_hz
-        problem = (exciton_energies(params) - shift, mode_coupling_array(params),
-                   cavity_frequency(params) - shift)
+        problem = magic_problem(num_sites)
         result = ArrowheadEigen(*problem)
         assert np.count_nonzero(result.photon_weights) == 2
         gram = result.eigenvectors.T @ result.eigenvectors
         assert np.abs(gram - np.eye(num_sites + 1)).max() < 1e-12
         assert_eigen_equation(arrowhead_matrix(*problem), result)
+
+    @settings(max_examples=30, deadline=None)
+    @given(num_sites=st.integers(1, 600), envelope=st.booleans(),
+           theta=st.one_of(st.floats(0.0, MAGIC_ANGLE_RAD - 0.05),
+                           st.floats(MAGIC_ANGLE_RAD + 0.05, math.pi / 2.0)))
+    @example(num_sites=1, envelope=False, theta=0.0)
+    @example(num_sites=600, envelope=True, theta=0.4)
+    @example(num_sites=599, envelope=False, theta=1.2)
+    def test_even_modes_are_exactly_dark_in_the_exciton_weights(self, num_sites, envelope, theta):
+        # Away from the magic angle no poles merge: every even k is split off
+        # with its zero coupling, and the blocked kernel writes nothing there.
+        params = SystemParams(num_sites=num_sites, theta_rad=theta)
+        result = multimode_diagonalize(params, include_envelope=envelope)
+        weights = result.exciton_weights
+        bright = result.photon_weights > 0.0
+        assert np.all(weights[bright, 1::2] == 0.0)
+        dark = weights[~bright]
+        own = np.argmax(dark, axis=1)
+        assert np.all(np.count_nonzero(dark, axis=1) == 1)
+        assert np.all(dark[np.arange(own.size), own] == 1.0)
+        np.testing.assert_array_equal(result.frequencies_hz[~bright], exciton_energies(params)[own])
 
 
 class TestLazyProperties:
@@ -215,6 +242,21 @@ class TestLazyProperties:
         finally:
             tracemalloc.stop()
         assert peak < 8.0 * (num_sites + 1) ** 2 + 4e6
+
+    @pytest.mark.parametrize("theta, envelope", [(0.0, False), (0.0, True), (MAGIC_ANGLE_RAD, False)],
+                             ids=["flat", "envelope", "magic"])
+    def test_exciton_weights_cost_their_own_matrix(self, theta, envelope):
+        # Built a block of eigenvectors at a time, squared and dropped: no
+        # (N+1)^2 eigenvector matrix beside the (N+1) x N result.
+        params = SystemParams(num_sites=2000, theta_rad=theta)
+        result = multimode_diagonalize(params, include_envelope=envelope)
+        tracemalloc.start()
+        try:
+            weights = result.exciton_weights
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= weights.nbytes + 4e6
 
 
 EPS = np.finfo(float).eps
@@ -800,3 +842,18 @@ def test_clustered_arrowheads(problem):
     assert_eigen_equation(matrix, solution)
     weights = np.square(vectors[:-1, :].T)
     assert np.abs(solution.photon_weights + weights.sum(axis=1) - 1.0).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(arrowheads(), clustered_arrowheads()).map(lambda problem: (problem, None))
+       | flat_chains().filter(lambda chain_problem: chain_problem[0][0].size <= 2000))
+@example((magic_problem(300), None))
+@example((magic_problem(1000), None))
+@example((envelope_arrowhead(1619), None))
+def test_dense_accessors_are_the_former_builder_bit_for_bit(chain_problem):
+    problem, chain = chain_problem
+    solution = ArrowheadEigen(*problem, chain=chain)
+    # The weights first, so that they are built without the eigenvectors.
+    weights = solution.exciton_weights
+    assert np.array_equal(weights, oracles.dense_exciton_weights(solution))
+    assert np.array_equal(solution.eigenvectors, oracles.dense_eigenvectors(solution))
