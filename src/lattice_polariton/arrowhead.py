@@ -69,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import CHUNK_ELEMENTS, DENSE_BUDGET_BYTES, row_blocks
-from .resolvent import chain_angles, chain_sum_near_pole
+from .resolvent import chain_angles, chain_sum_near_pole, half_tangents, mode_cosines
 
 EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 100
@@ -279,10 +279,9 @@ def _polish(alpha, chain, origin, tau):
     """
     modes, transfer, coupling_sq, num_sites = chain
     wide = np.longdouble
-    transfer, coupling_sq, m = wide(transfer), wide(coupling_sq), num_sites + 1
-    pi = 4.0 * np.arctan(wide(1.0))
-    lines = 2.0 * transfer * np.sin(pi * (m - 2 * modes) / (2.0 * m))
-    couplings = np.sqrt(coupling_sq * 2.0 / m) / np.tan(pi * modes / (2.0 * m))
+    transfer, coupling_sq, pi = wide(transfer), wide(coupling_sq), 4.0 * np.arctan(wide(1.0))
+    lines = 2.0 * transfer * mode_cosines(modes, num_sites, pi)
+    couplings = np.sqrt(coupling_sq * 2.0 / (num_sites + 1)) / half_tangents(modes, num_sites, pi)
     tau, slope = tau.copy(), np.empty(tau.size)
     for rows, secular in _chunks(lines, couplings, (modes, transfer, coupling_sq, num_sites)):
         secular.at(origin[rows])
@@ -457,11 +456,11 @@ class ArrowheadEigen:
     diagonal, then the corner.
 
     ``chain = (J, g)`` declares the diagonal and border to be the N-site
-    flat chain's lines 2 J cos(pi k / (N+1)) and couplings
-    g sqrt(2/(N+1)) cot(pi k / (2(N+1))), zero for even k, in the order
-    k = 1..N.  When every odd mode stays coupled and none merge, the secular
-    sums then come from the chain's closed form, so the frequencies and
-    photon weights cost O(N) time.
+    flat chain's lines 2 J ``mode_cosines`` and couplings g sqrt(2/(N+1)) /
+    ``half_tangents``, zero for even k, in the order k = 1..N.  When every
+    odd mode stays coupled and none merge, the secular sums then come from
+    the chain's closed form, so the frequencies and photon weights cost
+    O(N) time.
     """
 
     def __init__(self, diagonal, border, corner: float, shift: float = 0.0, chain=None):
@@ -470,8 +469,7 @@ class ArrowheadEigen:
         if diagonal.shape != border.shape or diagonal.ndim != 1:
             raise ValueError("diagonal and border must be 1-D arrays of equal length")
         self.size = diagonal.size
-        magnitude = max(np.abs(diagonal).max(initial=0.0), np.abs(border).max(initial=0.0),
-                        abs(corner))
+        magnitude = np.abs(np.concatenate([diagonal, border, [corner]])).max()
         if not math.isfinite(magnitude):
             raise ValueError("arrowhead entries must be finite")
         # Solve in units of a power of two near the largest entry: exact,

@@ -507,7 +507,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         return _refuse(exc)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

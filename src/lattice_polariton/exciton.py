@@ -17,17 +17,15 @@ from .params import (
     EPSILON_0, PLANCK_H, SystemParams, cavity_frequency, mode_volume, site_positions,
     transfer_parameter,
 )
+from .resolvent import half_tangents, mode_cosines
 
 
 def exciton_shifts(params: SystemParams) -> np.ndarray:
-    """Mode energies for k = 1..N as offsets in Hz from the atomic line.
-
-    2 J cos(pi k / (N+1)), taken as 2 J sin(pi (N+1-2k) / (2(N+1))): the
-    integer N+1-2k is exact, so each shift keeps full relative precision,
-    and the band-centre mode of an odd chain sits exactly on the line.
-    """
-    m = params.num_sites + 1 - 2 * np.arange(1, params.num_sites + 1)
-    shifts = 2.0 * transfer_parameter(params) * np.sin(np.pi * m / (2.0 * (params.num_sites + 1)))
+    """Mode energies for k = 1..N as offsets in Hz from the atomic line:
+    2 J cos(pi k / (N+1)) by ``mode_cosines``, so the band-centre mode of
+    an odd chain sits exactly on the line."""
+    k = np.arange(1, params.num_sites + 1)
+    shifts = 2.0 * transfer_parameter(params) * mode_cosines(k, params.num_sites)
     shifts += 0.0  # the centre's 2J * 0 is -0.0 when J < 0; write it as 0.0
     return shifts
 
@@ -55,23 +53,16 @@ def _site_coupling_at(params: SystemParams, cavity_hz):
     return np.sqrt(cavity_hz * params.dipole_Cm**2 / (2.0 * EPSILON_0 * volume * PLANCK_H))
 
 
-def _odd_cotangents(num_sites: int) -> np.ndarray:
-    """cot(pi k / (2(N+1))), the site sum of mode k's sine amplitudes, for
-    the odd k <= N, from np.tan: each within 8 ulp of a per-mode loop over
-    math.tan (tests/test_exciton.py), as both tangents are faithful."""
-    angles = np.pi * np.arange(1, num_sites + 1, 2) / (2.0 * (num_sites + 1))
-    return 1.0 / np.tan(angles)
-
-
 def mode_coupling_array(params: SystemParams) -> np.ndarray:
     """Cavity coupling magnitudes in Hz for k = 1..N (flat beam envelope).
 
     Mode k couples with sqrt(2/(N+1)) cot(pi k / (2(N+1))) times the
-    single-site coupling for odd k, and exactly zero for even k.
+    single-site coupling for odd k, and exactly zero for even k; each
+    cotangent, 1 / ``half_tangents``, is within 8 ulp of math.tan's.
     """
     couplings = np.zeros(params.num_sites)
     scale = site_coupling(params) * math.sqrt(2.0 / (params.num_sites + 1))
-    couplings[::2] = scale * _odd_cotangents(params.num_sites)
+    couplings[::2] = scale * (1.0 / half_tangents(np.arange(1, params.num_sites + 1, 2), params.num_sites))
     return couplings
 
 

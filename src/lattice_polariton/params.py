@@ -166,21 +166,17 @@ def site_positions(params: SystemParams) -> np.ndarray:
     return (n - (params.num_sites + 1) / 2.0) * params.lattice_constant_m
 
 
-def superradiant_shift(params: SystemParams) -> float:
-    """Offset in Hz of the lowest (nodeless, k = 1) exciton mode from the
-    atomic line: 2 J cos(pi / (N+1))."""
-    return float(_superradiant_shift_at(transfer_parameter(params), params.num_sites))
-
-
 def _superradiant_shift_at(transfer_hz, num_sites):
-    """superradiant_shift of an N-site chain with transfer rate J; either
-    may be an array."""
+    """Offset in Hz from the atomic line of the lowest (nodeless, k = 1)
+    exciton mode, 2 J cos(pi / (N+1)), for transfer rate J and N sites;
+    either may be an array."""
     return 2.0 * transfer_hz * np.cos(np.pi / (num_sites + 1))
 
 
 def superradiant_energy(params: SystemParams) -> float:
-    """Energy in Hz of the lowest exciton mode: nu_a + superradiant_shift."""
-    return params.atom_frequency_hz + superradiant_shift(params)
+    """Energy in Hz of the lowest exciton mode: nu_a + 2 J cos(pi / (N+1))."""
+    shift = _superradiant_shift_at(transfer_parameter(params), params.num_sites)
+    return params.atom_frequency_hz + float(shift)
 
 
 def cavity_frequency(params: SystemParams) -> float:

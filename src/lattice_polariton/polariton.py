@@ -43,6 +43,7 @@ from .params import (
     MAX_NUM_SITES, SystemParams, _check_angle, _check_num_sites, _check_positive,
     _superradiant_shift_at, _transfer_at, cavity_frequency, transfer_parameter,
 )
+from .resolvent import half_tangents
 
 if TYPE_CHECKING:
     from .arrowhead import ArrowheadEigen
@@ -125,7 +126,7 @@ def _one_mode(params: SystemParams, variant: ModelVariant, cavity_hz, num_sites,
     _refuse((*_COUNTS, num_sites), (*_ANGLES, theta_rad), (*_CAVITIES, cavity_hz))
     site = _site_coupling_at(params, cavity_hz)
     if variant is ModelVariant.TWO_MODE_SUPERRADIANT:
-        cotangent = 1.0 / np.tan(np.pi / (2.0 * (num_sites + 1)))
+        cotangent = 1.0 / half_tangents(1, num_sites)
         return site * np.sqrt(2.0 / (num_sites + 1)) * cotangent, shift
     if variant is ModelVariant.NONINTERACTING_COLLECTIVE:
         return site * np.sqrt(num_sites), shift

@@ -1,19 +1,31 @@
-"""The flat chain's resolvent sum S(x) = u^T (x - H)^-1 u in closed form.
+"""The flat chain's sine modes, and its resolvent sum S(x) = u^T (x - H)^-1 u.
 
 H is the N-site chain (zero diagonal, hopping J, empty ends) and u is all
-ones, so S = sum_k w_k / (x - d_k) over its modes k = 1..N: lines
-d_k = 2 J cos(theta_k) with theta_k = pi k / (N+1), and weights
-w_k = 2/(N+1) cot^2(theta_k / 2) for odd k, 0 for even k.  Times the squared
-site coupling, it is the cavity self-energy of the flat multimode model
-(``chain_sum``, complex, for the spectra) and the sum in its secular
-function (``chain_sum_near_pole``, real, for the eigensolve).  Both are
-O(1) per point for any N (Economou, Green's Functions in Quantum Physics,
-ch. 5).
+ones, so S = sum_k w_k / (x - d_k) over its modes k = 1..N: lines d_k =
+2 J cos(theta_k) with theta_k = pi k / (N+1), and weights w_k = 2/(N+1)
+cot^2(theta_k / 2) for odd k, 0 for even k.  Every layer takes cos(theta_k)
+and tan(theta_k / 2) from ``mode_cosines`` and ``half_tangents``, in the
+precision of their ``pi``.  Times the squared site coupling, S is the cavity
+self-energy of the flat multimode model (``chain_sum``, complex, for the
+spectra) and the sum in its secular function (``chain_sum_near_pole``, real,
+for the eigensolve), both O(1) per point for any N (Economou, Green's
+Functions in Quantum Physics, ch. 5).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def mode_cosines(k, num_sites, pi=np.pi):
+    """cos(theta_k) as sin(pi (N+1-2k) / (2(N+1))), from the exact integer
+    N+1-2k: full relative precision, and 0 at an odd chain's centre mode."""
+    return np.sin(pi * (num_sites + 1 - 2 * k) / (2.0 * (num_sites + 1)))
+
+
+def half_tangents(k, num_sites, pi=np.pi):
+    """tan(theta_k / 2) = tan(pi k / (2(N+1))); k or N may be an array."""
+    return np.tan(pi * k / (2.0 * (num_sites + 1)))
 
 
 def chain_sum(x: np.ndarray, transfer_hz: float, num_sites: int) -> np.ndarray:
@@ -50,7 +62,7 @@ def chain_angles(k: np.ndarray, num_sites: int, dtype=np.float64) -> tuple[np.nd
     ``dtype``; every angle is taken from the exact integers k and N+1-k."""
     m, below = num_sites + 1, 2 * k <= num_sites + 1
     pi = 4.0 * np.arctan(dtype(1.0))  # np.pi in float64; more in long double
-    sin_k, cos_k = np.sin(pi * np.minimum(k, m - k) / m), np.sin(pi * (m - 2 * k) / (2.0 * m))
+    sin_k, cos_k = np.sin(pi * np.minimum(k, m - k) / m), mode_cosines(k, num_sites, pi)
     return sin_k, cos_k, pi * np.where(below, k, k - m) / (2.0 * m), below
 
 

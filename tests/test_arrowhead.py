@@ -143,6 +143,32 @@ class TestAgainstDenseOracle:
         np.testing.assert_allclose(np.abs(result.eigenvectors), np.abs(vectors), atol=1e-14)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("diagonal, border", [([1.0, 2.0], [1.0]), ([[1.0]], [[1.0]])],
+                             ids=["lengths", "2-d"])
+    def test_shapes(self, diagonal, border):
+        with pytest.raises(ValueError, match="^diagonal and border must be 1-D arrays of equal length$"):
+            ArrowheadEigen(diagonal, border, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "border", "corner"])
+    def test_non_finite_entries(self, where, value):
+        # Each slot after the first of the magnitude check: Python's max
+        # drops a NaN there, and the solve returned the bare corner.
+        entries = {"diagonal": [1.0, 2.0], "border": [1.0, 1.0], "corner": 0.0}
+        entries[where] = value if where == "corner" else [1.0, value]
+        with pytest.raises(ValueError, match="^arrowhead entries must be finite$"):
+            ArrowheadEigen(**entries)
+
+    @pytest.mark.parametrize("envelope", [False, True], ids=["flat", "envelope"])
+    def test_nan_site_coupling(self, envelope):
+        # The default cavity sits at -5e44 Hz, so the site coupling is the
+        # square root of a negative number (the CLI refuses these inputs).
+        params = SystemParams(num_sites=7, dipole_Cm=1e-10, mode_volume_m3=1e-278)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+            multimode_diagonalize(params, include_envelope=envelope)
+
+
 class TestDarkModes:
     @pytest.mark.parametrize("num_sites", [2, 7, 40, 401, 2000])
     def test_envelope_splits_off_n_over_2_dark_modes(self, num_sites):

@@ -26,7 +26,7 @@ from lattice_polariton import (
     load_params, spectra, superradiant_coupling, superradiant_energy, transfer_parameter,
 )
 from lattice_polariton.cli import _BLOCK_BYTES, FIGURE_IDS, _write_csv, main
-from lattice_polariton.params import MAX_NUM_SITES, superradiant_shift
+from lattice_polariton.params import MAX_NUM_SITES, _superradiant_shift_at
 from oracles import own_doublet
 
 COMMANDS = ("dispersion", "couplings", "polariton", "spectrum", "rabi-vs-n", "rabi-vs-theta")
@@ -586,7 +586,7 @@ class TestCommands:
         middle = values[len(values) // 2]
         assert middle[1] == 0.0 and middle[3] == 1.0
         params = load_params()
-        line = superradiant_shift(params)
+        line = float(_superradiant_shift_at(transfer_parameter(params), params.num_sites))
         delta = (superradiant_energy(params) - params.atom_frequency_hz) - line
         assert 0.0 < abs(delta) <= 1.0 / 32.0
         expected = (params.gamma_mirror_hz * delta / superradiant_coupling(params) ** 2) ** 2
@@ -716,8 +716,8 @@ class TestCommands:
 
     def test_mode_table_takes_one_cotangent_pass(self, tmp_path, capsys, monkeypatch):
         calls = []
-        original = exciton._odd_cotangents
-        monkeypatch.setattr(exciton, "_odd_cotangents", lambda n: calls.append(n) or original(n))
+        original = exciton.half_tangents
+        monkeypatch.setattr(exciton, "half_tangents", lambda k, n: calls.append(n) or original(k, n))
         assert main(["couplings", "--num-sites", "40", "--out", str(tmp_path / "o.csv")]) == 0
         assert calls == [40]
 

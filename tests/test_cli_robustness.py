@@ -15,10 +15,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_polariton import SystemParams, load_params, transfer_parameter
+from lattice_polariton import (
+    ModelVariant, SystemParams, cavity_frequency, default_grid, load_params, transfer_parameter,
+)
 from lattice_polariton.cli import _DATASETS, FIGURE_IDS, main
 from lattice_polariton.exciton import site_coupling
 from lattice_polariton.params import MAGIC_ANGLE_RAD
+from lattice_polariton.polariton import variant_modes
 
 # Every command and figure preset, and the spectrum's other models.
 RUNS = (
@@ -115,23 +118,25 @@ def test_every_run_writes_sensible_output_or_exits_1(argv, config):
     check_run(argv, config)
 
 
-def assert_written(cell, exact):
-    """A '%.11e' cell is the 12-digit rounding of a double within 8 ulp of
-    the exact value: at most half a unit of its 12th significant digit and
-    8 ulp from it.  The doubles behind the mode tables take five to seven
-    roundings (measured: at most 3.2 ulp off), so a fixed slack of 0.0001
-    unit, 0.45 to 4.5 ulp by the leading digit, would fail by chance."""
+def assert_written(cell, exact, ulps=8):
+    """A '%.11e' cell is the 12-digit rounding of a double within ``ulps``
+    of the exact value: at most half a unit of its 12th significant digit
+    and ``ulps`` ulp from it.  The doubles behind the mode tables take five
+    to seven roundings (measured: at most 3.2 ulp off), so a fixed slack of
+    0.0001 unit, 0.45 to 4.5 ulp by the leading digit, would fail by chance."""
     if exact == 0:
         assert cell == "0.00000000000e+00", cell
         return
     unit = mpmath.mpf(10) ** (int(cell.split("e")[1]) - 11)
-    assert abs(mpmath.mpf(cell) - exact) <= unit / 2 + 8 * math.ulp(float(cell)), (cell, exact)
+    assert abs(mpmath.mpf(cell) - exact) <= unit / 2 + ulps * math.ulp(float(cell)), (cell, exact)
+
+
+ANY_ANGLE_DEG = st.one_of(st.sampled_from([0.0, math.degrees(MAGIC_ANGLE_RAD), 90.0]),
+                          st.floats(-720.0, 720.0))
 
 
 @settings(max_examples=25, deadline=None)
-@given(num_sites=st.integers(1, 3000),
-       theta_deg=st.one_of(st.sampled_from([0.0, math.degrees(MAGIC_ANGLE_RAD), 90.0]),
-                           st.floats(-720.0, 720.0)))
+@given(num_sites=st.integers(1, 3000), theta_deg=ANY_ANGLE_DEG)
 @example(num_sites=3000, theta_deg=0.0)
 @example(num_sites=2999, theta_deg=90.0)
 @example(num_sites=1726, theta_deg=5.794387063247598)
@@ -158,3 +163,51 @@ def test_mode_table_cells_against_mpmath(num_sites, theta_deg):
             assert_written(shift, two_j * mpmath.sinpi(mpmath.mpf(num_sites + 1 - 2 * k) / (2 * (num_sites + 1))))
             angle = mpmath.mpf(math.pi * k / (2.0 * (num_sites + 1)))
             assert_written(coupling, scale * mpmath.cot(angle) if k % 2 else 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(num_sites=st.integers(1, 3000), theta_deg=ANY_ANGLE_DEG,
+       cavity_hz=st.one_of(st.none(), st.floats(-0.5, 0.5).map(lambda d: ATOM_HZ * (1.0 + d)),
+                           st.floats(-1e9, 1e9).map(lambda d: ATOM_HZ + d)))
+@example(num_sites=1000, theta_deg=0.0, cavity_hz=None)
+@example(num_sites=2549, theta_deg=90.0, cavity_hz=399999427374438.9)
+def test_spectrum_cells_against_mpmath(num_sites, theta_deg, cavity_hz):
+    """A sample of a two-mode spectrum's rows, both transmission peaks
+    among them, against 40-digit mpmath |t|^2 and |1 - t|^2 with
+    t = gamma_m / (i (nu_c - nu) + kappa/2 + g^2 / (i (nu_1 - nu) + Gamma_a/2)),
+    from the package's own doubles: the grid and the cavity as offsets from
+    nu_a, and the k = 1 line nu_1 - nu_a and coupling g of variant_modes.
+    From the raw parameters nu_c - nu_1 would cancel at 4e14 Hz.  Each
+    value takes about a dozen roundings: at most 9.8 ulp off, measured over
+    180 random runs with each peak's rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "spectrum.csv"
+        argv = ["spectrum", "--num-sites", str(num_sites), f"--theta-deg={theta_deg!r}"]
+        if cavity_hz is not None:
+            argv.append(f"--nu-c-hz={cavity_hz!r}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()
+                         if not line.startswith("#")]
+    assert header == ["nu_hz", "nu_shift_hz", "transmission", "reflection"]
+    params = load_params(num_sites=num_sites, theta_rad=math.radians(theta_deg),
+                         cavity_frequency_hz=cavity_hz)
+    variant = ModelVariant.TWO_MODE_SUPERRADIANT
+    grid = default_grid(params, variant)
+    (coupling,), (line,) = variant_modes(params, variant)
+    transmission = np.array([row[2] for row in rows], dtype=float)
+    peaks = np.flatnonzero((transmission[1:-1] > transmission[:-2])
+                           & (transmission[1:-1] > transmission[2:])) + 1
+    sample = sorted({*range(0, len(rows), 50), *peaks.tolist()})
+    with mpmath.workdps(40):
+        cavity = mpmath.mpf(cavity_frequency(params) - params.atom_frequency_hz)
+        half_kappa = (2 * mpmath.mpf(params.gamma_mirror_hz) + mpmath.mpf(params.gamma_cavity_hz)) / 2
+        half_atom = mpmath.mpf(params.gamma_atom_hz) / 2
+        for i in sample:
+            nu, _, cell_t, cell_r = rows[i]
+            assert_written(nu, mpmath.mpf(grid[i]))
+            x = mpmath.mpf(grid[i] - params.atom_frequency_hz)
+            self_energy = mpmath.mpf(coupling) ** 2 / mpmath.mpc(half_atom, line - x)
+            t = params.gamma_mirror_hz / (mpmath.mpc(half_kappa, cavity - x) + self_energy)
+            assert_written(cell_t, abs(t) ** 2, ulps=16)
+            assert_written(cell_r, abs(1 - t) ** 2, ulps=16)

@@ -182,6 +182,8 @@ class TestJsonConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
             load_params(path)
+        with pytest.raises(ConfigError, match="^parameter file must hold a JSON object, got list$"):
+            params_from_dict([1, 2])
 
     def test_non_numeric_value(self):
         with pytest.raises(ConfigError, match="num_sites"):

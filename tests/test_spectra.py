@@ -224,6 +224,8 @@ class TestSweep:
         # The suite's filters would raise numpy's overflow warning instead.
         with pytest.raises(ValueError, match="grid span must be positive"):
             default_grid(REF, span_hz=span_hz)
+        with pytest.raises(ValueError, match="^grid needs at least 3 points, got 2$"):
+            default_grid(REF, points=2, span_hz=span_hz)
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_default_grid_widens_with_the_splitting(self, variant):
