@@ -427,22 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_transfer_rate(params: SystemParams) -> None:
-    """Refuse a transfer rate J that is not finite, or that puts the
-    superradiant line (which places the default cavity) at a frequency
-    that is not positive: every command reads both."""
-    try:
-        transfer = transfer_parameter(params)
-        cavity = cavity_frequency(params)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"the dipole-dipole transfer rate J: {exc}") from None
-    if not math.isfinite(transfer):
-        raise ArithmeticError(f"the dipole-dipole transfer rate J is {transfer} Hz")
-    if not 0.0 < cavity < math.inf:
-        raise ConfigError(f"the dipole-dipole transfer rate J = {transfer:.6e} Hz puts the superradiant "
-                          f"line, the default cavity frequency, at {cavity:.6e} Hz")
-
-
 def _build_spec(args: argparse.Namespace) -> RunSpec:
     figure = args.command == "figure"
     if figure and args.id is None:
@@ -476,7 +460,8 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
     if figure and params.cavity_frequency_hz is not None:
         raise ConfigError("figure presets own the resonance convention; give neither --nu-c-hz "
                           "nor cavity_frequency_hz in the parameter file")
-    _check_transfer_rate(params)
+    transfer_parameter(params)  # refuses a J that is not finite
+    cavity_frequency(params)  # refuses a default cavity, the superradiant line, outside (0, inf)
 
     out_path = Path(args.out or (f"fig{dataset}.csv" if figure else f"{dataset}.csv"))
     return RunSpec(dataset, params, ModelVariant(args.model), out_path,

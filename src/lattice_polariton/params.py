@@ -137,11 +137,17 @@ def mode_volume(params: SystemParams) -> float:
 def transfer_parameter(params: SystemParams) -> float:
     """Nearest-neighbour dipole-dipole transfer rate in Hz (signed).
 
-    mu^2 (1 - 3 cos^2 theta) / (4 pi eps0 a^3 h): negative for a dipole
-    along the chain, positive beyond the magic angle.
+    mu^2 (1 - 3 cos^2 theta) / (4 pi eps0 a^3 h): negative for a dipole along
+    the chain, positive beyond the magic angle; ArithmeticError if not finite.
     """
-    with np.errstate(all="ignore"):  # inf or NaN where a^3 underflows to 0
-        return float(_transfer_at(params, params.theta_rad))
+    try:
+        with np.errstate(all="ignore"):  # inf or NaN where a^3 underflows to 0
+            transfer = float(_transfer_at(params, params.theta_rad))
+    except ArithmeticError as exc:  # a Python float power out of range
+        raise ArithmeticError(f"the dipole-dipole transfer rate J: {exc}") from None
+    if not math.isfinite(transfer):
+        raise ArithmeticError(f"the dipole-dipole transfer rate J is {transfer} Hz")
+    return transfer
 
 
 def _transfer_at(params: SystemParams, theta_rad):
@@ -180,10 +186,14 @@ def superradiant_energy(params: SystemParams) -> float:
 
 
 def cavity_frequency(params: SystemParams) -> float:
-    """Cavity frequency in Hz; defaults to resonance with the lowest exciton."""
-    if params.cavity_frequency_hz is not None:
-        return params.cavity_frequency_hz
-    return superradiant_energy(params)
+    """Cavity frequency in Hz; defaults to resonance with the lowest exciton,
+    and InvalidParameterError when J puts that default outside (0, inf)."""
+    cavity = params.cavity_frequency_hz or superradiant_energy(params)  # an explicit one is > 0
+    if not 0.0 < cavity < math.inf:
+        raise InvalidParameterError(
+            f"the dipole-dipole transfer rate J = {transfer_parameter(params):.6e} Hz puts the "
+            f"superradiant line, the default cavity frequency, at {cavity:.6e} Hz")
+    return cavity
 
 
 def validate(params: SystemParams) -> list[str]:

@@ -63,16 +63,18 @@ _BLOCK_POINTS = 4096
 
 
 def _sweep(kernel, *args, rows: tuple[int, ...] = ()):
-    """kernel(*args) over the points of the array arguments, a block at a
-    time, into one array of shape rows + (points,); with no array argument,
-    the one point as a float.  The number arguments enter as numpy's, and
-    numpy is kept quiet: a step that overflows, underflows or divides by
-    zero leaves inf or NaN at its point instead of raising."""
-    args = [np.asarray(a)[()] if isinstance(a, (int, float)) else a for a in args]
+    """kernel(*args) over the points of the 1-D array arguments, a block at a
+    time, into one array of shape rows + (points,); with none, the one point
+    as a float or an array of shape rows.  The numbers (0-d arrays too) enter
+    as numpy's, and numpy is kept quiet: a step that overflows, underflows or
+    divides by zero leaves inf or NaN at its point instead of raising."""
+    args = [np.asarray(a)[()] if isinstance(a, (int, float, ndarray)) else a for a in args]
     shapes = [a.shape for a in args if isinstance(a, ndarray)]
+    if any(len(shape) > 1 for shape in shapes):
+        raise ValueError(f"a sweep's points are a 1-D array, got one of shape {max(shapes, key=len)}")
     with np.errstate(all="ignore"):
         if not shapes:
-            return kernel(*args).item()
+            return kernel(*args) if rows else kernel(*args).item()
         size = np.broadcast_shapes(*shapes)[0]
         out = np.empty((*rows, size))
         for r0, r1, _ in row_blocks(size, 1, elements=_BLOCK_POINTS):
@@ -184,7 +186,7 @@ def _doublets(cavity_hz, exciton_hz, coupling_hz) -> np.ndarray:
     # Pure states where the general formulas hit 0/0; with zero detuning
     # too, the upper branch is the exciton by convention.
     pure_amps = np.where(detuning > 0, [[0.0], [-1.0], [1.0], [0.0]], [[1.0], [0.0], [0.0], [1.0]])
-    amps = np.where(coupling_hz == 0.0, pure_amps, amps)[[0, 2, 1, 3]]
+    amps = np.where(coupling_hz == 0.0, pure_amps.reshape(amps.shape), amps)[[0, 2, 1, 3]]
     return np.array([detuning, half_split, mean + half_split, mean - half_split, *amps])
 
 
@@ -195,12 +197,12 @@ def _detuning_rows(params: SystemParams, cavity_hz: np.ndarray):
     return np.concatenate([rows[2:4], rows[4:] * rows[4:]])
 
 
-def superradiant_doublets(params: SystemParams, cavity_hz: np.ndarray) -> np.ndarray:
-    """Doublets of the superradiant exciton against an array of cavities (one
-    cavity is an array of one): rows of the upper and lower branch in Hz, then
-    the exciton and photon weights of each, each point within the kernel's
-    accuracy bound of its cavity alone.  A cavity at or below 0 Hz raises at
-    the first; a point that cannot be made is inf or NaN."""
+def superradiant_doublets(params: SystemParams, cavity_hz: float | np.ndarray) -> np.ndarray:
+    """Doublets of the superradiant exciton against a cavity or a 1-D array
+    of them: six rows, the upper and lower branch in Hz, then the exciton
+    and photon weights of each, each point within the kernel's accuracy
+    bound of its cavity alone.  A cavity at or below 0 Hz raises at the
+    first; a point that cannot be made is inf or NaN."""
     return _sweep(_detuning_rows, params, cavity_hz, rows=(6,))
 
 

@@ -216,7 +216,7 @@ def sweep(
 ) -> SpectrumTrace:
     """Evaluate the spectrum over a frequency grid and locate peaks.
 
-    The grid must be strictly increasing, finite and above 0 Hz, and must
+    The grid must be 1-D, strictly increasing, finite and above 0 Hz, and must
     comfortably cover the polariton doublet around the cavity/exciton midpoint.
     """
     center, omega0 = variant_center(params, variant)
@@ -225,7 +225,7 @@ def sweep(
     else:
         grid = np.asarray(grid, dtype=float)
     # A comparison is False at a NaN, and quiet at an inf, where a difference is not.
-    if grid.size < 3 or not np.all(grid[1:] > grid[:-1]):
+    if grid.ndim != 1 or grid.size < 3 or not np.all(grid[1:] > grid[:-1]):
         raise ValueError("frequency grid must be strictly increasing with >= 3 points")
     if grid[0] <= 0.0:
         raise ValueError(f"frequency grid starts at {grid[0]:.6e} Hz: every frequency must be > 0")

@@ -162,10 +162,12 @@ class TestRefusals:
 
     @pytest.mark.parametrize("envelope", [False, True], ids=["flat", "envelope"])
     def test_nan_site_coupling(self, envelope):
-        # The default cavity sits at -5e44 Hz, so the site coupling is the
-        # square root of a negative number (the CLI refuses these inputs).
+        # The default cavity sits at -5e44 Hz, where the site coupling would
+        # be the square root of a negative number: cavity_frequency names it.
         params = SystemParams(num_sites=7, dipole_Cm=1e-10, mode_volume_m3=1e-278)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+        message = ("^the dipole-dipole transfer rate J = -2.712785e[+]44 Hz puts the superradiant "
+                   "line, the default cavity frequency, at -5.012573e[+]44 Hz$")
+        with pytest.raises(ValueError, match=message):
             multimode_diagonalize(params, include_envelope=envelope)
 
 

@@ -855,19 +855,25 @@ def test_runs_without_scipy(tmp_path):
 
 def test_module_entry_point_runs_main(tmp_path, monkeypatch, capsys):
     """``python -m lattice_polariton`` writes the bytes and the summary that
-    ``cli.main`` writes in process."""
-    argv = ["dispersion", "--num-sites", "7"]
+    ``cli.main`` writes in process, and refuses an input as it does: exit
+    code 1 and one ``error:`` line, with no traceback."""
+    config = tmp_path / "p.json"
+    config.write_text(json.dumps({"dipole_Cm": 1e-20}))
     (tmp_path / "module").mkdir()
     (tmp_path / "main").mkdir()
     env = dict(os.environ, PYTHONPATH=str(Path(lattice_polariton.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-m", "lattice_polariton", *argv],
-                            cwd=tmp_path / "module", env=env, capture_output=True, text=True)
     monkeypatch.chdir(tmp_path / "main")
-    assert main(argv) == 0
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == capsys.readouterr().out
+    for argv, code in ((["dispersion", "--num-sites", "7"], 0), (["spectrum", "--config", str(config)], 1)):
+        result = subprocess.run([sys.executable, "-m", "lattice_polariton", *argv],
+                                cwd=tmp_path / "module", env=env, capture_output=True, text=True)
+        assert main(argv) == code
+        in_process = capsys.readouterr()
+        assert (result.returncode, result.stdout, result.stderr) == (code, in_process.out, in_process.err)
+    assert result.stdout == "" and result.stderr.startswith("error: the dipole-dipole transfer rate J")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
     written = [(tmp_path / where / "dispersion.csv").read_bytes() for where in ("module", "main")]
     assert written[0] == written[1]
+    assert not [*tmp_path.rglob("spectrum.csv")]
 
 
 def reference_csv(header, rows, comments=()):

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -20,7 +21,7 @@ from lattice_polariton import (
 )
 from lattice_polariton.cli import _DATASETS, FIGURE_IDS, main
 from lattice_polariton.exciton import site_coupling
-from lattice_polariton.params import MAGIC_ANGLE_RAD
+from lattice_polariton.params import MAGIC_ANGLE_RAD, _superradiant_shift_at, _transfer_at
 from lattice_polariton.polariton import variant_modes
 
 # Every command and figure preset, and the spectrum's other models.
@@ -211,3 +212,60 @@ def test_spectrum_cells_against_mpmath(num_sites, theta_deg, cavity_hz):
             t = params.gamma_mirror_hz / (mpmath.mpc(half_kappa, cavity - x) + self_energy)
             assert_written(cell_t, abs(t) ** 2, ulps=16)
             assert_written(cell_r, abs(1 - t) ** 2, ulps=16)
+
+
+@settings(max_examples=25, deadline=None)
+@given(command=st.sampled_from(["rabi-vs-n", "rabi-vs-theta"]), num_sites=st.integers(1, 3000),
+       theta_deg=ANY_ANGLE_DEG, dipole_cm=st.one_of(st.just(5e-29), log_uniform(-30, -28)))
+@example(command="rabi-vs-theta", num_sites=1000, theta_deg=0.0, dipole_cm=5e-29)
+@example(command="rabi-vs-n", num_sites=3000, theta_deg=90.0, dipole_cm=1e-28)
+def test_rabi_cells_against_mpmath(command, num_sites, theta_deg, dipole_cm):
+    """Every splitting a Rabi sweep writes, against 40-digit mpmath
+    2 sqrt(((nu_c - nu_1) / 2)^2 + G^2), from the package's own doubles:
+    J, the site coupling g and the k = 1 line nu_1 = nu_a + 2 J cos(pi / (N+1)).
+    G is g sqrt(2/(N+1)) cot(pi / (2(N+1))) for the two-mode exciton, and
+    g sqrt(N) for the noninteracting one on the atomic line.  rabi-vs-n puts
+    the cavity on each N's own line (detuning 0), rabi-vs-theta on the
+    atomic line, where nu_c - nu_1 cancels at 4e14 Hz.  There the double
+    line, within half an ulp of nu_a (0.031 Hz) and 8 ulp of 2J of the
+    exact one, moves a splitting by up to 0.031 Hz, thousands of units of
+    its 12th digit at small N or a weak dipole; so the reference takes the
+    double line, and the line is held to that bound alone.  The splittings
+    take five to seven roundings: at most 3.3 ulp off, measured."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "params.json", Path(tmp) / "rabi.csv"
+        config.write_text(json.dumps({"dipole_Cm": dipole_cm}))
+        argv = [command, "--num-sites", str(num_sites), f"--theta-deg={theta_deg!r}"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    params = load_params(dipole_Cm=dipole_cm, num_sites=num_sites, theta_rad=math.radians(theta_deg))
+    atom_hz = params.atom_frequency_hz
+    site_at_atom = site_coupling(replace(params, cavity_frequency_hz=atom_hz))
+    if command == "rabi-vs-n":
+        assert header == ["N", "omega0_int_hz", "omega0_nonint_hz"]
+        counts = [int(row[0]) for row in rows]
+        assert counts[0] == 1 and counts[-1] == num_sites
+        transfers = [transfer_parameter(params)] * len(rows)
+        # Each N's cavity is its own line, the default cavity of N sites.
+        lines = [cavity_frequency(replace(params, num_sites=n)) for n in counts]
+        cavities, sites = lines, [site_coupling(replace(params, num_sites=n)) for n in counts]
+    else:
+        assert header == ["theta_rad", "omega_int_hz", "omega_nonint_hz"]
+        thetas = np.linspace(0.0, math.pi / 2.0, len(rows))
+        counts = [num_sites] * len(rows)
+        transfers = _transfer_at(params, thetas)
+        lines = (atom_hz + _superradiant_shift_at(transfers, num_sites)).tolist()
+        cavities, sites = [atom_hz] * len(rows), [site_at_atom] * len(rows)
+    with mpmath.workdps(40):
+        for i, (axis, cell_int, cell_nonint) in enumerate(rows):
+            n, line, cavity = counts[i], mpmath.mpf(lines[i]), mpmath.mpf(cavities[i])
+            if command == "rabi-vs-theta":
+                assert_written(axis, mpmath.mpf(thetas[i]))
+            exact_line = atom_hz + 2 * mpmath.mpf(transfers[i]) * mpmath.cospi(mpmath.mpf(1) / (n + 1))
+            bound = math.ulp(lines[i]) / 2 + 8 * math.ulp(2.0 * transfers[i])
+            assert abs(line - exact_line) <= bound, (i, lines[i], exact_line)
+            two_mode = (mpmath.mpf(sites[i]) * mpmath.sqrt(mpmath.mpf(2) / (n + 1))
+                        * mpmath.cot(mpmath.pi / (2 * (n + 1))))
+            assert_written(cell_int, 2 * mpmath.sqrt(((cavity - line) / 2) ** 2 + two_mode**2))
+            assert_written(cell_nonint, 2 * mpmath.mpf(site_at_atom) * mpmath.sqrt(n))

@@ -46,6 +46,8 @@ DETUNINGS = np.linspace(-3e8, 3e8, 2001).tolist()
 ANGLES = np.linspace(0.0, math.pi / 2.0, 2001).tolist()
 # A dipole whose square underflows: every coupling is 0, the pure-state branch.
 DARK = SystemParams(dipole_Cm=1e-300)
+# The refusal of a sweep's points of shape (1, 1).
+TWO_D = r"^a sweep's points are a 1-D array, got one of shape [(]1, 1[)]$"
 
 
 def outcome(f, *args):
@@ -151,6 +153,12 @@ def test_doublet_rows_match_the_per_point_loop(params, offsets, line):
                 and (ulps(got[2:], want[2:], scale / half if half else 0.0) <= KERNEL_ULPS).all())
 
     assert_agrees(outcome(superradiant_doublets, params, cavities), points, close)
+    # The first cavity alone, a number or a 0-d array, is a sweep one point
+    # long; a 2-D array of cavities is refused.
+    for cavity in (cavities[0].item(), cavities[:1].reshape(())):
+        assert_agrees(one_point(outcome(superradiant_doublets, params, cavity)), points[:1], close)
+    with pytest.raises(ValueError, match=TWO_D):
+        superradiant_doublets(params, cavities[:1, None])
 
 
 def splittings_close(params, cavity_hz):
@@ -249,6 +257,13 @@ def test_rabi_splitting_of_numbers_matches_the_scalar_form(params, variant, num_
     assert_agrees(one_point(got), [want], splittings_close(params, cavity_hz))
     if not isinstance(got, tuple):
         assert type(rabi_splitting(params, variant, num_sites, theta, cavity_hz)) is float
+    # A 0-d array is a number; an array of 2 or more dimensions is refused.
+    for zero_d in ((np.array(num_sites), theta), (num_sites, np.array(theta))):
+        again = outcome(rabi_splitting, params, variant, *zero_d, cavity_hz)
+        assert type(again) is type(got) and (again == got if isinstance(got, tuple)
+                                             else np.array_equal(again, got, equal_nan=True))
+    with pytest.raises(ValueError, match=TWO_D):
+        rabi_splitting(params, variant, np.full((1, 1), num_sites), theta, cavity_hz)
 
 
 def test_sweeps_across_blocks_fail_at_their_first_point():

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,17 +10,27 @@ from lattice_polariton import (
     MAGIC_ANGLE_RAD,
     PLANCK_H,
     ConfigError,
+    DampingSet,
     InvalidParameterError,
+    ModelVariant,
     SystemParams,
     cavity_frequency,
     chain_length,
+    default_grid,
     load_params,
+    mode_coupling_array,
     mode_volume,
+    multimode_diagonalize,
     params_from_dict,
+    site_coupling,
     site_positions,
+    superradiant_coupling,
+    sweep,
     transfer_parameter,
     validate,
+    variant_center,
 )
+from lattice_polariton.exciton import exciton_shifts
 from lattice_polariton.params import MAX_NUM_SITES
 
 
@@ -143,6 +154,50 @@ class TestDerived:
         assert cavity_frequency(p) == pytest.approx(4e14 + shift, rel=1e-15)
         explicit = SystemParams(cavity_frequency_hz=3.9e14)
         assert cavity_frequency(explicit) == 3.9e14
+
+
+# Each library call that needs J, and each that needs the default cavity,
+# the k = 1 line, too.
+NEEDS_J = {"transfer_parameter": transfer_parameter, "exciton_shifts": exciton_shifts}
+NEEDS_THE_CAVITY = {
+    "cavity_frequency": cavity_frequency,
+    "site_coupling": site_coupling,
+    "mode_coupling_array": mode_coupling_array,
+    "multimode-flat": multimode_diagonalize,
+    "multimode-envelope": partial(multimode_diagonalize, include_envelope=True),
+    "superradiant_coupling": superradiant_coupling,
+    "variant_center": partial(variant_center, variant=ModelVariant.TWO_MODE_SUPERRADIANT),
+    "default_grid": default_grid,
+    "sweep": lambda p: sweep(p, DampingSet.from_params(p), ModelVariant.TWO_MODE_SUPERRADIANT),
+}
+# J so large that the default cavity lies at -5.0e44 Hz; J = -inf; a square
+# out of a Python float's range.  Each with its error and its whole text.
+UNUSABLE = {
+    "negative-line": (
+        SystemParams(num_sites=7, dipole_Cm=1e-10, mode_volume_m3=1e-278), InvalidParameterError,
+        "^the dipole-dipole transfer rate J = -2.712785e[+]44 Hz puts the superradiant line, "
+        "the default cavity frequency, at -5.012573e[+]44 Hz$"),
+    "infinite-j": (SystemParams(num_sites=7, dipole_Cm=1e150), ArithmeticError,
+                   "^the dipole-dipole transfer rate J is -inf Hz$"),
+    "out-of-range": (SystemParams(num_sites=7, dipole_Cm=1e155), ArithmeticError,
+                     "^the dipole-dipole transfer rate J: [(]"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, case", [
+    pytest.param(call, case, id=f"{name}-{kind}")
+    for kind, case in UNUSABLE.items()
+    for name, call in {**({} if kind == "negative-line" else NEEDS_J), **NEEDS_THE_CAVITY}.items()
+])
+def test_unusable_transfer_rate_is_named_by_every_caller(call, case):
+    """J that is not finite, or a default cavity outside (0, inf), is
+    refused by transfer_parameter and cavity_frequency, with the text the
+    command line prints, before any numpy warning: the caller's symptom
+    (a NaN coupling, a finite-entries refusal) never shows."""
+    params, error, message = case
+    with pytest.raises(error, match=message):
+        call(params)
 
 
 class TestJsonConfig:

@@ -204,12 +204,13 @@ class TestSweep:
         assert len(peak_find(4e14 + x, np.abs(t) ** 2)) == 1
 
     def test_grid_must_increase(self):
-        """Reversed, a NaN inside, a NaN or an inf last: refused before any
-        point is evaluated (a NaN passes a test of its differences <= 0)."""
+        """Reversed, a NaN inside, a NaN or an inf last, or 2-D: refused
+        before any point is evaluated (a NaN passes a test of its
+        differences <= 0)."""
         grid = default_grid(REF)
         for bad in (grid[::-1], np.insert(grid, 1000, math.nan), np.append(grid, math.nan),
-                    np.append(grid, math.inf)):
-            with pytest.raises(ValueError):
+                    np.append(grid, math.inf), grid[None], grid[:, None]):
+            with pytest.raises(ValueError, match="^frequency grid (must be strictly incr|ends at inf)"):
                 sweep(REF, REF_DAMPING, ModelVariant.TWO_MODE_SUPERRADIANT, bad)
 
     def test_grid_must_cover_doublet(self):
