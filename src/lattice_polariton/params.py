@@ -180,7 +180,7 @@ def _superradiant_shift_at(transfer_hz, num_sites):
 
 
 def superradiant_energy(params: SystemParams) -> float:
-    """Energy in Hz of the lowest exciton mode: nu_a + 2 J cos(pi / (N+1))."""
+    """Lowest exciton mode in Hz, nu_a + 2 J cos(pi / (N+1)); ArithmeticError if J is not finite."""
     shift = _superradiant_shift_at(transfer_parameter(params), params.num_sites)
     return params.atom_frequency_hz + float(shift)
 

@@ -863,14 +863,18 @@ def test_module_entry_point_runs_main(tmp_path, monkeypatch, capsys):
     (tmp_path / "main").mkdir()
     env = dict(os.environ, PYTHONPATH=str(Path(lattice_polariton.__file__).parents[1]))
     monkeypatch.chdir(tmp_path / "main")
+    results = []
     for argv, code in ((["dispersion", "--num-sites", "7"], 0), (["spectrum", "--config", str(config)], 1)):
         result = subprocess.run([sys.executable, "-m", "lattice_polariton", *argv],
                                 cwd=tmp_path / "module", env=env, capture_output=True, text=True)
         assert main(argv) == code
         in_process = capsys.readouterr()
         assert (result.returncode, result.stdout, result.stderr) == (code, in_process.out, in_process.err)
-    assert result.stdout == "" and result.stderr.startswith("error: the dipole-dipole transfer rate J")
-    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        results.append(result)
+    ran, refused = results
+    assert (ran.returncode, ran.stderr) == (0, "")
+    assert refused.stdout == "" and refused.stderr.startswith("error: the dipole-dipole transfer rate J")
+    assert refused.stderr.count("\n") == 1 and "Traceback" not in refused.stderr
     written = [(tmp_path / where / "dispersion.csv").read_bytes() for where in ("module", "main")]
     assert written[0] == written[1]
     assert not [*tmp_path.rglob("spectrum.csv")]
