@@ -252,22 +252,6 @@ def sweep(
     )
 
 
-def _parabolic_vertex(x: np.ndarray, y: np.ndarray, floor: float, ceiling: float) -> tuple[float, float]:
-    """Vertex of the parabola through three points (x shifted for
-    conditioning), at or above the middle sample.  The maximum is
-    unresolved, and keeps its sample, if the fit is degenerate, if the
-    vertex passes ``ceiling``, or if a neighbour lies below half the
-    sample's height above ``floor``: next to a one-point transmission zero,
-    say, the vertex would overshoot by up to 1/8 of the drop."""
-    x0 = x[1]
-    a, b, c = np.polyfit(x - x0, y, 2)
-    if a < 0.0 and 2.0 * min(y[0], y[2]) >= y[1] + floor:
-        height = c - b**2 / (4.0 * a)
-        if height <= ceiling:
-            return float(x0 - b / (2.0 * a)), float(max(height, y[1]))
-    return float(x0), float(y[1])
-
-
 # Steps the first window of a half-height search tests; each later window
 # doubles, so a search costs O(distance to where it stops), not O(points).
 _FIRST_WINDOW = 64
@@ -301,17 +285,28 @@ def _half_crossing(
 
 def _maxima(freq: np.ndarray, vals: np.ndarray, ceiling: float) -> list[tuple[int, float, float]]:
     """Index, location and height of each local maximum of the float arrays,
-    by 3-point comparison with parabolic refinement that stops at
-    ``ceiling``, in order of location."""
+    by 3-point comparison, in order of location.  A maximum moves to the
+    vertex of the parabola through it and its neighbours if that opens
+    downward, is finite and at most ``ceiling``, and both neighbours lie at
+    or above half the sample's height over the least non-NaN sample (next
+    to a one-point zero the vertex would overshoot by up to 1/8 of the drop)."""
     if freq.size != vals.size:
         raise ValueError("frequency and value arrays must have equal length")
     if freq.size < 3:
         return []
     inner = vals[1:-1]
-    maxima = np.flatnonzero((inner > vals[:-2]) & (inner > vals[2:])) + 1
-    floor = vals.min()
-    found = [(i, *_parabolic_vertex(freq[i - 1 : i + 2], vals[i - 1 : i + 2], floor, ceiling))
-             for i in maxima.tolist()]
+    i = np.flatnonzero((inner > vals[:-2]) & (inner > vals[2:])) + 1
+    (x0, x1, x2), (y0, y1, y2) = freq[[i - 1, i, i + 1]], vals[[i - 1, i, i + 1]]
+    with np.errstate(all="ignore"):  # a repeated frequency, flat top or overflow keeps its sample
+        h0, h2 = x0 - x1, x2 - x1
+        s0 = (y0 - y1) / h0
+        a = ((y2 - y1) / h2 - s0) / (h2 - h0)
+        b = s0 - a * h0
+        location, height = x1 - b / (2.0 * a), y1 - b * b / (4.0 * a)
+        resolved = ((a < 0.0) & (2.0 * np.minimum(y0, y2) >= y1 + np.fmin.reduce(vals))
+                    & (height <= ceiling) & np.isfinite(location) & np.isfinite(height))
+        found = zip(i.tolist(), np.where(resolved, location, x1).tolist(),
+                    np.where(resolved, np.maximum(height, y1), y1).tolist())
     return sorted(found, key=lambda m: m[1])
 
 

@@ -17,8 +17,10 @@ the evaluator before that, every root summed over every pole.  ``chain_sum_near_
 chain's closed form as it was before its per-mode angles were taken once per set of roots.
 ``dense_eigenvectors`` and ``dense_exciton_weights`` are the arrowhead's dense accessors as they were
 before their blocked kernel: the whole (N+1)^2 matrix, then each merged run's reflection over every
-column, and the exciton weights squared from that matrix.  scipy,
-which the tridiagonal eigensolver needs, is a test dependency only.
+column, and the exciton weights squared from that matrix.  ``mp_vertex`` is the
+vertex of a peak's three samples in mpmath, with the Lebesgue sums that carry an error
+in the samples into it.  scipy, which the tridiagonal eigensolver needs, is a test
+dependency only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 
+import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
@@ -440,3 +443,24 @@ def dense_eigenvectors(solution):
 def dense_exciton_weights(solution):
     """(N+1, N) squares of the exciton rows of ``dense_eigenvectors``."""
     return np.square(dense_eigenvectors(solution)[:-1, :].T)
+
+
+def mp_vertex(x, y):
+    """The parabola through three points, at mpmath's precision: its
+    curvature a, the location and height of its vertex, and the Lebesgue
+    sums sum |L_j| and sum |L_j'| of its Lagrange basis at the vertex.  An
+    error of at most e in each sample moves the height by up to e sum |L_j|
+    and the location by up to e sum |L_j'| / (2 |a|), to first order."""
+    xs, ys = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in y]
+    h0, h2 = xs[0] - xs[1], xs[2] - xs[1]
+    s0 = (ys[0] - ys[1]) / h0
+    a = ((ys[2] - ys[1]) / h2 - s0) / (h2 - h0)
+    b = s0 - a * h0
+    t = xs[1] - b / (2 * a)
+    basis = slopes = 0
+    for j in range(3):
+        k, m = (n for n in range(3) if n != j)
+        scale = (xs[j] - xs[k]) * (xs[j] - xs[m])
+        basis += abs((t - xs[k]) * (t - xs[m]) / scale)
+        slopes += abs((2 * t - xs[k] - xs[m]) / scale)
+    return a, t, ys[1] - b * b / (4 * a), basis, slopes
